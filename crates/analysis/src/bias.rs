@@ -188,14 +188,7 @@ pub fn run_bias_sweep(cfg: &BiasConfig) -> BiasReport {
         let mut config = CrawlConfig::paper(crawl.clone(), os, cfg.seed);
         config.workers = cfg.workers;
         config.profile = profile;
-        let jobs: Vec<CrawlJob<'_>> = population
-            .sites2020
-            .iter()
-            .map(|site| CrawlJob {
-                site,
-                malicious_category: None,
-            })
-            .collect();
+        let jobs: Vec<CrawlJob<'_>> = population.sites2020.iter().map(CrawlJob::plain).collect();
         run_crawl(&jobs, &config, &store);
 
         let analysis = analyze_crawl_par(&store, &crawl, cfg.workers);

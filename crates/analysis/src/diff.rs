@@ -4,8 +4,8 @@
 //! [`longitudinal::transitions`] compares the paper's two crawls from
 //! fully-materialised [`SiteLocalActivity`] lists. A rolling series of
 //! N snapshots can't afford that: this module walks N manifests of a
-//! [`SnapshotStore`] *shard-parallel* — workers claim domain-hash
-//! shards off an atomic ticket, decode each referenced chunk through
+//! [`SnapshotStore`] *shard-parallel* — [`par_indexed`] workers claim
+//! domain-hash shards, decode each referenced chunk through
 //! the borrowed [`decode_view`] path, classify on the fly, and emit
 //! per-domain timelines. The merge is a deterministic fold over sorted
 //! partials, so the rendered tables are byte-identical across worker
@@ -25,12 +25,11 @@
 //! [`decode_view`]: kt_store::decode_view
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use kt_netbase::OsSet;
 use kt_store::decode_view;
 use kt_store::snapshot::{shard_of, slot_os, SnapshotStore, SNAPSHOT_SHARDS};
-use kt_trace::{names, Labels, Trace};
+use kt_trace::{names, par_indexed, Labels, Trace};
 
 use crate::classify::{classify_site, ReasonClass};
 use crate::detect::{detect_local_view, SiteLocalActivity};
@@ -107,8 +106,9 @@ pub struct SnapshotDiff {
     pub rows_walked: u64,
 }
 
-/// Diff `labels` (oldest first) with `workers` threads. Panics if a
-/// label is absent from the store.
+/// Diff `labels` (oldest first) with up to `workers` threads — never
+/// more than there are shards. Panics if a label is absent from the
+/// store.
 pub fn diff_snapshots(store: &SnapshotStore, labels: &[&str], workers: usize) -> SnapshotDiff {
     diff_snapshots_traced(store, labels, workers, None)
 }
@@ -128,42 +128,24 @@ pub fn diff_snapshots_traced(
                 .unwrap_or_else(|| panic!("snapshot {l:?} not in store"))
         })
         .collect();
-    let workers = workers.max(1);
 
-    // Workers claim domain-hash shards off an atomic ticket and fold
-    // each shard's domains into a local partial. A domain's rows live
-    // in exactly one shard across every manifest, so each worker sees
-    // a site's whole timeline and can classify it without cross-worker
-    // state. Partials merge into a BTreeMap, erasing claim order.
-    let ticket = AtomicUsize::new(0);
+    // Workers claim domain-hash shards and fold each shard's domains
+    // into a per-shard partial. A domain's rows live in exactly one
+    // shard across every manifest, so each worker sees a site's whole
+    // timeline and can classify it without cross-worker state.
+    // Partials merge into a BTreeMap, erasing claim order.
+    let (partials, _) = par_indexed(
+        SNAPSHOT_SHARDS,
+        workers,
+        |_| (),
+        |_, shard| walk_shard(store, &manifests, shard),
+    );
     let mut timelines: BTreeMap<String, Vec<SiteState>> = BTreeMap::new();
     let mut rows_walked: u64 = 0;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let ticket = &ticket;
-            let manifests = &manifests;
-            handles.push(scope.spawn(move || {
-                let mut partial: Vec<(String, Vec<SiteState>)> = Vec::new();
-                let mut walked: u64 = 0;
-                loop {
-                    let shard = ticket.fetch_add(1, Ordering::Relaxed);
-                    if shard >= SNAPSHOT_SHARDS {
-                        break;
-                    }
-                    walk_shard(store, manifests, shard, &mut partial, &mut walked);
-                }
-                (partial, walked)
-            }));
-        }
-        for handle in handles {
-            let (partial, walked) = handle.join().expect("diff worker panicked");
-            rows_walked += walked;
-            for (domain, timeline) in partial {
-                timelines.insert(domain, timeline);
-            }
-        }
-    });
+    for (partial, walked) in partials {
+        rows_walked += walked;
+        timelines.extend(partial);
+    }
 
     let diff = assemble(labels, &manifests, &timelines, rows_walked);
     if let Some(t) = trace {
@@ -176,14 +158,13 @@ pub fn diff_snapshots_traced(
     diff
 }
 
-/// Classify every domain of one shard across all manifests.
+/// Classify every domain of one shard across all manifests. Returns
+/// the shard's timelines plus the number of manifest rows decoded.
 fn walk_shard(
     store: &SnapshotStore,
     manifests: &[&kt_store::snapshot::SnapshotManifest],
     shard: usize,
-    partial: &mut Vec<(String, Vec<SiteState>)>,
-    walked: &mut u64,
-) {
+) -> (Vec<(String, Vec<SiteState>)>, u64) {
     // Distinct shard domains across every manifest, sorted (BTreeMap
     // keys are sorted already, so a BTreeMap merge keeps determinism).
     let mut domains: BTreeMap<&str, ()> = BTreeMap::new();
@@ -194,13 +175,18 @@ fn walk_shard(
             }
         }
     }
-    for (domain, ()) in domains {
-        let mut timeline = Vec::with_capacity(manifests.len());
-        for manifest in manifests {
-            timeline.push(site_state(store, manifest, domain, walked));
-        }
-        partial.push((domain.to_string(), timeline));
-    }
+    let mut walked = 0;
+    let partial = domains
+        .into_keys()
+        .map(|domain| {
+            let timeline = manifests
+                .iter()
+                .map(|manifest| site_state(store, manifest, domain, &mut walked))
+                .collect();
+            (domain.to_string(), timeline)
+        })
+        .collect();
+    (partial, walked)
 }
 
 /// Decode one site's rows in one snapshot and classify them.
@@ -410,13 +396,7 @@ mod tests {
             site.set_availability_all(Availability::Up);
             sites.push(site);
         }
-        let jobs: Vec<CrawlJob<'_>> = sites
-            .iter()
-            .map(|site| CrawlJob {
-                site,
-                malicious_category: None,
-            })
-            .collect();
+        let jobs: Vec<CrawlJob<'_>> = sites.iter().map(CrawlJob::plain).collect();
         let telemetry = TelemetryStore::new();
         let crawl = CrawlId(label.to_string());
         for os in [Os::Windows, Os::Linux] {
@@ -510,6 +490,19 @@ mod tests {
     }
 
     #[test]
+    fn absurd_worker_counts_are_capped_at_the_shard_count() {
+        // `snapshot diff --workers 100000` must run on at most one
+        // thread per shard, not one per requested worker, and render
+        // the same tables.
+        let store = two_snapshot_store();
+        let labels = ["snap00", "snap01"];
+        assert_eq!(
+            diff_snapshots(&store, &labels, 100_000).render(),
+            diff_snapshots(&store, &labels, 1).render()
+        );
+    }
+
+    #[test]
     fn canonical_chunks_decode_under_the_canonical_crawl() {
         // The walker reads canonicalised bytes; sanity-check the crawl
         // id it sees is the canonical one, not a snapshot label.
@@ -547,13 +540,7 @@ mod tests {
         });
         site.set_availability_all(Availability::Up);
         let sites = [site];
-        let jobs: Vec<CrawlJob<'_>> = sites
-            .iter()
-            .map(|site| CrawlJob {
-                site,
-                malicious_category: None,
-            })
-            .collect();
+        let jobs: Vec<CrawlJob<'_>> = sites.iter().map(CrawlJob::plain).collect();
         let telemetry = TelemetryStore::new();
         let crawl = CrawlId("snap00".to_string());
         let cfg = CrawlConfig::paper(crawl.clone(), Os::Linux, 5);

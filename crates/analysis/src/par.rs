@@ -2,8 +2,8 @@
 //!
 //! The sequential pipeline decodes a crawl's records several times —
 //! once per table that wants them — and classifies on a single thread.
-//! [`analyze_crawl_par`] streams the store shard by shard across scoped
-//! worker threads instead, and the decode is *borrowed*: workers pull
+//! [`analyze_crawl_par`] streams the store shard by shard across the
+//! [`par_indexed`] workers instead, and the decode is *borrowed*: workers pull
 //! raw segment bytes with [`TelemetryStore::shard_raw_on`], decode each
 //! record once as a [`VisitView`] (string fields are slices into the
 //! segment, never copied), and fan it out to every consumer in one
@@ -14,7 +14,7 @@
 //! aggregates carry 4-byte `Copy` keys instead of cloned `String`s.
 //!
 //! Determinism: symbol values depend on which worker interned a domain
-//! first, so after the join the merged entries are sorted by the
+//! first, so after the join the per-shard entries are sorted by the
 //! *resolved* `(domain, OS)` key — exactly the order
 //! [`TelemetryStore::crawl_records`] returns and the sequential
 //! [`aggregate_sites`] consumes. Every aggregate built from the sorted
@@ -25,12 +25,11 @@
 //! [`aggregate_sites`]: crate::detect::aggregate_sites
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use kt_netbase::{Os, OsSet};
 use kt_store::{decode_view, CrawlId, TelemetryStore, VisitView};
-use kt_trace::{names, Labels, Trace, WorkerSink};
+use kt_trace::{names, par_indexed, Labels, Trace, WorkerSink};
 
 use crate::classify::{classify_site, ReasonClass};
 use crate::defense::{page_env, verdict_for, AdoptionScenario, DefenseImpact};
@@ -171,69 +170,52 @@ pub fn analyze_crawl_traced(
     workers: usize,
     trace: Option<&Trace>,
 ) -> CrawlAnalysis {
-    let shards = store.shard_count();
-    let workers = workers.max(1).min(shards);
-    // Workers claim shards off an atomic ticket (same self-scheduling
-    // shape as the crawl pool) and build disjoint partial vectors.
-    let ticket = AtomicUsize::new(0);
+    // Shards are the executor's work items; each worker keeps a private
+    // stage sink, merged after the join.
     let interner = Mutex::new(DomainInterner::new());
-    let mut entries: Vec<((Symbol, u8), RecordYield)> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let ticket = &ticket;
-                let interner = &interner;
-                scope.spawn(move || {
-                    let mut stage_sink = trace.map(|_| StageSink::new(crawl));
-                    let mut partial: Vec<((Symbol, u8), RecordYield)> = Vec::new();
-                    loop {
-                        let shard = ticket.fetch_add(1, Ordering::Relaxed);
-                        if shard >= shards {
-                            break;
-                        }
-                        for raw in store.shard_raw_on(crawl, shard, None) {
-                            // Undecodable segments cannot occur for
-                            // records the store itself encoded; skip
-                            // defensively all the same.
-                            let Ok(view) = decode_view(&raw) else {
-                                continue;
-                            };
-                            let events = view.events.len() as u64;
-                            let yielded = fan_out(&view);
-                            if let Some(obs) = stage_sink.as_mut() {
-                                obs.sink.observe(
-                                    obs.decode,
-                                    SIM_DECODE_BASE_US + events * SIM_DECODE_PER_EVENT_US,
-                                );
-                                obs.sink.observe(
-                                    obs.detect,
-                                    SIM_DETECT_BASE_US
-                                        + yielded.observations.len() as u64 * SIM_DETECT_PER_OBS_US,
-                                );
-                                obs.sink
-                                    .add(obs.observations, yielded.observations.len() as u64);
-                            }
-                            let sym = interner
-                                .lock()
-                                .expect("interner lock poisoned")
-                                .intern(view.domain);
-                            partial.push(((sym, os_slot(view.os)), yielded));
-                        }
-                    }
-                    (partial, stage_sink)
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Disjoint keys: each (domain, OS) lives in exactly one
-            // shard, and each shard is claimed by exactly one worker.
-            let (partial, stage_sink) = handle.join().expect("analysis worker panicked");
-            entries.extend(partial);
-            if let (Some(trace), Some(obs)) = (trace, stage_sink) {
-                trace.merge_sink(&obs.sink);
+    let (partials, sinks) = par_indexed(
+        store.shard_count(),
+        workers,
+        |_| trace.map(|_| StageSink::new(crawl)),
+        |stage_sink, shard| {
+            let mut partial: Vec<((Symbol, u8), RecordYield)> = Vec::new();
+            for raw in store.shard_raw_on(crawl, shard, None) {
+                // Undecodable segments cannot occur for records the
+                // store itself encoded; skip defensively all the same.
+                let Ok(view) = decode_view(&raw) else {
+                    continue;
+                };
+                let events = view.events.len() as u64;
+                let yielded = fan_out(&view);
+                if let Some(obs) = stage_sink.as_mut() {
+                    obs.sink.observe(
+                        obs.decode,
+                        SIM_DECODE_BASE_US + events * SIM_DECODE_PER_EVENT_US,
+                    );
+                    obs.sink.observe(
+                        obs.detect,
+                        SIM_DETECT_BASE_US
+                            + yielded.observations.len() as u64 * SIM_DETECT_PER_OBS_US,
+                    );
+                    obs.sink
+                        .add(obs.observations, yielded.observations.len() as u64);
+                }
+                let sym = interner
+                    .lock()
+                    .expect("interner lock poisoned")
+                    .intern(view.domain);
+                partial.push(((sym, os_slot(view.os)), yielded));
             }
+            partial
+        },
+    );
+    if let Some(trace) = trace {
+        for obs in sinks.iter().flatten() {
+            trace.merge_sink(&obs.sink);
         }
-    });
+    }
+    // Disjoint keys: each (domain, OS) lives in exactly one shard.
+    let mut entries: Vec<((Symbol, u8), RecordYield)> = partials.into_iter().flatten().collect();
     let interner = interner.into_inner().expect("interner lock poisoned");
     // Symbol values depend on interleaving; resolved names do not.
     // Keys are unique, so this sort fully determines the order.

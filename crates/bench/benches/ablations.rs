@@ -35,13 +35,7 @@ fn population(n: usize) -> Vec<WebSite> {
 }
 
 fn crawled_store(sites: &[WebSite], workers: usize) -> TelemetryStore {
-    let jobs: Vec<CrawlJob> = sites
-        .iter()
-        .map(|site| CrawlJob {
-            site,
-            malicious_category: None,
-        })
-        .collect();
+    let jobs: Vec<CrawlJob> = sites.iter().map(CrawlJob::plain).collect();
     let store = TelemetryStore::new();
     let mut config = CrawlConfig::paper(CrawlId::top2020(), Os::Linux, 1);
     config.workers = workers;
@@ -151,10 +145,7 @@ fn ablation_sop_accounting(c: &mut Criterion) {
         base_delay_ms: 9_000,
     });
     let store = {
-        let jobs = [CrawlJob {
-            site: &site,
-            malicious_category: None,
-        }];
+        let jobs = [CrawlJob::plain(&site)];
         let store = TelemetryStore::new();
         run_crawl(
             &jobs,

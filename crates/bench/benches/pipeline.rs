@@ -47,13 +47,7 @@ fn bench_page_visits(c: &mut Criterion) {
 
 fn bench_crawl_pool(c: &mut Criterion) {
     let sites: Vec<WebSite> = (0..128).map(behaviour_site).collect();
-    let jobs: Vec<CrawlJob> = sites
-        .iter()
-        .map(|site| CrawlJob {
-            site,
-            malicious_category: None,
-        })
-        .collect();
+    let jobs: Vec<CrawlJob> = sites.iter().map(CrawlJob::plain).collect();
     let mut group = c.benchmark_group("pipeline");
     group.throughput(Throughput::Elements(jobs.len() as u64));
     group.bench_function("crawl_pool_128_sites", |b| {

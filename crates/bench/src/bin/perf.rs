@@ -16,7 +16,8 @@
 //! Measures each pipeline stage at three population sizes, plus a
 //! worker-scaling curve (1/2/4/8/16/32) comparing the work-stealing
 //! scheduler ([`run_crawl`]) against the static-chunk ablation
-//! baseline ([`run_crawl_chunked`]) on a *skewed* population: one
+//! baseline ([`chunked_makespan`], a replay of the per-job costs) on a
+//! *skewed* population: one
 //! eighth of the sites are "heavy" — big pages (240 public resources
 //! vs 2) whose first two attempts both draw an injected connection
 //! reset, so each burns several 21 s visits plus backoffs — and they
@@ -67,7 +68,7 @@
 use std::time::Instant;
 
 use knock_talk::analysis::{detect_local_view, detect_local_with_page_owned};
-use knock_talk::crawler::{run_crawl, run_crawl_chunked, CrawlConfig, CrawlJob};
+use knock_talk::crawler::{run_crawl, CrawlConfig, CrawlJob};
 use knock_talk::faults::{Fault, FaultPlan, RetryPolicy};
 use knock_talk::netbase::{DomainName, Os};
 use knock_talk::netlog::{EventParams, EventPhase, EventType, NetLogEvent, SourceRef, SourceType};
@@ -85,6 +86,7 @@ use knock_talk::trace::{
 };
 use knock_talk::webgen::WebSite;
 use knock_talk::{SnapshotStudy, SnapshotStudyConfig};
+use kt_bench::sched::{chunked_makespan, job_costs};
 
 // The shared counting allocator from kt-trace: feeds the decode+detect
 // allocs/event columns (via `count_allocs`) and the stage profiler's
@@ -239,13 +241,7 @@ fn skewed_population(n: usize, plan: &FaultPlan) -> Vec<WebSite> {
 }
 
 fn jobs(sites: &[WebSite]) -> Vec<CrawlJob<'_>> {
-    sites
-        .iter()
-        .map(|site| CrawlJob {
-            site,
-            malicious_category: None,
-        })
-        .collect()
+    sites.iter().map(CrawlJob::plain).collect()
 }
 
 fn bench_config(seed: u64, workers: usize, plan: &FaultPlan) -> CrawlConfig {
@@ -460,27 +456,29 @@ fn bench_scaling(
     // Visits per simulated hour: the throughput of the worker pool on
     // the clock a real campaign pays for.
     let vph = |makespan_ms: u64| n as f64 / (makespan_ms as f64 / 3_600_000.0);
+    // Job costs are schedule-independent, so one pass prices the
+    // static-chunk replay at every worker count.
+    let costs = job_costs(&population_jobs, &bench_config(seed, 1, plan));
     for &workers in worker_counts {
         let config = bench_config(seed, workers, plan);
         let store = TelemetryStore::new();
         let steal = run_crawl(&population_jobs, &config, &store);
-        let chunk_store = TelemetryStore::new();
-        let chunk = run_crawl_chunked(&population_jobs, &config, &chunk_store);
+        let chunk_makespan_ms = chunked_makespan(&costs, workers);
         let (_, analyze_secs) =
             time(|| knock_talk::analysis::par::analyze_crawl_par(&store, &crawl, workers));
         stealing_makespan_s.push(steal.makespan_ms as f64 / 1e3);
-        chunked_makespan_s.push(chunk.makespan_ms as f64 / 1e3);
+        chunked_makespan_s.push(chunk_makespan_ms as f64 / 1e3);
         stealing_vph.push(vph(steal.makespan_ms));
-        chunked_vph.push(vph(chunk.makespan_ms));
+        chunked_vph.push(vph(chunk_makespan_ms));
         analyze_eps.push(n as f64 / analyze_secs);
         eprintln!(
             "  workers={workers}: stealing {:.0} sim-s ({:.0} visits/h), \
              chunked {:.0} sim-s ({:.0} visits/h) — {:.2}x; analyze {:.0}/s real",
             steal.makespan_ms as f64 / 1e3,
             vph(steal.makespan_ms),
-            chunk.makespan_ms as f64 / 1e3,
-            vph(chunk.makespan_ms),
-            chunk.makespan_ms as f64 / steal.makespan_ms as f64,
+            chunk_makespan_ms as f64 / 1e3,
+            vph(chunk_makespan_ms),
+            chunk_makespan_ms as f64 / steal.makespan_ms as f64,
             n as f64 / analyze_secs
         );
     }

@@ -6,12 +6,14 @@
 //!
 //! Shared infrastructure: a lazily-built study at a bench-friendly
 //! scale, reused across benchmark functions so Criterion measures the
-//! analysis, not repeated crawling.
+//! analysis, not repeated crawling; and [`sched`], the static-chunk
+//! schedule replay the perf bin compares the crawl pool against.
 
 #![warn(missing_docs)]
 
 pub mod checks;
 pub mod prom;
+pub mod sched;
 
 use std::sync::OnceLock;
 

@@ -11,7 +11,7 @@ use knock_talk::store::{
     SegmentMode, SnapshotStore, SpillConfig, VisitRecord,
 };
 use knock_talk::trace::Trace;
-use knock_talk::{SnapshotStudy, SnapshotStudyConfig, Study, StudyConfig};
+use knock_talk::{RunOpts, SnapshotStudy, SnapshotStudyConfig, Study, StudyConfig};
 
 use crate::args::Options;
 
@@ -242,7 +242,14 @@ pub fn repro(opts: &Options) -> Result<(), String> {
     let config = study_config(opts)?;
     let journal = journal_from_opts(opts)?;
     let trace = trace_from_opts(opts);
-    let study = Study::run_journaled_observed(config, journal.as_ref(), trace.as_ref());
+    let study = Study::run_with(
+        config,
+        RunOpts {
+            journal: journal.as_ref(),
+            trace: trace.as_ref(),
+            ..RunOpts::default()
+        },
+    );
     write_trace_outputs(opts, trace.as_ref())?;
     if let Some(journal) = &journal {
         if report_if_killed(journal) {
@@ -290,21 +297,14 @@ fn parse_os(s: &str) -> Result<Os, String> {
 
 /// `knocktalk crawl`.
 pub fn crawl(opts: &Options) -> Result<(), String> {
-    use knock_talk::crawler::{CrawlConfig, CrawlJob, ResumePlan};
+    use knock_talk::crawler::{CrawlConfig, CrawlJob, CrawlOpts};
     use knock_talk::store::TelemetryStore;
     use knock_talk::webgen::WebPopulation;
 
     let config = study_config(opts)?;
     let os = parse_os(opts.get("os").unwrap_or("linux"))?;
     let population = WebPopulation::generate(config.population);
-    let jobs: Vec<CrawlJob> = population
-        .sites2020
-        .iter()
-        .map(|site| CrawlJob {
-            site,
-            malicious_category: None,
-        })
-        .collect();
+    let jobs: Vec<CrawlJob> = population.sites2020.iter().map(CrawlJob::plain).collect();
     let store = TelemetryStore::new();
     let mut crawl_config = CrawlConfig::paper(CrawlId::top2020(), os, config.population.seed);
     crawl_config.workers = config.workers;
@@ -316,13 +316,15 @@ pub fn crawl(opts: &Options) -> Result<(), String> {
     }
     let journal = journal_from_opts(opts)?;
     let trace = trace_from_opts(opts);
-    let stats = knock_talk::crawler::run_crawl_resumed_observed(
+    let stats = knock_talk::crawler::run_crawl_with(
         &jobs,
-        &ResumePlan::fresh(jobs.len()),
         &crawl_config,
         &store,
-        journal.as_ref(),
-        trace.as_ref(),
+        CrawlOpts {
+            journal: journal.as_ref(),
+            trace: trace.as_ref(),
+            ..CrawlOpts::default()
+        },
     );
     if let Some(journal) = &journal {
         journal.sync();
@@ -524,7 +526,14 @@ pub fn resume(opts: &Options) -> Result<(), String> {
     eprint!("{}", durability.render());
     drop(replayed);
     let trace = trace_from_opts(opts);
-    let study = Study::resume_observed(path, trace.as_ref()).map_err(|e| e.to_string())?;
+    let study = Study::resume_with(
+        path,
+        RunOpts {
+            trace: trace.as_ref(),
+            ..RunOpts::default()
+        },
+    )
+    .map_err(|e| e.to_string())?;
     write_trace_outputs(opts, trace.as_ref())?;
     match opts.get("id") {
         Some(id) => {
@@ -606,7 +615,14 @@ pub fn profile(opts: &Options) -> Result<(), String> {
     let config = study_config(opts)?;
     let trace = trace_from_opts(opts);
     let mut profiler = knock_talk::trace::StageProfiler::new();
-    let study = knock_talk::profile_study(config, &mut profiler, trace.as_ref());
+    let study = Study::run_with(
+        config,
+        RunOpts {
+            trace: trace.as_ref(),
+            profiler: Some(&mut profiler),
+            ..RunOpts::default()
+        },
+    );
     write_trace_outputs(opts, trace.as_ref())?;
     println!(
         "profiled study: seed {}, {} workers, {} visit records",
@@ -850,13 +866,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                         }
                         let sites: Vec<WebSite> =
                             spec.jobs.iter().map(|j| j.site.clone()).collect();
-                        let jobs: Vec<CrawlJob<'_>> = sites
-                            .iter()
-                            .map(|site| CrawlJob {
-                                site,
-                                malicious_category: None,
-                            })
-                            .collect();
+                        let jobs: Vec<CrawlJob<'_>> = sites.iter().map(CrawlJob::plain).collect();
                         let mut cfg = CrawlConfig::paper(spec.crawl.clone(), spec.os, seed);
                         cfg.workers = spec.nominal_workers;
                         cfg.faults = faults.clone();
@@ -1067,12 +1077,20 @@ fn snapshot_crawl(opts: &Options) -> Result<(), String> {
         let path = opts
             .get("journal")
             .ok_or("--resume yes needs --journal FILE")?;
-        SnapshotStudy::resume(std::path::Path::new(path), config, trace.as_ref())
+        let run_opts = RunOpts {
+            trace: trace.as_ref(),
+            ..RunOpts::default()
+        };
+        SnapshotStudy::resume(std::path::Path::new(path), config, run_opts)
             .map_err(|e| e.to_string())?
     } else {
         let journal = journal_from_opts(opts)?;
-        let study = SnapshotStudy::run_journaled_observed(config, journal.as_ref(), trace.as_ref())
-            .map_err(|e| e.to_string())?;
+        let run_opts = RunOpts {
+            journal: journal.as_ref(),
+            trace: trace.as_ref(),
+            ..RunOpts::default()
+        };
+        let study = SnapshotStudy::run_with(config, run_opts).map_err(|e| e.to_string())?;
         if let Some(j) = &journal {
             if report_if_killed(j) {
                 write_trace_outputs(opts, trace.as_ref())?;

@@ -139,10 +139,7 @@ pub fn x5_deep_crawl(study: &Study) -> String {
         .population
         .sites2020
         .iter()
-        .map(|site| CrawlJob {
-            site,
-            malicious_category: None,
-        })
+        .map(CrawlJob::plain)
         .collect();
     let store = TelemetryStore::new();
     let mut config = CrawlConfig::paper(deep_id.clone(), Os::Windows, study.config.population.seed);

@@ -37,7 +37,7 @@ pub use snapshot::{
     content_changed, content_version, per_snapshot_logical_bytes, synth_site, SnapshotStudy,
     SnapshotStudyConfig, SnapshotWork, SNAPSHOT_OSES,
 };
-pub use study::{profile_study, record_journal_stats, record_save_report, Study, StudyConfig};
+pub use study::{record_journal_stats, record_save_report, RunOpts, Study, StudyConfig};
 
 pub use kt_analysis as analysis;
 pub use kt_browser as browser;

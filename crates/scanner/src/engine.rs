@@ -13,14 +13,13 @@
 
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use kt_faults::{Fault, FaultPlan, RetryPolicy};
 use kt_netbase::services::{BIGIP_PORTS, DISCORD_PORTS, THREATMETRIX_PORTS};
 use kt_netbase::Locality;
 use kt_simnet::rng;
 use kt_simnet::{ConnectOutcome, HostEnv, ServerBehavior, SimNet};
+use kt_trace::par_indexed;
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::probe::{
@@ -342,41 +341,6 @@ fn knock(
     }
 }
 
-/// Compute `jobs.len()` knocks on `workers` threads. The job list and
-/// output order are fixed; threads race only over *which* pure
-/// computation they pick up next, never over any value.
-fn knock_all(
-    env: &HostEnv,
-    net: &SimNet,
-    cfg: &ScanConfig,
-    jobs: &[(ProbeTarget, String)],
-) -> Vec<KnockReport> {
-    let workers = cfg.workers.max(1).min(jobs.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<KnockReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let (target, id) = &jobs[i];
-                let report = knock(env, net, cfg, target, id);
-                *slots[i].lock().expect("slot poisoned") = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot poisoned")
-                .expect("job computed")
-        })
-        .collect()
-}
-
 /// Run a full scan: sweep + sequences, breakers, deadline budget.
 /// Never panics, never hangs; a scan that runs out of budget returns a
 /// partial report with an explicit `unprobed` set.
@@ -399,7 +363,14 @@ pub fn run_scan(env: &HostEnv, net: &SimNet, cfg: &ScanConfig) -> ScanReport {
         }
         seq_job_index.push(steps);
     }
-    let raw = knock_all(env, net, cfg, &jobs);
+    // The job list and output order are fixed; threads race only over
+    // *which* pure computation they pick up next, never over any value.
+    let (raw, _) = par_indexed(
+        jobs.len(),
+        cfg.workers,
+        |_| (),
+        |_, i| knock(env, net, cfg, &jobs[i].0, &jobs[i].1),
+    );
 
     // ---- Phase 2: serial deterministic fold. -------------------------
     let mut clock: u64 = 0;

@@ -54,7 +54,7 @@ use kt_netbase::Os;
 use kt_simnet::connectivity::ConnectivityChecker;
 use kt_store::journal::{JournalConfig, JournalWriter};
 use kt_store::{CheckpointFrame, CrawlId, TelemetryStore, VisitRecord};
-use kt_trace::{names, Labels, Trace};
+use kt_trace::{names, par_indexed, Labels, Trace};
 use kt_webgen::WebSite;
 
 use crate::admission::{AdmissionError, TenantQuota};
@@ -492,18 +492,20 @@ impl CampaignService {
             .map(|(_, id)| id)
             .collect();
         // Execute: one job per selected campaign, in parallel. Each
-        // thread locks a distinct campaign, so campaign state stays
+        // job locks a distinct campaign, so campaign state stays
         // serial per campaign — the determinism boundary.
-        std::thread::scope(|scope| {
-            for &id in &selected {
-                let campaign = &self.campaigns[id as usize];
-                let store = &self.store;
-                scope.spawn(move || {
-                    let mut c = campaign.lock().expect("campaign lock");
-                    run_campaign_job(&mut c, store);
-                });
-            }
-        });
+        let (campaigns, store) = (&self.campaigns, &self.store);
+        par_indexed(
+            selected.len(),
+            selected.len(),
+            |_| (),
+            |_, i| {
+                let mut c = campaigns[selected[i] as usize]
+                    .lock()
+                    .expect("campaign lock");
+                run_campaign_job(&mut c, store);
+            },
+        );
         // Apply serially, in selection order: queue verdicts, deadline
         // checks, phase transitions. Selection order is deterministic
         // (sorted above), so every counter below is too.

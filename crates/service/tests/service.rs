@@ -3,7 +3,9 @@
 //! deadline budgets, accounting reconciliation, and drain/resume.
 
 use kt_analysis::{analyze_crawl_par, OnlinePartial};
-use kt_crawler::crawl::{run_crawl, run_crawl_resumed, CrawlConfig, CrawlJob, VISIT_WALL_MS};
+use kt_crawler::crawl::{
+    run_crawl, run_crawl_with, CrawlConfig, CrawlJob, CrawlOpts, VISIT_WALL_MS,
+};
 use kt_crawler::split_campaigns;
 use kt_netbase::Os;
 use kt_service::{
@@ -44,13 +46,7 @@ fn spec(crawl: &str, os: Os, sites: &[WebSite], nominal_workers: usize) -> Campa
 }
 
 fn batch_jobs(sites: &[WebSite]) -> Vec<CrawlJob<'_>> {
-    sites
-        .iter()
-        .map(|site| CrawlJob {
-            site,
-            malicious_category: None,
-        })
-        .collect()
+    sites.iter().map(CrawlJob::plain).collect()
 }
 
 #[test]
@@ -405,7 +401,15 @@ fn drained_campaign_resumes_to_batch_identical_tables() {
     let plan = campaign.plan(&jobs);
     let mut cfg = CrawlConfig::paper(crawl.clone(), Os::MacOs, seed);
     cfg.workers = 2;
-    let resumed_stats = run_crawl_resumed(&jobs, &plan, &cfg, &report.store, None);
+    let resumed_stats = run_crawl_with(
+        &jobs,
+        &cfg,
+        &report.store,
+        CrawlOpts {
+            resume: Some(&plan),
+            ..CrawlOpts::default()
+        },
+    );
 
     // Uninterrupted batch reference.
     let batch_store = TelemetryStore::new();

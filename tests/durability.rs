@@ -7,8 +7,7 @@
 use knock_talk::analysis::report::{health_table, localhost_table, table1};
 use knock_talk::analysis::{analyze_crawl_par, detect_local};
 use knock_talk::crawler::{
-    run_crawl, run_crawl_journaled, run_crawl_resumed, split_campaigns, CrawlConfig, CrawlJob,
-    ResumePlan,
+    run_crawl, run_crawl_with, split_campaigns, CrawlConfig, CrawlJob, CrawlOpts, ResumePlan,
 };
 use knock_talk::faults::{Fault, FaultPlan};
 use knock_talk::netbase::{DomainName, Os, OsSet};
@@ -86,7 +85,15 @@ fn kill_at_every_frame_boundary_resumes_to_identical_tables() {
     // Probe run: how many frames does the uninterrupted journal hold?
     let probe = tmp("sweep-probe");
     let journal = JournalWriter::create(&probe).unwrap();
-    run_crawl_journaled(&jobs, &config, &TelemetryStore::new(), Some(&journal));
+    run_crawl_with(
+        &jobs,
+        &config,
+        &TelemetryStore::new(),
+        CrawlOpts {
+            journal: Some(&journal),
+            ..CrawlOpts::default()
+        },
+    );
     journal.sync();
     let total_frames = replay(&probe).unwrap().frame_kinds.len() as u64;
     std::fs::remove_file(&probe).ok();
@@ -97,7 +104,15 @@ fn kill_at_every_frame_boundary_resumes_to_identical_tables() {
             let path = tmp(&format!("sweep-{at_frame}-{mode:?}"));
             let journal = JournalWriter::create(&path).unwrap();
             journal.set_kill(Some(KillSpec { at_frame, mode }));
-            run_crawl_journaled(&jobs, &config, &TelemetryStore::new(), Some(&journal));
+            run_crawl_with(
+                &jobs,
+                &config,
+                &TelemetryStore::new(),
+                CrawlOpts {
+                    journal: Some(&journal),
+                    ..CrawlOpts::default()
+                },
+            );
             assert!(journal.killed(), "kill at frame {at_frame} ({mode:?})");
             drop(journal);
 
@@ -108,7 +123,16 @@ fn kill_at_every_frame_boundary_resumes_to_identical_tables() {
                 .map(|c| c.plan(&jobs))
                 .unwrap_or_else(|| ResumePlan::fresh(jobs.len()));
             let journal = JournalWriter::open_append(&path).unwrap();
-            let stats = run_crawl_resumed(&jobs, &plan, &config, &report.store, Some(&journal));
+            let stats = run_crawl_with(
+                &jobs,
+                &config,
+                &report.store,
+                CrawlOpts {
+                    resume: Some(&plan),
+                    journal: Some(&journal),
+                    ..CrawlOpts::default()
+                },
+            );
             journal.sync();
 
             assert_eq!(
@@ -168,7 +192,15 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
 
     let probe = tmp("group-sweep-probe");
     let journal = JournalWriter::create_with(&probe, grouped_config).unwrap();
-    run_crawl_journaled(&jobs, &config, &TelemetryStore::new(), Some(&journal));
+    run_crawl_with(
+        &jobs,
+        &config,
+        &TelemetryStore::new(),
+        CrawlOpts {
+            journal: Some(&journal),
+            ..CrawlOpts::default()
+        },
+    );
     journal.sync();
     drop(journal);
     let total_frames = replay(&probe).unwrap().frame_kinds.len() as u64;
@@ -179,7 +211,15 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
             let grouped_path = tmp(&format!("group-sweep-{at_frame}-{mode:?}"));
             let journal = JournalWriter::create_with(&grouped_path, grouped_config).unwrap();
             journal.set_kill(Some(KillSpec { at_frame, mode }));
-            run_crawl_journaled(&jobs, &config, &TelemetryStore::new(), Some(&journal));
+            run_crawl_with(
+                &jobs,
+                &config,
+                &TelemetryStore::new(),
+                CrawlOpts {
+                    journal: Some(&journal),
+                    ..CrawlOpts::default()
+                },
+            );
             assert!(journal.killed(), "kill at frame {at_frame} ({mode:?})");
             drop(journal);
 
@@ -187,7 +227,15 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
             let journal =
                 JournalWriter::create_with(&unbatched_path, JournalConfig::unbatched()).unwrap();
             journal.set_kill(Some(KillSpec { at_frame, mode }));
-            run_crawl_journaled(&jobs, &config, &TelemetryStore::new(), Some(&journal));
+            run_crawl_with(
+                &jobs,
+                &config,
+                &TelemetryStore::new(),
+                CrawlOpts {
+                    journal: Some(&journal),
+                    ..CrawlOpts::default()
+                },
+            );
             drop(journal);
 
             assert_eq!(
@@ -208,7 +256,16 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
                     .unwrap_or_else(|| ResumePlan::fresh(jobs.len()));
                 let journal =
                     JournalWriter::open_append_with(&grouped_path, grouped_config).unwrap();
-                let stats = run_crawl_resumed(&jobs, &plan, &config, &report.store, Some(&journal));
+                let stats = run_crawl_with(
+                    &jobs,
+                    &config,
+                    &report.store,
+                    CrawlOpts {
+                        resume: Some(&plan),
+                        journal: Some(&journal),
+                        ..CrawlOpts::default()
+                    },
+                );
                 journal.sync();
                 assert_eq!(
                     campaign_tables(&report.store, &stats),
