@@ -28,7 +28,8 @@ use std::collections::BTreeMap;
 
 use kt_netbase::OsSet;
 use kt_store::decode_view;
-use kt_store::snapshot::{shard_of, slot_os, SnapshotStore, SNAPSHOT_SHARDS};
+use kt_store::slot_os;
+use kt_store::snapshot::{shard_of, SnapshotStore, SNAPSHOT_SHARDS};
 use kt_trace::{names, par_indexed, Labels, Trace};
 
 use crate::classify::{classify_site, ReasonClass};

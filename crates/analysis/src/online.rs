@@ -31,10 +31,10 @@
 
 use std::collections::BTreeMap;
 
-use kt_store::{codec, decode_view, VisitRecord};
+use kt_store::{codec, decode_view, os_slot, VisitRecord};
 
 use crate::intern::DomainInterner;
-use crate::par::{assemble, fan_out, os_slot, CrawlAnalysis, RecordYield};
+use crate::par::{assemble, fan_out, CrawlAnalysis, RecordYield};
 
 /// Which crawl pass produced a record. Recrawl outcomes supersede pool
 /// outcomes for the same `(domain, OS)` key, matching the batch store

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use kt_netbase::{Os, OsSet};
-use kt_store::{decode_view, CrawlId, TelemetryStore, VisitView};
+use kt_store::{decode_view, os_slot, CrawlId, TelemetryStore, VisitView};
 use kt_trace::{names, par_indexed, Labels, Trace, WorkerSink};
 
 use crate::classify::{classify_site, ReasonClass};
@@ -76,16 +76,6 @@ pub(crate) struct RecordYield {
     /// Per adoption scenario (in [`AdoptionScenario::ALL`] order):
     /// does any observation's PNA verdict permit the request?
     pub(crate) any_permitted: [bool; 3],
-}
-
-/// The store's OS column order (W/L/M — [`Os::ALL`]), which is also
-/// how bulk reads sort records within a domain.
-pub(crate) fn os_slot(os: Os) -> u8 {
-    match os {
-        Os::Windows => 0,
-        Os::Linux => 1,
-        Os::MacOs => 2,
-    }
 }
 
 pub(crate) fn fan_out(view: &VisitView<'_>) -> RecordYield {

@@ -30,7 +30,7 @@ pub fn help() {
                               [--flush-every BYTES] [--group-frames N]\n\
            knocktalk bias     [--seed N] [--workers N] [--out FILE] [--metrics-out FILE]\n\
            knocktalk resume   <study.ktj> [--id T5]\n\
-           knocktalk fsck     <journal.ktj> [--repair yes]\n\
+           knocktalk fsck     <journal.ktj|store.ktstore> [--repair yes]\n\
            knocktalk analyze  <store.ktstore|journal.ktj>\n\
            knocktalk classify <netlog.json> [--loaded-at MS] [--domain NAME]\n\
            knocktalk entropy  [--machines N] [--seed N]\n\
@@ -80,11 +80,12 @@ pub fn help() {
                      suffers; the table is byte-identical for any --workers\n\
            resume    replay a study journal, re-run only what the crash lost, and\n\
                      print the tables — byte-identical to a run that never crashed\n\
-           fsck      store doctor: scan a journal for torn tails, bad CRCs, duplicate\n\
-                     and orphan records; --repair yes quarantines the damage and\n\
-                     rewrites a clean journal (fsync-before-rename)\n\
-           analyze   load a telemetry snapshot (KTSTORE1) or journal (KTSTORE2)\n\
-                     and report local activity\n\
+           fsck      store doctor: scan a journal or a saved store (both KTSTORE2\n\
+                     frames) for torn tails, bad CRCs, duplicate, orphan and missing\n\
+                     records; --repair yes quarantines the damage and rewrites a\n\
+                     clean file (fsync-before-rename)\n\
+           analyze   load a saved store (crawl --save) or a journal — one KTSTORE2\n\
+                     frame format — and report local activity\n\
            classify  analyse a Chrome NetLog JSON capture for local traffic\n\
            entropy   measure the fingerprinting entropy of the observed scans\n\
            scan      actively knock loopback (and LAN) ports on a simulated machine:\n\
@@ -104,16 +105,18 @@ pub fn help() {
                      recrawl only changed or newly-listed sites and link unchanged rows\n\
                      by content reference (--full yes forces full recrawls). --store DIR\n\
                      persists the content-addressed dedup store: sealed chunks-NNNN.ktc\n\
-                     segment files (KTSNAP1 frames: hash, length, canonical record\n\
-                     bytes) plus a refcounted MANIFEST.json mapping each snapshot's\n\
-                     (domain, os) rows to chunk hashes — identical content across\n\
-                     snapshots is stored once. `diff` streams N manifests shard-parallel\n\
-                     (zero-copy mmap by default) and prints adoption curves, behaviour\n\
-                     churn matrices, and population flows, byte-identical for any\n\
-                     --workers. `gc` drops all but the newest --keep snapshots, sweeps\n\
-                     unreferenced chunks, and rewrites the store compacted. `fsck`\n\
-                     re-hashes every chunk and reconciles refcounts; a damaged store\n\
-                     fails the exit code\n\
+                     segment files (KTSTORE2 CRC frames: hash, refcount, canonical\n\
+                     record bytes) plus a MANIFEST.json listing the segments and\n\
+                     mapping each snapshot's (domain, os) rows to chunk hashes —\n\
+                     identical content across snapshots is stored once. `diff`\n\
+                     streams N manifests shard-parallel (zero-copy mmap by default)\n\
+                     and prints adoption curves, behaviour churn matrices, and\n\
+                     population flows, byte-identical for any --workers. `gc` drops all but the newest --keep snapshots, sweeps\n\
+                     unreferenced chunks, and rewrites the store compacted (new\n\
+                     segments first, the manifest swapped in atomically, then the old\n\
+                     segments removed). `fsck` CRC-checks every segment, re-hashes\n\
+                     every chunk, reconciles refcounts, and flags stray segment files;\n\
+                     a damaged store fails the exit code\n\
            health    run the study and print the crawl health report\n\
                      (retries, recrawls, recoveries, quarantines per campaign/OS)\n\
            profile   run the study under the stage profiler and print per-stage\n\
@@ -551,12 +554,12 @@ pub fn resume(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `knocktalk fsck <journal.ktj> [--repair yes]`.
+/// `knocktalk fsck <journal.ktj|store.ktstore> [--repair yes]`.
 pub fn fsck(opts: &Options) -> Result<(), String> {
     let path = opts
         .positional()
         .first()
-        .ok_or("fsck needs a journal file path")?;
+        .ok_or("fsck needs a journal or saved-store file path")?;
     let repair = matches!(opts.get("repair"), Some("yes" | "true" | "1"));
     let report = knock_talk::store::fsck(
         std::path::Path::new(path),
@@ -579,7 +582,7 @@ pub fn fsck(opts: &Options) -> Result<(), String> {
         report.corrupt_frames, report.corrupt_bytes, report.truncated_tail, report.tail_bytes
     );
     println!(
-        "  records: {} duplicate final(s), {} orphan(s), {} missing vs checkpoints",
+        "  records: {} duplicate final(s), {} orphan(s), {} missing vs checkpoints or the store header",
         report.duplicate_finals, report.orphan_records, report.missing_records
     );
     match (&report.repaired_path, &report.quarantine_path) {
@@ -1217,17 +1220,22 @@ fn snapshot_fsck_cmd(opts: &Options) -> Result<(), String> {
     );
     if report.clean() {
         println!(
-            "  clean: every chunk re-hashes, refcounts reconcile, no dangling or duplicate references"
+            "  clean: every segment frame CRC-valid, every chunk re-hashes, refcounts reconcile, \
+             no dangling or duplicate references, no stray segments"
         );
         return Ok(());
     }
+    println!(
+        "  segments: {} damaged, {} on disk but not in the manifest",
+        report.damaged_segments, report.unlisted_segments
+    );
     println!(
         "  damage: {} dangling ref(s), {} duplicate chunk(s), {} hash mismatch(es)",
         report.dangling_refs, report.duplicate_chunks, report.hash_mismatches
     );
     println!(
-        "  refcounts: {} mismatch(es), {} orphan chunk(s), {} out-of-bounds entr(ies)",
-        report.refcount_mismatches, report.orphan_chunks, report.out_of_bounds
+        "  refcounts: {} mismatch(es), {} orphan chunk(s)",
+        report.refcount_mismatches, report.orphan_chunks
     );
     Err("snapshot store is not clean".to_string())
 }

@@ -8,7 +8,7 @@
 //!                    [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]
 //! knocktalk bias     [--seed N] [--workers N] [--out FILE] [--metrics-out FILE]
 //! knocktalk resume   <study.ktj> [--id T5]
-//! knocktalk fsck     <journal.ktj> [--repair yes]
+//! knocktalk fsck     <journal.ktj|store.ktstore> [--repair yes]
 //! knocktalk analyze  <store.ktstore|journal.ktj>
 //! knocktalk classify <netlog.json> [--loaded-at MS]
 //! knocktalk entropy  [--machines N] [--seed N]

@@ -138,11 +138,11 @@ pub fn split_campaigns(
     let mut campaigns: BTreeMap<(String, String), CampaignReplay> = BTreeMap::new();
     for visit in visits {
         let key = (
-            visit.record.crawl.as_str().to_string(),
-            visit.record.os.name().to_string(),
+            visit.crawl.as_str().to_string(),
+            visit.os.name().to_string(),
         );
         let campaign = campaigns.entry(key).or_default();
-        let domain = visit.record.domain.clone();
+        let domain = visit.domain.clone();
         if visit.flags & FLAG_RECRAWL != 0 {
             campaign.recrawl.insert(domain, visit.delta.clone());
         } else {
@@ -166,21 +166,14 @@ pub fn split_campaigns(
 mod tests {
     use super::*;
     use kt_netbase::{DomainName, Os};
-    use kt_store::{CrawlId, LoadOutcome, VisitRecord};
+    use kt_store::CrawlId;
     use kt_webgen::WebSite;
 
     fn visit(domain: &str, flags: u8, cost: u64, os: Os) -> ReplayedVisit {
         ReplayedVisit {
-            record: VisitRecord {
-                crawl: CrawlId::top2020(),
-                domain: domain.to_string(),
-                rank: Some(1),
-                malicious_category: None,
-                os,
-                outcome: LoadOutcome::Success,
-                loaded_at_ms: 7,
-                events: Vec::new(),
-            },
+            crawl: CrawlId::top2020(),
+            domain: domain.to_string(),
+            os,
             delta: VisitDelta {
                 cost_ms: cost,
                 attempted: u64::from(flags & FLAG_FINAL != 0),

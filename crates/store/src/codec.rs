@@ -22,7 +22,7 @@ use kt_netlog::{
     EventParams, EventPhase, EventType, EventView, NetLogEvent, ParamsView, SourceRef, SourceType,
 };
 
-use crate::record::{CrawlId, LoadOutcome, VisitRecord};
+use crate::record::{os_slot, slot_os, CrawlId, LoadOutcome, VisitRecord};
 
 /// Codec errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,21 +108,8 @@ fn get_str(buf: &mut Bytes) -> Result<String, CodecError> {
     Ok(s)
 }
 
-fn os_code(os: Os) -> u8 {
-    match os {
-        Os::Windows => 0,
-        Os::Linux => 1,
-        Os::MacOs => 2,
-    }
-}
-
 fn os_from(code: u8) -> Result<Os, CodecError> {
-    match code {
-        0 => Ok(Os::Windows),
-        1 => Ok(Os::Linux),
-        2 => Ok(Os::MacOs),
-        v => Err(CodecError::BadTag("os", v as u64)),
-    }
+    slot_os(code).ok_or(CodecError::BadTag("os", code as u64))
 }
 
 /// Zig-zag encoding for the signed net-error codes.
@@ -271,7 +258,7 @@ pub fn encode(record: &VisitRecord) -> Bytes {
         }
         None => buf.put_u8(0),
     }
-    buf.put_u8(os_code(record.os));
+    buf.put_u8(os_slot(record.os));
     match record.outcome {
         LoadOutcome::Success => buf.put_u8(0),
         LoadOutcome::Error(err) => {
@@ -390,28 +377,28 @@ pub fn decode(mut buf: Bytes) -> Result<VisitRecord, CodecError> {
 /// (see [`decode_view`]). Keeping validation out of the field-by-field
 /// hot loop lets `std::str::from_utf8` run slice-at-once per string in
 /// one tight loop instead of interleaving with tag dispatch.
-struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     spans: Vec<&'a [u8]>,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
         Cursor {
             buf,
             spans: Vec::new(),
         }
     }
 
-    fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len()
     }
 
-    fn has_remaining(&self) -> bool {
+    pub(crate) fn has_remaining(&self) -> bool {
         !self.buf.is_empty()
     }
 
-    fn get_u8(&mut self) -> u8 {
+    pub(crate) fn get_u8(&mut self) -> u8 {
         let b = self.buf[0];
         self.buf = &self.buf[1..];
         b
@@ -423,7 +410,7 @@ impl<'a> Cursor<'a> {
         v
     }
 
-    fn get_varint(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn get_varint(&mut self) -> Result<u64, CodecError> {
         let mut v = 0u64;
         let mut shift = 0;
         loop {
@@ -451,15 +438,21 @@ impl<'a> Cursor<'a> {
         std::str::from_utf8(raw).map_err(|_| CodecError::BadUtf8)
     }
 
-    /// Length-prefixed string span, structural checks only. UTF-8
-    /// validation is deferred to the batched pass over `spans`.
-    fn get_str_raw(&mut self) -> Result<&'a [u8], CodecError> {
-        let len = self.get_varint()? as usize;
+    /// The next `len` bytes, unvalidated.
+    pub(crate) fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < len {
             return Err(CodecError::Truncated);
         }
         let (head, rest) = self.buf.split_at(len);
         self.buf = rest;
+        Ok(head)
+    }
+
+    /// Length-prefixed string span, structural checks only. UTF-8
+    /// validation is deferred to the batched pass over `spans`.
+    fn get_str_raw(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.get_varint()? as usize;
+        let head = self.take(len)?;
         self.spans.push(head);
         Ok(head)
     }

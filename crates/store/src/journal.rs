@@ -1,4 +1,4 @@
-//! `KTSTORE2`: the crash-safe campaign journal (write-ahead log).
+//! The crash-safe campaign journal (write-ahead log).
 //!
 //! The PR-1/PR-2 pipeline only persisted a whole-store snapshot at
 //! end-of-campaign, so a process kill at hour N lost every visit since
@@ -6,17 +6,10 @@
 //! frame per *finished* visit as the campaign runs, the supervisor
 //! appends a checkpoint frame per completed `(crawl, os)` campaign, and
 //! a killed run resumes by replaying the journal and crawling only what
-//! is missing.
-//!
-//! ```text
-//! file  = magic(8B = "KTSTORE2") frame*
-//! frame = sync(2B = F5 4B) kind(u8) len(u32 LE) payload[len] crc(u32 LE)
-//!         crc = CRC-32/IEEE over kind ‖ len ‖ payload
-//! kinds : 1 VISIT   flags, stats delta, codec-encoded VisitRecord
-//!         2 CHECKPOINT (crawl, os) done: completed domains + stats blob
-//!         3 FLUSH   durability marker: fsync happened right after
-//!         4 META    campaign parameters (seed, sizes) for resume
-//! ```
+//! is missing. The file is the shared [`crate::frame`] format with the
+//! VISIT, CHECKPOINT, FLUSH and META kinds; a saved store
+//! ([`crate::persist::save`]) is the same file holding a STORE header
+//! and final visit frames, so [`replay`] and [`fsck`] read both.
 //!
 //! Recovery properties, in decreasing order of strength:
 //!
@@ -37,30 +30,21 @@
 //! processes. `kt-faults` drives the same mechanism per-visit via
 //! `Fault::ProcessKill`.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
+use kt_netbase::Os;
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{self, decode, encode};
-use crate::record::VisitRecord;
+use crate::codec::{self, decode_view, encode, Cursor};
+use crate::frame::{self, kind, MAGIC};
+use crate::record::{CrawlId, VisitRecord};
 use crate::store::TelemetryStore;
-
-/// File magic for journals (snapshots are `KTSTORE1`).
-pub const JOURNAL_MAGIC: &[u8; 8] = b"KTSTORE2";
-
-/// Frame sync marker: resync scans look for this pair.
-pub const SYNC: [u8; 2] = [0xF5, 0x4B];
-
-/// Upper bound on one frame's payload. A corrupted length field must
-/// never drive a multi-gigabyte allocation (the `persist::load` bug
-/// this PR also fixes); anything claiming more than this is corrupt.
-pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Default bytes of visit payload between durability flush points.
 /// Matches the sharded store's segment target so one sealed segment's
@@ -112,100 +96,11 @@ impl JournalConfig {
     }
 }
 
-/// Frame kinds.
-pub mod kind {
-    /// One finished visit: flags + stats delta + encoded record.
-    pub const VISIT: u8 = 1;
-    /// One finished `(crawl, os)` campaign.
-    pub const CHECKPOINT: u8 = 2;
-    /// Durability marker: the writer fsynced right after this frame.
-    pub const FLUSH: u8 = 3;
-    /// Campaign parameters, written once at journal start.
-    pub const META: u8 = 4;
-}
-
 /// Visit frame flag: this is the site's *final* record for the pass
 /// (terminal success/failure/quarantine, not superseded later).
 pub const FLAG_FINAL: u8 = 1;
 /// Visit frame flag: produced by the end-of-campaign recrawl pass.
 pub const FLAG_RECRAWL: u8 = 2;
-
-// ---------------------------------------------------------------- CRC
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// Slicing-by-8 tables: `TABLES[k][b]` folds byte `b` through `k`
-/// additional zero bytes, so one step consumes a whole 8-byte word.
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    tables[0] = crc_table();
-    let mut i = 0;
-    while i < 256 {
-        let mut c = tables[0][i];
-        let mut k = 1;
-        while k < 8 {
-            c = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
-            tables[k][i] = c;
-            k += 1;
-        }
-        i += 1;
-    }
-    tables
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-/// CRC-32/IEEE (the zlib/gzip polynomial), slicing-by-8: eight table
-/// lookups per 8-byte word instead of one per byte. Bit-identical to
-/// [`crc32_bytewise`] (property-pinned in tests).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// The original byte-at-a-time CRC-32, kept as the reference the fast
-/// path is property-tested against.
-pub fn crc32_bytewise(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ------------------------------------------------------------- frames
 
@@ -238,15 +133,37 @@ pub struct VisitDelta {
     pub failures: Vec<(i64, u64)>,
 }
 
-/// One visit frame as read back from a journal.
-#[derive(Debug, Clone)]
+/// One visit frame as read back from a journal: the visit's identity,
+/// its stats contribution and its flags. The record itself goes
+/// straight into [`ReplayReport::store`] as the frame's verified bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayedVisit {
-    /// The decoded telemetry record.
-    pub record: VisitRecord,
+    /// Crawl campaign of the visit.
+    pub crawl: CrawlId,
+    /// Visited domain.
+    pub domain: String,
+    /// Crawling OS.
+    pub os: Os,
     /// Its stats contribution.
     pub delta: VisitDelta,
     /// `FLAG_*` bits.
     pub flags: u8,
+}
+
+impl ReplayedVisit {
+    /// True for a site's final record of its pass.
+    fn is_final(&self) -> bool {
+        self.flags & FLAG_FINAL != 0
+    }
+
+    /// Visit identity in checkpoint terms: (crawl, domain, OS name).
+    fn key(&self) -> (String, String, &'static str) {
+        (
+            self.crawl.as_str().to_string(),
+            self.domain.clone(),
+            self.os.name(),
+        )
+    }
 }
 
 /// One finished `(crawl, os)` campaign: enough to skip it wholesale on
@@ -297,61 +214,63 @@ fn put_delta(buf: &mut BytesMut, delta: &VisitDelta) {
     }
 }
 
-fn get_delta(buf: &mut Bytes) -> Result<VisitDelta, codec::CodecError> {
+fn get_delta(c: &mut Cursor<'_>) -> Result<VisitDelta, codec::CodecError> {
     let mut d = VisitDelta {
-        cost_ms: codec::get_varint(buf)?,
-        attempted: codec::get_varint(buf)?,
-        successful: codec::get_varint(buf)?,
-        retries: codec::get_varint(buf)?,
-        recrawled: codec::get_varint(buf)?,
-        recovered: codec::get_varint(buf)?,
-        gave_up: codec::get_varint(buf)?,
-        crashed: codec::get_varint(buf)?,
-        store_retries: codec::get_varint(buf)?,
+        cost_ms: c.get_varint()?,
+        attempted: c.get_varint()?,
+        successful: c.get_varint()?,
+        retries: c.get_varint()?,
+        recrawled: c.get_varint()?,
+        recovered: c.get_varint()?,
+        gave_up: c.get_varint()?,
+        crashed: c.get_varint()?,
+        store_retries: c.get_varint()?,
         failures: Vec::new(),
     };
-    let n = codec::get_varint(buf)? as usize;
-    if n > buf.remaining() {
+    let n = c.get_varint()? as usize;
+    if n > c.remaining() {
         // Each pair is at least 2 bytes; a count beyond the remaining
         // byte budget is corrupt, not a huge allocation request.
         return Err(codec::CodecError::Truncated);
     }
     for _ in 0..n {
-        let code = codec::unzigzag(codec::get_varint(buf)?);
-        let count = codec::get_varint(buf)?;
+        let code = codec::unzigzag(c.get_varint()?);
+        let count = c.get_varint()?;
         d.failures.push((code, count));
     }
     Ok(d)
 }
 
-/// Serialize a visit frame payload.
-fn encode_visit_payload(record: &VisitRecord, delta: &VisitDelta, flags: u8) -> Vec<u8> {
-    let record_bytes = encode(record);
-    let mut buf = BytesMut::with_capacity(record_bytes.len() + 64);
+/// Serialize a visit frame payload around already-encoded record bytes.
+pub(crate) fn visit_payload(record: &[u8], delta: &VisitDelta, flags: u8) -> Vec<u8> {
+    let mut buf = BytesMut::with_capacity(record.len() + 64);
     buf.put_u8(flags);
     put_delta(&mut buf, delta);
-    codec::put_varint(&mut buf, record_bytes.len() as u64);
-    buf.put_slice(&record_bytes);
+    codec::put_varint(&mut buf, record.len() as u64);
+    buf.put_slice(record);
     buf.freeze().to_vec()
 }
 
-fn decode_visit_payload(payload: &[u8]) -> Result<ReplayedVisit, codec::CodecError> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    if !buf.has_remaining() {
+/// Split a visit payload into its identity, delta and flags plus the
+/// record's bytes, which must pass [`decode_view`].
+fn decode_visit_payload(payload: &[u8]) -> Result<(ReplayedVisit, &[u8]), codec::CodecError> {
+    let mut c = Cursor::new(payload);
+    if !c.has_remaining() {
         return Err(codec::CodecError::Truncated);
     }
-    let flags = buf.get_u8();
-    let delta = get_delta(&mut buf)?;
-    let len = codec::get_varint(&mut buf)? as usize;
-    if buf.remaining() < len {
-        return Err(codec::CodecError::Truncated);
-    }
-    let record = decode(buf.copy_to_bytes(len))?;
-    Ok(ReplayedVisit {
-        record,
+    let flags = c.get_u8();
+    let delta = get_delta(&mut c)?;
+    let len = c.get_varint()? as usize;
+    let record = c.take(len)?;
+    let view = decode_view(record)?;
+    let visit = ReplayedVisit {
+        crawl: CrawlId(view.crawl.to_string()),
+        domain: view.domain.to_string(),
+        os: view.os,
         delta,
         flags,
-    })
+    };
+    Ok((visit, record))
 }
 
 // ------------------------------------------------------------- errors
@@ -370,7 +289,7 @@ impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JournalError::Io(e) => write!(f, "journal i/o error: {e}"),
-            JournalError::BadMagic => write!(f, "not a knock-talk journal (KTSTORE2) file"),
+            JournalError::BadMagic => write!(f, "not a knock-talk store or journal file"),
         }
     }
 }
@@ -496,26 +415,14 @@ impl JournalWriter {
     /// [`JournalWriter::create`] with explicit tuning knobs.
     pub fn create_with(path: &Path, config: JournalConfig) -> Result<JournalWriter, JournalError> {
         let mut file = File::create(path)?;
-        file.write_all(JOURNAL_MAGIC)?;
+        file.write_all(MAGIC)?;
         file.sync_all()?;
-        Ok(JournalWriter {
-            inner: Mutex::new(WriterInner {
-                file,
-                stats: JournalStats {
-                    bytes: JOURNAL_MAGIC.len() as u64,
-                    fsyncs: 1,
-                    ..JournalStats::default()
-                },
-                since_flush: 0,
-                kill: None,
-                error: None,
-                pending: Vec::new(),
-                pending_frames: 0,
-                config,
-            }),
-            killed: AtomicBool::new(false),
-            path: path.to_path_buf(),
-        })
+        let stats = JournalStats {
+            bytes: MAGIC.len() as u64,
+            fsyncs: 1,
+            ..JournalStats::default()
+        };
+        Ok(JournalWriter::over(file, stats, config, path))
     }
 
     /// Reopen an existing journal for appending: scan it, truncate the
@@ -537,18 +444,26 @@ impl JournalWriter {
         file.set_len(scan.valid_end)?;
         file.sync_all()?;
         file.seek(SeekFrom::End(0))?;
-        Ok(JournalWriter {
+        let count = |k: u8| scan.frames.iter().filter(|f| f.kind == k).count() as u64;
+        let stats = JournalStats {
+            frames: scan.frames.len() as u64,
+            visits: count(kind::VISIT),
+            checkpoints: count(kind::CHECKPOINT),
+            flush_points: count(kind::FLUSH),
+            bytes: scan.valid_end,
+            fsyncs: 1,
+            ..JournalStats::default()
+        };
+        Ok(JournalWriter::over(file, stats, config, path))
+    }
+
+    /// A live writer appending to `file`, which already holds what
+    /// `stats` describes.
+    fn over(file: File, stats: JournalStats, config: JournalConfig, path: &Path) -> JournalWriter {
+        JournalWriter {
             inner: Mutex::new(WriterInner {
                 file,
-                stats: JournalStats {
-                    frames: scan.frames.len() as u64,
-                    visits: scan.count_kind(kind::VISIT),
-                    checkpoints: scan.count_kind(kind::CHECKPOINT),
-                    flush_points: scan.count_kind(kind::FLUSH),
-                    bytes: scan.valid_end,
-                    fsyncs: 1,
-                    ..JournalStats::default()
-                },
+                stats,
                 since_flush: 0,
                 kill: None,
                 error: None,
@@ -558,7 +473,7 @@ impl JournalWriter {
             }),
             killed: AtomicBool::new(false),
             path: path.to_path_buf(),
-        })
+        }
     }
 
     /// Arm (or disarm) a deterministic crash point.
@@ -598,7 +513,7 @@ impl JournalWriter {
         flags: u8,
         kill_now: bool,
     ) {
-        let payload = encode_visit_payload(record, delta, flags);
+        let payload = visit_payload(&encode(record), delta, flags);
         self.append_frame(kind::VISIT, &payload, kill_now);
         if self.killed() {
             return;
@@ -685,12 +600,8 @@ impl JournalWriter {
         } else {
             armed
         };
-        let mut frame = Vec::with_capacity(payload.len() + 11);
-        frame.extend_from_slice(&SYNC);
-        frame.push(frame_kind);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload);
-        let crc = crc32(&frame[2..]);
+        let mut frame = Vec::new();
+        frame::put(&mut frame, frame_kind, payload);
         let outcome: io::Result<bool> = (|| match mode {
             Some(KillMode::MidFrame) => {
                 // The torn write: header plus roughly half the payload
@@ -702,7 +613,7 @@ impl JournalWriter {
                 // on-disk bytes at this boundary are identical to the
                 // unbatched writer's.
                 inner.flush_pending()?;
-                let cut = 3 + (frame.len() - 3) / 2;
+                let cut = 3 + (frame.len() - 7) / 2;
                 inner.file.write_all(&frame[..cut])?;
                 inner.file.sync_all()?;
                 inner.stats.bytes += cut as u64;
@@ -710,7 +621,6 @@ impl JournalWriter {
                 Ok(true)
             }
             Some(KillMode::PostFrame) => {
-                frame.extend_from_slice(&crc.to_le_bytes());
                 inner.flush_pending()?;
                 inner.file.write_all(&frame)?;
                 inner.file.sync_all()?;
@@ -720,7 +630,6 @@ impl JournalWriter {
                 Ok(true)
             }
             None => {
-                frame.extend_from_slice(&crc.to_le_bytes());
                 inner.pending.extend_from_slice(&frame);
                 inner.pending_frames += 1;
                 inner.stats.bytes += frame.len() as u64;
@@ -776,202 +685,57 @@ impl Drop for JournalWriter {
 
 // ------------------------------------------------------------ scanner
 
-/// One parsed frame.
-#[derive(Debug, Clone)]
-pub enum FrameBody {
-    /// A visit frame.
-    Visit(ReplayedVisit),
+/// One journal frame's payload, decoded by kind.
+#[derive(Debug)]
+pub enum FrameBody<'a> {
+    /// A visit frame: identity, delta and flags, plus the record bytes
+    /// (already checked by [`decode_view`]).
+    Visit {
+        /// The visit's identity, delta and flags.
+        visit: ReplayedVisit,
+        /// The codec-encoded record, borrowed from the scanned bytes.
+        record: &'a [u8],
+    },
     /// A checkpoint frame.
     Checkpoint(CheckpointFrame),
     /// A flush marker.
     Flush,
     /// The campaign-parameters frame.
     Meta(JournalMeta),
-    /// CRC-valid frame of a kind this build does not know (forward
-    /// compatibility: carried, never dropped).
-    Unknown(u8, Vec<u8>),
-}
-
-impl FrameBody {
-    fn kind(&self) -> u8 {
-        match self {
-            FrameBody::Visit(_) => kind::VISIT,
-            FrameBody::Checkpoint(_) => kind::CHECKPOINT,
-            FrameBody::Flush => kind::FLUSH,
-            FrameBody::Meta(_) => kind::META,
-            FrameBody::Unknown(k, _) => *k,
-        }
-    }
+    /// A saved store's header: the visit frames that follow it.
+    Store(u64),
+    /// CRC-valid frame of a kind this reader does not know (forward
+    /// compatibility: its payload stays on the frame, never dropped).
+    Unknown,
 }
 
 /// A scanned journal: every recoverable frame plus damage accounting.
-#[derive(Debug)]
-pub struct ScanReport {
-    /// Valid frames in file order, with their byte spans.
-    pub frames: Vec<ScannedFrame>,
-    /// Byte spans the scanner had to skip (failed CRC or framing).
-    pub corrupt_spans: Vec<(u64, u64)>,
-    /// True when the file ends inside a frame (torn tail).
-    pub truncated_tail: bool,
-    /// End offset of the last valid frame: truncation repair cuts here.
-    pub valid_end: u64,
-    /// Total file length scanned.
-    pub file_len: u64,
-}
+pub type ScanReport<'a> = frame::Scan<'a, FrameBody<'a>>;
 
-/// A valid frame plus its location.
-#[derive(Debug)]
-pub struct ScannedFrame {
-    /// Byte offset of the frame's sync marker.
-    pub start: u64,
-    /// Byte offset one past the frame's CRC.
-    pub end: u64,
-    /// Parsed body.
-    pub body: FrameBody,
-}
-
-impl ScanReport {
-    fn count_kind(&self, k: u8) -> u64 {
-        self.frames.iter().filter(|f| f.body.kind() == k).count() as u64
-    }
-
-    /// Bytes lost to corruption.
-    pub fn corrupt_bytes(&self) -> u64 {
-        self.corrupt_spans.iter().map(|(s, e)| e - s).sum()
-    }
-}
-
-enum FrameErr {
-    /// No sync marker at this offset.
-    BadSync,
-    /// Plausible header but the frame extends past EOF.
-    Truncated,
-    /// Length field exceeds `MAX_FRAME_LEN`.
-    BadLen,
-    /// CRC mismatch.
-    BadCrc,
-    /// CRC fine but the payload does not decode (e.g. a visit frame
-    /// whose inner record is from a future codec).
-    BadPayload,
-}
-
-/// Try to parse one frame at `pos`. Returns the end offset + body.
-fn try_frame(data: &[u8], pos: usize) -> Result<(usize, FrameBody), FrameErr> {
-    let remaining = data.len() - pos;
-    if remaining < 2 || data[pos] != SYNC[0] || data[pos + 1] != SYNC[1] {
-        return Err(if remaining < 2 && remaining > 0 && data[pos] == SYNC[0] {
-            // A lone F5 at EOF is a torn sync marker.
-            FrameErr::Truncated
-        } else {
-            FrameErr::BadSync
-        });
-    }
-    if remaining < 7 {
-        return Err(FrameErr::Truncated);
-    }
-    let kind_byte = data[pos + 2];
-    let len =
-        u32::from_le_bytes([data[pos + 3], data[pos + 4], data[pos + 5], data[pos + 6]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameErr::BadLen);
-    }
-    let total = 7 + len + 4;
-    if remaining < total {
-        return Err(FrameErr::Truncated);
-    }
-    let payload = &data[pos + 7..pos + 7 + len];
-    let stored_crc = u32::from_le_bytes([
-        data[pos + 7 + len],
-        data[pos + 8 + len],
-        data[pos + 9 + len],
-        data[pos + 10 + len],
-    ]);
-    if crc32(&data[pos + 2..pos + 7 + len]) != stored_crc {
-        return Err(FrameErr::BadCrc);
-    }
-    let body = match kind_byte {
+fn parse_frame(kind_byte: u8, payload: &[u8]) -> Option<FrameBody<'_>> {
+    Some(match kind_byte {
         kind::VISIT => {
-            FrameBody::Visit(decode_visit_payload(payload).map_err(|_| FrameErr::BadPayload)?)
+            let (visit, record) = decode_visit_payload(payload).ok()?;
+            FrameBody::Visit { visit, record }
         }
         kind::CHECKPOINT => {
-            let text = std::str::from_utf8(payload).map_err(|_| FrameErr::BadPayload)?;
-            FrameBody::Checkpoint(serde_json::from_str(text).map_err(|_| FrameErr::BadPayload)?)
+            FrameBody::Checkpoint(serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()?)
         }
         kind::FLUSH => FrameBody::Flush,
         kind::META => {
-            let text = std::str::from_utf8(payload).map_err(|_| FrameErr::BadPayload)?;
-            FrameBody::Meta(serde_json::from_str(text).map_err(|_| FrameErr::BadPayload)?)
+            FrameBody::Meta(serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()?)
         }
-        other => FrameBody::Unknown(other, payload.to_vec()),
-    };
-    Ok((pos + total, body))
+        kind::STORE => FrameBody::Store(u64::from_le_bytes(payload.try_into().ok()?)),
+        _ => FrameBody::Unknown,
+    })
 }
 
-/// Scan raw journal bytes (past callers verified the magic) into the
-/// maximal clean subset of frames. Never panics, never errors on frame
-/// damage — only on a missing magic.
-pub fn scan(data: &[u8]) -> Result<ScanReport, JournalError> {
-    if data.len() < JOURNAL_MAGIC.len() || &data[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-        return Err(JournalError::BadMagic);
-    }
-    let mut report = ScanReport {
-        frames: Vec::new(),
-        corrupt_spans: Vec::new(),
-        truncated_tail: false,
-        valid_end: JOURNAL_MAGIC.len() as u64,
-        file_len: data.len() as u64,
-    };
-    let mut pos = JOURNAL_MAGIC.len();
-    while pos < data.len() {
-        match try_frame(data, pos) {
-            Ok((end, body)) => {
-                report.frames.push(ScannedFrame {
-                    start: pos as u64,
-                    end: end as u64,
-                    body,
-                });
-                report.valid_end = end as u64;
-                pos = end;
-            }
-            Err(err) => {
-                // Resync: the next CRC-valid frame start after pos.
-                let next = resync(data, pos + 1);
-                match next {
-                    Some(next) => {
-                        report.corrupt_spans.push((pos as u64, next as u64));
-                        if matches!(err, FrameErr::Truncated) {
-                            // "Truncated" but valid frames follow: the
-                            // length field was damaged, not the tail.
-                        }
-                        pos = next;
-                    }
-                    None => {
-                        // Nothing recoverable to EOF. A plausible
-                        // partial frame is a torn tail; anything else
-                        // is trailing corruption.
-                        if matches!(err, FrameErr::Truncated) {
-                            report.truncated_tail = true;
-                        } else {
-                            report.corrupt_spans.push((pos as u64, data.len() as u64));
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    Ok(report)
-}
-
-fn resync(data: &[u8], from: usize) -> Option<usize> {
-    let mut pos = from;
-    while pos + 1 < data.len() {
-        if data[pos] == SYNC[0] && data[pos + 1] == SYNC[1] && try_frame(data, pos).is_ok() {
-            return Some(pos);
-        }
-        pos += 1;
-    }
-    None
+/// Scan raw journal bytes into the maximal clean subset of frames. A
+/// CRC-valid frame whose payload does not decode (a visit record that
+/// fails [`decode_view`], say) is damage like a CRC mismatch. Never
+/// panics, never errors on frame damage — only on a missing magic.
+pub fn scan(data: &[u8]) -> Result<ScanReport<'_>, JournalError> {
+    frame::scan(data, parse_frame).ok_or(JournalError::BadMagic)
 }
 
 // ------------------------------------------------------------- replay
@@ -988,6 +752,9 @@ pub struct ReplayReport {
     pub checkpoints: Vec<CheckpointFrame>,
     /// The campaign-parameters frame, if present.
     pub meta: Option<JournalMeta>,
+    /// Visit frames a saved store's header declares; an intact saved
+    /// store replays exactly this many.
+    pub declared_visits: Option<u64>,
     /// Frame kinds in journal order (test hook for targeting specific
     /// kill boundaries).
     pub frame_kinds: Vec<u8>,
@@ -1007,57 +774,49 @@ pub struct ReplayReport {
     pub flush_points: usize,
 }
 
-/// Replay a journal from disk. Frame damage degrades, never fails.
+/// Replay a journal (or a saved store) from disk: every valid visit
+/// frame's verified record bytes go straight into the store, never
+/// decoded into an owned record and re-encoded. Frame damage degrades,
+/// never fails.
 pub fn replay(path: &Path) -> Result<ReplayReport, JournalError> {
     let data = std::fs::read(path)?;
     let scan = scan(&data)?;
-    let store = TelemetryStore::new();
-    let mut visits = Vec::new();
-    let mut checkpoints = Vec::new();
-    let mut meta = None;
-    let mut frame_kinds = Vec::with_capacity(scan.frames.len());
-    let mut seen_final: BTreeMap<(String, String, String), usize> = BTreeMap::new();
-    let mut duplicate_finals = 0usize;
-    let mut flush_points = 0usize;
-    for frame in &scan.frames {
-        frame_kinds.push(frame.body.kind());
-        match &frame.body {
-            FrameBody::Visit(v) => {
-                store.append(&v.record);
-                if v.flags & FLAG_FINAL != 0 {
-                    let key = (
-                        v.record.crawl.as_str().to_string(),
-                        v.record.domain.clone(),
-                        v.record.os.name().to_string(),
-                    );
-                    if let Some(n) = seen_final.get_mut(&key) {
-                        *n += 1;
-                        duplicate_finals += 1;
-                    } else {
-                        seen_final.insert(key, 1);
-                    }
-                }
-                visits.push(v.clone());
-            }
-            FrameBody::Checkpoint(cp) => checkpoints.push(cp.clone()),
-            FrameBody::Meta(m) => meta = Some(*m),
-            FrameBody::Flush => flush_points += 1,
-            FrameBody::Unknown(..) => {}
-        }
-    }
-    Ok(ReplayReport {
-        store,
-        visits,
-        checkpoints,
-        meta,
-        frame_kinds,
-        duplicate_finals,
+    let mut report = ReplayReport {
+        store: TelemetryStore::new(),
+        visits: Vec::new(),
+        checkpoints: Vec::new(),
+        meta: None,
+        declared_visits: None,
+        frame_kinds: Vec::with_capacity(scan.frames.len()),
+        duplicate_finals: 0,
         corrupt_frames: scan.corrupt_spans.len(),
         corrupt_bytes: scan.corrupt_bytes(),
         truncated_tail: scan.truncated_tail,
         valid_end: scan.valid_end,
-        flush_points,
-    })
+        flush_points: 0,
+    };
+    let mut finals = BTreeSet::new();
+    for frame in scan.frames {
+        report.frame_kinds.push(frame.kind);
+        match frame.body {
+            FrameBody::Visit { visit, record } => {
+                report
+                    .store
+                    .append_encoded(record)
+                    .expect("the scan checked the record with decode_view");
+                if visit.is_final() && !finals.insert(visit.key()) {
+                    report.duplicate_finals += 1;
+                }
+                report.visits.push(visit);
+            }
+            FrameBody::Checkpoint(cp) => report.checkpoints.push(cp),
+            FrameBody::Meta(m) => report.meta = Some(m),
+            FrameBody::Store(n) => report.declared_visits = Some(n),
+            FrameBody::Flush => report.flush_points += 1,
+            FrameBody::Unknown => {}
+        }
+    }
+    Ok(report)
 }
 
 // --------------------------------------------------------------- fsck
@@ -1100,7 +859,8 @@ pub struct FsckReport {
     /// journal disagree (a frame survived that bookkeeping lost).
     pub orphan_records: usize,
     /// Domains a checkpoint claims completed with no surviving final
-    /// frame (the checkpoint outlived a corrupted visit frame).
+    /// frame (the checkpoint outlived a corrupted visit frame), plus
+    /// visit frames a saved store's header declares that are gone.
     pub missing_records: usize,
     /// True when a clean journal was rewritten.
     pub repaired: bool,
@@ -1133,44 +893,27 @@ pub fn fsck(path: &Path, options: FsckOptions) -> Result<FsckReport, JournalErro
         corrupt_frames: scan.corrupt_spans.len(),
         corrupt_bytes: scan.corrupt_bytes(),
         truncated_tail: scan.truncated_tail,
-        tail_bytes: if scan.truncated_tail {
-            scan.file_len
-                - scan
-                    .frames
-                    .last()
-                    .map(|f| f.end)
-                    .unwrap_or(JOURNAL_MAGIC.len() as u64)
-        } else {
-            0
-        },
+        tail_bytes: scan.tail_bytes(),
         ..FsckReport::default()
     };
-    // Duplicate finals + checkpoint cross-checks, in journal order.
-    let mut finals: BTreeMap<(String, String, String), usize> = BTreeMap::new();
+    // Duplicate finals + checkpoint and saved-store header
+    // cross-checks, in journal order.
+    let mut finals = BTreeSet::new();
+    let mut declared = 0u64;
     for frame in &scan.frames {
         match &frame.body {
-            FrameBody::Visit(v) => {
+            FrameBody::Visit { visit, .. } => {
                 report.visits += 1;
-                if v.flags & FLAG_FINAL != 0 {
-                    let key = (
-                        v.record.crawl.as_str().to_string(),
-                        v.record.domain.clone(),
-                        v.record.os.name().to_string(),
-                    );
-                    let n = finals.entry(key).or_insert(0);
-                    if *n > 0 {
-                        report.duplicate_finals += 1;
-                    }
-                    *n += 1;
+                if visit.is_final() && !finals.insert(visit.key()) {
+                    report.duplicate_finals += 1;
                 }
             }
             FrameBody::Checkpoint(cp) => {
                 report.checkpoints += 1;
-                let listed: std::collections::BTreeSet<&str> =
-                    cp.completed.iter().map(|s| s.as_str()).collect();
+                let listed: BTreeSet<&str> = cp.completed.iter().map(|s| s.as_str()).collect();
                 let mut seen_here = 0usize;
-                for ((crawl, domain, os), _) in finals.iter() {
-                    if crawl == &cp.crawl && os == &cp.os {
+                for (crawl, domain, os) in &finals {
+                    if crawl == &cp.crawl && *os == cp.os {
                         if listed.contains(domain.as_str()) {
                             seen_here += 1;
                         } else {
@@ -1180,30 +923,29 @@ pub fn fsck(path: &Path, options: FsckOptions) -> Result<FsckReport, JournalErro
                 }
                 report.missing_records += cp.completed.len().saturating_sub(seen_here);
             }
+            FrameBody::Store(n) => declared = *n,
             _ => {}
         }
     }
+    report.missing_records += (declared as usize).saturating_sub(report.visits);
     if options.repair {
-        let tmp = path.with_extension("ktj.tmp");
-        {
-            let mut out = File::create(&tmp)?;
-            out.write_all(JOURNAL_MAGIC)?;
-            for frame in &scan.frames {
-                out.write_all(&data[frame.start as usize..frame.end as usize])?;
+        let tmp = frame::tmp_path(path);
+        frame::write_synced(&tmp, |out| {
+            out.write_all(MAGIC)?;
+            for f in &scan.frames {
+                out.write_all(&data[f.start as usize..f.end as usize])?;
             }
-            out.sync_all()?;
-        }
-        let damaged: u64 = report.corrupt_bytes + report.tail_bytes;
+            Ok(())
+        })?;
+        let damaged = report.corrupt_bytes + report.tail_bytes;
         if damaged > 0 {
-            let qpath = path.with_extension("ktj.quarantine");
-            let mut q = File::create(&qpath)?;
-            for (s, e) in &scan.corrupt_spans {
-                q.write_all(&data[*s as usize..*e as usize])?;
-            }
-            if scan.truncated_tail {
-                q.write_all(&data[scan.valid_end as usize..])?;
-            }
-            q.sync_all()?;
+            let qpath = frame::sibling(path, "quarantine");
+            frame::write_synced(&qpath, |q| {
+                for (s, e) in &scan.corrupt_spans {
+                    q.write_all(&data[*s as usize..*e as usize])?;
+                }
+                q.write_all(&data[data.len() - report.tail_bytes as usize..])
+            })?;
             report.quarantined_bytes = damaged;
             report.quarantine_path = Some(qpath);
         }
@@ -1211,46 +953,27 @@ pub fn fsck(path: &Path, options: FsckOptions) -> Result<FsckReport, JournalErro
             // Crash boundary: fsynced tmp exists, original untouched.
             return Ok(report);
         }
-        std::fs::rename(&tmp, path)?;
-        sync_parent_dir(path)?;
+        frame::commit(&tmp, path)?;
         report.repaired = true;
         report.repaired_path = Some(path.to_path_buf());
     }
     Ok(report)
 }
 
-/// fsync a file's parent directory so a rename survives power loss.
-pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        let parent = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        // Directories can be opened read-only for fsync on POSIX;
-        // failure is non-fatal on filesystems that refuse it.
-        if let Ok(dir) = File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// True when `path` starts with the journal magic (used by readers
-/// that accept either a KTSTORE1 snapshot or a KTSTORE2 journal).
-pub fn is_journal(path: &Path) -> bool {
-    let mut magic = [0u8; 8];
-    File::open(path)
-        .and_then(|mut f| f.read_exact(&mut magic))
-        .map(|_| &magic == JOURNAL_MAGIC)
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{CrawlId, LoadOutcome};
-    use kt_netbase::Os;
+    use crate::frame::{crc32, CRC_TABLES, SYNC};
+
+    /// The byte-at-a-time CRC-32 the sliced one must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+    use crate::record::LoadOutcome;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("kt-journal-{name}-{}", std::process::id()))
@@ -1267,6 +990,11 @@ mod tests {
             loaded_at_ms: 1_000 + i as u64,
             events: Vec::new(),
         }
+    }
+
+    /// Append site `i`'s final frame on `os`.
+    fn append_final(w: &JournalWriter, i: usize, os: Os) {
+        w.append_visit(&sample_record(i, os), &sample_delta(i), FLAG_FINAL, false);
     }
 
     fn sample_delta(i: usize) -> VisitDelta {
@@ -1327,17 +1055,12 @@ mod tests {
         )
         .unwrap();
         for i in 0..10 {
-            w.append_visit(
-                &sample_record(i, Os::Linux),
-                &sample_delta(i),
-                FLAG_FINAL,
-                false,
-            );
+            append_final(&w, i, Os::Linux);
         }
         // Nothing but the magic has reached the file yet.
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
-            JOURNAL_MAGIC.len() as u64,
+            MAGIC.len() as u64,
             "frames are buffered, not written"
         );
         assert_eq!(w.stats().frames, 10, "logical appends counted");
@@ -1372,12 +1095,7 @@ mod tests {
                 workers: 4,
             });
             for i in 0..40 {
-                w.append_visit(
-                    &sample_record(i, Os::ALL[i % 3]),
-                    &sample_delta(i),
-                    FLAG_FINAL,
-                    false,
-                );
+                append_final(&w, i, Os::ALL[i % 3]);
             }
             w.append_checkpoint(&CheckpointFrame {
                 crawl: "top2020".into(),
@@ -1411,12 +1129,7 @@ mod tests {
                 let w = JournalWriter::create_with(path, config).unwrap();
                 w.set_kill(Some(KillSpec { at_frame: 7, mode }));
                 for i in 0..12 {
-                    w.append_visit(
-                        &sample_record(i, Os::Linux),
-                        &sample_delta(i),
-                        FLAG_FINAL,
-                        false,
-                    );
+                    append_final(&w, i, Os::Linux);
                 }
                 assert!(w.killed(), "kill fired with frames in flight");
             }
@@ -1446,12 +1159,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..5 {
-            w.append_visit(
-                &sample_record(i, Os::Linux),
-                &sample_delta(i),
-                FLAG_FINAL,
-                false,
-            );
+            append_final(&w, i, Os::Linux);
         }
         drop(w);
         let report = replay(&path).unwrap();
@@ -1473,12 +1181,7 @@ mod tests {
         .unwrap();
         let mut i = 0;
         while w.stats().bytes < 4_096 {
-            w.append_visit(
-                &sample_record(i, Os::Linux),
-                &sample_delta(i),
-                FLAG_FINAL,
-                false,
-            );
+            append_final(&w, i, Os::Linux);
             i += 1;
         }
         assert!(
@@ -1500,12 +1203,7 @@ mod tests {
             workers: 4,
         });
         for i in 0..25 {
-            w.append_visit(
-                &sample_record(i, Os::ALL[i % 3]),
-                &sample_delta(i),
-                FLAG_FINAL,
-                false,
-            );
+            append_final(&w, i, Os::ALL[i % 3]);
         }
         w.append_checkpoint(&CheckpointFrame {
             crawl: "top2020".into(),
@@ -1521,8 +1219,17 @@ mod tests {
         assert_eq!(report.duplicate_finals, 0);
         assert_eq!(report.corrupt_frames, 0);
         assert!(!report.truncated_tail);
-        assert_eq!(report.visits[3].delta, sample_delta(3));
-        assert_eq!(report.visits[3].record, sample_record(3, Os::ALL[0]));
+        let third = &report.visits[3];
+        assert_eq!(third.delta, sample_delta(3));
+        assert_eq!(
+            (third.crawl.clone(), third.domain.as_str(), third.os),
+            (CrawlId::top2020(), "site3.example", Os::ALL[0])
+        );
+        assert_eq!(
+            report.store.get(&third.crawl, &third.domain, third.os),
+            Some(sample_record(3, Os::ALL[0])),
+            "the frame's record bytes land in the store unchanged"
+        );
         assert_eq!(report.store.len(), 25);
         std::fs::remove_file(&path).ok();
     }
@@ -1548,31 +1255,16 @@ mod tests {
         let path = tmp("midframe");
         let w = JournalWriter::create(&path).unwrap();
         for i in 0..10 {
-            w.append_visit(
-                &sample_record(i, Os::Linux),
-                &sample_delta(i),
-                FLAG_FINAL,
-                false,
-            );
+            append_final(&w, i, Os::Linux);
         }
         w.set_kill(Some(KillSpec {
             at_frame: 10,
             mode: KillMode::MidFrame,
         }));
-        w.append_visit(
-            &sample_record(10, Os::Linux),
-            &sample_delta(10),
-            FLAG_FINAL,
-            false,
-        );
+        append_final(&w, 10, Os::Linux);
         assert!(w.killed());
         // Appends after death are silently dropped, like a dead process.
-        w.append_visit(
-            &sample_record(11, Os::Linux),
-            &sample_delta(11),
-            FLAG_FINAL,
-            false,
-        );
+        append_final(&w, 11, Os::Linux);
         let report = replay(&path).unwrap();
         assert_eq!(
             report.visits.len(),
@@ -1582,12 +1274,7 @@ mod tests {
         assert!(report.truncated_tail);
         // open_append truncates the torn tail and appending resumes.
         let w2 = JournalWriter::open_append(&path).unwrap();
-        w2.append_visit(
-            &sample_record(10, Os::Linux),
-            &sample_delta(10),
-            FLAG_FINAL,
-            false,
-        );
+        append_final(&w2, 10, Os::Linux);
         w2.sync();
         let report = replay(&path).unwrap();
         assert_eq!(report.visits.len(), 11);
@@ -1604,18 +1291,8 @@ mod tests {
             at_frame: 1,
             mode: KillMode::PostFrame,
         }));
-        w.append_visit(
-            &sample_record(0, Os::Linux),
-            &sample_delta(0),
-            FLAG_FINAL,
-            false,
-        );
-        w.append_visit(
-            &sample_record(1, Os::Linux),
-            &sample_delta(1),
-            FLAG_FINAL,
-            false,
-        );
+        append_final(&w, 0, Os::Linux);
+        append_final(&w, 1, Os::Linux);
         assert!(w.killed());
         let report = replay(&path).unwrap();
         assert_eq!(report.visits.len(), 2, "the kill frame itself is durable");
@@ -1628,12 +1305,7 @@ mod tests {
         let path = tmp("resync");
         let w = JournalWriter::create(&path).unwrap();
         for i in 0..20 {
-            w.append_visit(
-                &sample_record(i, Os::Linux),
-                &sample_delta(i),
-                FLAG_FINAL,
-                false,
-            );
+            append_final(&w, i, Os::Linux);
         }
         w.sync();
         let mut data = std::fs::read(&path).unwrap();
@@ -1658,16 +1330,11 @@ mod tests {
     fn oversized_length_field_is_corrupt_not_an_allocation() {
         let path = tmp("hugelen");
         let w = JournalWriter::create(&path).unwrap();
-        w.append_visit(
-            &sample_record(0, Os::Linux),
-            &sample_delta(0),
-            FLAG_FINAL,
-            false,
-        );
+        append_final(&w, 0, Os::Linux);
         w.sync();
         let mut data = std::fs::read(&path).unwrap();
         // Corrupt the length field of frame 0 to 0xFFFF_FFFF.
-        let off = JOURNAL_MAGIC.len() + 3;
+        let off = MAGIC.len() + 3;
         data[off..off + 4].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
         std::fs::write(&path, &data).unwrap();
         let report = replay(&path).unwrap();
@@ -1682,12 +1349,7 @@ mod tests {
         let w = JournalWriter::create(&path).unwrap();
         let rec = sample_record(7, Os::Linux);
         for i in 0..12 {
-            w.append_visit(
-                &sample_record(i, Os::Linux),
-                &sample_delta(i),
-                FLAG_FINAL,
-                false,
-            );
+            append_final(&w, i, Os::Linux);
         }
         // A crash duplicate.
         w.append_visit(&rec, &sample_delta(7), FLAG_FINAL, false);
@@ -1731,18 +1393,8 @@ mod tests {
     fn fsck_cross_checks_checkpoints_for_orphans_and_missing() {
         let path = tmp("orphan");
         let w = JournalWriter::create(&path).unwrap();
-        w.append_visit(
-            &sample_record(0, Os::Linux),
-            &sample_delta(0),
-            FLAG_FINAL,
-            false,
-        );
-        w.append_visit(
-            &sample_record(1, Os::Linux),
-            &sample_delta(1),
-            FLAG_FINAL,
-            false,
-        );
+        append_final(&w, 0, Os::Linux);
+        append_final(&w, 1, Os::Linux);
         w.append_checkpoint(&CheckpointFrame {
             crawl: "top2020".into(),
             os: "Linux".into(),
@@ -1762,12 +1414,7 @@ mod tests {
     fn fsck_kill_before_rename_leaves_both_files() {
         let path = tmp("midrename");
         let w = JournalWriter::create(&path).unwrap();
-        w.append_visit(
-            &sample_record(0, Os::Linux),
-            &sample_delta(0),
-            FLAG_FINAL,
-            false,
-        );
+        append_final(&w, 0, Os::Linux);
         w.sync();
         // Torn tail to make the repair do something.
         let mut data = std::fs::read(&path).unwrap();
@@ -1783,7 +1430,7 @@ mod tests {
         )
         .unwrap();
         assert!(!report.repaired, "rename never happened");
-        let tmp_path = path.with_extension("ktj.tmp");
+        let tmp_path = frame::tmp_path(&path);
         assert!(tmp_path.exists(), "fsynced tmp survives the crash");
         assert_eq!(std::fs::read(&path).unwrap(), before, "original untouched");
         // Recovery after the simulated crash: run fsck again.
@@ -1799,7 +1446,7 @@ mod tests {
         assert!(fsck(&path, FsckOptions::default()).unwrap().clean());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&tmp_path).ok();
-        std::fs::remove_file(path.with_extension("ktj.quarantine")).ok();
+        std::fs::remove_file(frame::sibling(&path, "quarantine")).ok();
     }
 
     #[test]
@@ -1817,11 +1464,15 @@ mod tests {
     #[test]
     fn non_journal_files_are_rejected_not_parsed() {
         let path = tmp("notajournal");
-        std::fs::write(&path, b"KTSTORE1not-a-journal").unwrap();
+        std::fs::write(&path, b"NOTASTORE-not-a-journal").unwrap();
         assert!(matches!(replay(&path), Err(JournalError::BadMagic)));
-        assert!(!is_journal(&path));
-        std::fs::write(&path, JOURNAL_MAGIC).unwrap();
-        assert!(is_journal(&path));
+        assert!(matches!(
+            fsck(&path, FsckOptions::default()),
+            Err(JournalError::BadMagic)
+        ));
+        std::fs::write(&path, MAGIC).unwrap();
+        let report = replay(&path).unwrap();
+        assert!(report.visits.is_empty() && report.frame_kinds.is_empty());
         std::fs::remove_file(&path).ok();
     }
 

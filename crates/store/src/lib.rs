@@ -13,23 +13,31 @@
 //!   in-memory index by crawl/domain/OS, safe for concurrent append
 //!   from crawl workers, with full-scan and indexed query paths (the
 //!   ablation benches compare the two);
-//! * [`persist`] — dump/load the store to a length-prefixed snapshot
-//!   file, with truncation recovery and corrupt-record skipping;
-//! * [`journal`] — the `KTSTORE2` write-ahead log: per-visit CRC32
+//! * [`frame`] — the one on-disk format: a `KTSTORE2` magic, then
+//!   CRC-32 frames (`sync kind len payload crc`); one scanner that
+//!   checks every CRC and resyncs past damage, and one atomic writer
+//!   (temp file, fsync, rename, directory fsync);
+//! * [`persist`] — save the store as final visit frames and load it
+//!   back by replay, with truncation recovery and corrupt-frame
+//!   skipping;
+//! * [`journal`] — the write-ahead log on the same frames: per-visit
 //!   frames, campaign checkpoints, deterministic crash-point
-//!   injection, replay/resume, and the `fsck` store doctor, with
-//!   group-commit frame batching behind [`journal::JournalConfig`];
+//!   injection, replay/resume, and the `fsck` store doctor (for
+//!   journals and saved stores alike), with group-commit frame
+//!   batching behind [`journal::JournalConfig`];
 //! * [`segment`] — memory-mapped sealed segments: spill a sealed
 //!   segment to disk and serve it back through the zero-copy `Bytes`
 //!   API via `mmap` (with an explicit resident fallback);
 //! * [`snapshot`] — the content-addressed [`SnapshotStore`] for
 //!   longitudinal series: identical visit records across snapshots are
-//!   stored once, manifests link unchanged sites by reference, and
-//!   [`snapshot_fsck`] audits the on-disk chunk layout.
+//!   stored once as chunk frames in sealed segment files, manifests
+//!   link unchanged sites by reference, and [`snapshot_fsck`] audits
+//!   the on-disk layout.
 
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod frame;
 pub mod journal;
 pub mod persist;
 pub mod record;
@@ -44,11 +52,11 @@ pub use journal::{
     VisitDelta,
 };
 pub use persist::{load, load_any, save, LoadReport, PersistError, SaveReport};
-pub use record::{CrawlId, LoadOutcome, VisitRecord};
+pub use record::{os_slot, slot_os, CrawlId, LoadOutcome, VisitRecord};
 pub use segment::{SegmentMode, SpillConfig};
 pub use snapshot::{
-    canonical_bytes, os_slot, shard_of, slot_os, snapshot_fsck, ContentHash, GcReport,
-    IngestOutcome, ManifestEntry, SnapshotFsckReport, SnapshotManifest, SnapshotSaveReport,
-    SnapshotStore, CANONICAL_CRAWL, SNAPSHOT_SHARDS,
+    canonical_bytes, shard_of, snapshot_fsck, ContentHash, GcReport, IngestOutcome, ManifestEntry,
+    SnapshotFsckReport, SnapshotManifest, SnapshotSaveReport, SnapshotStore, CANONICAL_CRAWL,
+    SNAPSHOT_SHARDS,
 };
 pub use store::TelemetryStore;

@@ -2,49 +2,38 @@
 //!
 //! The paper's pipeline parsed 11 TB of NetLog into a database once and
 //! queried it for months; a store that only lives in memory would force
-//! re-crawling before every analysis. The format is deliberately dumb
-//! and robust — a magic header followed by length-prefixed encoded
-//! records — so a partially-written file (killed crawl) loads up to the
-//! last complete record, mirroring the NetLog capture parser's
-//! truncation recovery.
-//!
-//! ```text
-//! file   = magic(8B = "KTSTORE1") record*
-//! record = len(u32 LE) bytes[len]     (bytes = codec::encode output)
-//! ```
+//! re-crawling before every analysis. A saved store is the journal's
+//! own [`crate::frame`] format: a STORE header frame declaring the
+//! record count, then one final visit frame per record. It loads
+//! through [`journal::replay`] — CRC-checked, resyncing past damage,
+//! torn tails loading up to the last complete frame, a cut at a frame
+//! boundary caught by the header — and `fsck` doctors it like any
+//! journal.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::Write;
 use std::path::Path;
 
-use crate::codec::{decode, encode, CodecError};
-use crate::journal;
-
+use crate::frame::{self, kind, MAGIC};
+use crate::journal::{self, JournalError, VisitDelta, FLAG_FINAL};
 use crate::store::TelemetryStore;
 
-/// File magic for store snapshots.
-pub const MAGIC: &[u8; 8] = b"KTSTORE1";
-
-/// Upper bound on one record's encoded length. A corrupted u32 length
-/// field (e.g. `0xFFFF_FFFF`) must be rejected as corrupt, not turned
-/// into a ~4 GB allocation before the first read.
-pub const MAX_RECORD_LEN: usize = 16 << 20;
-
-/// Result of loading a snapshot.
+/// Result of loading a saved store or a journal.
 #[derive(Debug)]
 pub struct LoadReport {
     /// The reconstructed store.
     pub store: TelemetryStore,
-    /// Records successfully loaded.
+    /// Visit frames successfully loaded.
     pub loaded: usize,
-    /// True if the file ended mid-record (load stopped at the last
-    /// complete one).
+    /// True if the file ended mid-frame (load stopped at the last
+    /// complete one) or before every visit frame a saved store's
+    /// header declares.
     pub truncated: bool,
-    /// Records whose bytes failed to decode (skipped).
+    /// Damaged byte spans skipped (failed CRC, framing, or record
+    /// decode).
     pub corrupt: usize,
 }
 
-/// Result of writing a snapshot: how much went out and how hard it was
+/// Result of writing a store: how much went out and how hard it was
 /// pushed to disk (the `LoadReport` counterpart for the write path).
 #[derive(Debug, Clone, Copy)]
 pub struct SaveReport {
@@ -56,166 +45,68 @@ pub struct SaveReport {
     pub fsyncs: usize,
 }
 
-/// Persistence errors.
-#[derive(Debug)]
-pub enum PersistError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// The file does not start with the store magic.
-    BadMagic,
-    /// An in-memory store scan failed while saving or comparing — a
-    /// codec-level problem, not a file-format one.
-    Scan(CodecError),
-}
+/// Persistence errors: the journal's, since a saved store is a
+/// journal.
+pub type PersistError = JournalError;
 
-impl std::fmt::Display for PersistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PersistError::Io(e) => write!(f, "i/o error: {e}"),
-            PersistError::BadMagic => write!(f, "not a knock-talk store file"),
-            PersistError::Scan(e) => write!(f, "in-memory store scan failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {}
-
-impl From<io::Error> for PersistError {
-    fn from(e: io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
-
-/// Write every record of the store to `path`, atomically: a temp file
-/// fsynced before the rename (and the parent directory after), so a
-/// power loss leaves either the old snapshot or the complete new one —
-/// never an empty rename target.
+/// Write every record of the store to `path` as a STORE header plus
+/// final visit frames, atomically ([`frame::write_atomic`]): a power
+/// loss leaves either the old file or the complete new one. The
+/// records' encoded bytes go out as stored, never decoded and
+/// re-encoded.
 pub fn save(store: &TelemetryStore, path: &Path) -> Result<SaveReport, PersistError> {
-    let tmp = path.with_extension("tmp");
-    let mut written = 0usize;
-    let mut bytes_out = MAGIC.len() as u64;
-    {
-        let mut out = BufWriter::new(File::create(&tmp)?);
-        out.write_all(MAGIC)?;
-        for record in store.scan_all().map_err(PersistError::Scan)? {
-            let bytes = encode(&record);
-            out.write_all(&(bytes.len() as u32).to_le_bytes())?;
-            out.write_all(&bytes)?;
-            bytes_out += 4 + bytes.len() as u64;
-            written += 1;
+    let records = store.raw_all();
+    let delta = VisitDelta::default();
+    let bytes = frame::write_atomic(path, |out| {
+        let mut buf = MAGIC.to_vec();
+        frame::put(&mut buf, kind::STORE, &(records.len() as u64).to_le_bytes());
+        out.write_all(&buf)?;
+        for record in &records {
+            buf.clear();
+            frame::put(
+                &mut buf,
+                kind::VISIT,
+                &journal::visit_payload(record, &delta, FLAG_FINAL),
+            );
+            out.write_all(&buf)?;
         }
-        out.flush()?;
-        out.get_ref().sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    journal::sync_parent_dir(path)?;
+        Ok(())
+    })?;
     Ok(SaveReport {
-        records: written,
-        bytes: bytes_out,
+        records: records.len(),
+        bytes,
         fsyncs: 2,
     })
 }
 
-/// Load a snapshot, recovering from truncation and skipping corrupt
-/// records.
+/// Load a saved store (or any journal) by replaying its visit frames.
+/// Truncation and damaged frames degrade the load, never fail it; a
+/// file without the store magic is [`JournalError::BadMagic`].
 pub fn load(path: &Path) -> Result<LoadReport, PersistError> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut input = BufReader::new(file);
-    let mut magic = [0u8; 8];
-    input
-        .read_exact(&mut magic)
-        .map_err(|_| PersistError::BadMagic)?;
-    if &magic != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let store = TelemetryStore::new();
-    let mut pos = MAGIC.len() as u64;
-    let mut loaded = 0usize;
-    let mut corrupt = 0usize;
-    let mut truncated = false;
-    loop {
-        let mut len_bytes = [0u8; 4];
-        match input.read_exact(&mut len_bytes) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e.into()),
-        }
-        pos += 4;
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        // A corrupted length field must never drive the allocation: cap
-        // it against the sane record maximum and the bytes actually
-        // left in the file. KTSTORE1 has no sync markers to resync on,
-        // so a bad length ends the load (degraded, not fatal): an
-        // oversized claim is corruption, a sane length that runs past
-        // EOF is the familiar torn tail.
-        let remaining = file_len.saturating_sub(pos);
-        if len > MAX_RECORD_LEN {
-            corrupt += 1;
-            break;
-        }
-        if (len as u64) > remaining {
-            truncated = true;
-            break;
-        }
-        let mut bytes = vec![0u8; len];
-        match input.read_exact(&mut bytes) {
-            Ok(()) => pos += len as u64,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                truncated = true;
-                break;
-            }
-            Err(e) => return Err(e.into()),
-        }
-        match decode(bytes::Bytes::from(bytes)) {
-            Ok(record) => {
-                store.append(&record);
-                loaded += 1;
-            }
-            Err(_) => corrupt += 1,
-        }
-    }
+    let report = journal::replay(path)?;
+    let loaded = report.visits.len();
     Ok(LoadReport {
-        store,
         loaded,
-        truncated,
-        corrupt,
+        // A header count the frames fall short of, with no other
+        // damage to explain it, is a cut at a frame boundary.
+        truncated: report.truncated_tail
+            || (report.corrupt_frames == 0
+                && report.declared_visits.is_some_and(|n| n > loaded as u64)),
+        corrupt: report.corrupt_frames,
+        store: report.store,
     })
 }
 
-/// Round-trip helper used by tests and the CLI: save, load, compare.
-pub fn verify_round_trip(store: &TelemetryStore, path: &Path) -> Result<bool, PersistError> {
-    save(store, path)?;
-    let report = load(path)?;
-    let a = store.scan_all().map_err(PersistError::Scan)?;
-    let b = report.store.scan_all().map_err(PersistError::Scan)?;
-    Ok(a == b && !report.truncated && report.corrupt == 0)
-}
-
-/// Load either store format by sniffing the magic: a `KTSTORE1`
-/// snapshot loads directly, a `KTSTORE2` journal is replayed into a
-/// store (valid visit frames only, idempotent dedup). This is what
-/// read-side tools (`analyze`) use so both artifacts are queryable.
+/// What read-side tools (`analyze`) call: a saved store and a journal
+/// are one format, so this is [`load`].
 pub fn load_any(path: &Path) -> Result<LoadReport, PersistError> {
-    if journal::is_journal(path) {
-        let report = journal::replay(path).map_err(|e| match e {
-            journal::JournalError::Io(io) => PersistError::Io(io),
-            journal::JournalError::BadMagic => PersistError::BadMagic,
-        })?;
-        let loaded = report.visits.len();
-        return Ok(LoadReport {
-            store: report.store,
-            loaded,
-            truncated: report.truncated_tail,
-            corrupt: report.corrupt_frames,
-        });
-    }
     load(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::fsck;
     use crate::record::{CrawlId, LoadOutcome, VisitRecord};
     use kt_netbase::Os;
 
@@ -236,6 +127,17 @@ mod tests {
         store
     }
 
+    /// Frame start offsets of a saved file: the STORE header first,
+    /// then one visit frame per record.
+    fn frame_starts(bytes: &[u8]) -> Vec<usize> {
+        journal::scan(bytes)
+            .unwrap()
+            .frames
+            .iter()
+            .map(|f| f.start as usize)
+            .collect()
+    }
+
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("kt-persist-{name}-{}", std::process::id()))
     }
@@ -244,8 +146,9 @@ mod tests {
     fn save_load_round_trip() {
         let store = sample_store(120);
         let path = tmp("roundtrip");
-        assert!(verify_round_trip(&store, &path).unwrap());
+        save(&store, &path).unwrap();
         let report = load(&path).unwrap();
+        assert_eq!(report.store.scan_all().unwrap(), store.scan_all().unwrap());
         assert_eq!(report.loaded, 120);
         assert!(!report.truncated);
         assert_eq!(report.corrupt, 0);
@@ -281,8 +184,9 @@ mod tests {
         let path = tmp("corrupt");
         save(&store, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // Flip a byte inside the first record body (after magic+len).
-        bytes[14] ^= 0xAA;
+        // Flip a byte inside the first record's frame payload.
+        let at = frame_starts(&bytes)[1] + 20;
+        bytes[at] ^= 0xAA;
         std::fs::write(&path, &bytes).unwrap();
         let report = load(&path).unwrap();
         assert_eq!(report.loaded + report.corrupt, 10);
@@ -322,12 +226,13 @@ mod tests {
         let path = tmp("hugelen");
         save(&store, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // Corrupt the first record's length field to u32::MAX. Before
-        // the cap this requested a ~4 GB allocation up front.
-        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        // Corrupt the first record frame's length field to u32::MAX:
+        // capped, never allocated, and the scan resyncs past it.
+        let len_at = frame_starts(&bytes)[1] + 3;
+        bytes[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let report = load(&path).unwrap();
-        assert_eq!(report.loaded, 0);
+        assert_eq!(report.loaded, 4, "only the damaged frame is lost");
         assert_eq!(report.corrupt, 1, "the oversized frame counts as corrupt");
         std::fs::remove_file(&path).ok();
     }
@@ -338,12 +243,56 @@ mod tests {
         let path = tmp("pasteof");
         save(&store, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // Claim a 1 MiB record (< MAX_RECORD_LEN) in a tiny file.
-        bytes[8..12].copy_from_slice(&(1u32 << 20).to_le_bytes());
+        // Claim a 1 MiB record (< MAX_FRAME_LEN) in the last frame.
+        let len_at = frame_starts(&bytes)[5] + 3;
+        bytes[len_at..len_at + 4].copy_from_slice(&(1u32 << 20).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let report = load(&path).unwrap();
         assert!(report.truncated);
-        assert_eq!(report.loaded, 0);
+        assert_eq!(report.loaded, 4);
+        assert_eq!(report.corrupt, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn saved_store_damage_is_detected_or_harmless() {
+        let store = sample_store(4);
+        let path = tmp("sweep");
+        save(&store, &path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        for (what, bytes) in crate::frame::tests::damaged(&clean) {
+            std::fs::write(&path, &bytes).unwrap();
+            let Ok(report) = load(&path) else { continue };
+            if bytes.len() == MAGIC.len() {
+                // The magic alone is a well-formed empty journal; a cut
+                // there cannot be told from one, and loads as empty.
+                assert!(report.store.is_empty(), "{what}");
+                continue;
+            }
+            let detected = report.corrupt > 0
+                || report.truncated
+                || !fsck(&path, journal::FsckOptions::default())
+                    .unwrap()
+                    .clean();
+            let identical = report.store.scan_all() == store.scan_all();
+            assert!(detected || identical, "{what}: silent divergence");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn ktstore1_files_are_rejected() {
+        let path = tmp("ktstore1");
+        let mut legacy = b"KTSTORE1".to_vec();
+        legacy.extend_from_slice(&3u32.to_le_bytes());
+        legacy.extend_from_slice(b"abc");
+        std::fs::write(&path, &legacy).unwrap();
+        assert!(matches!(load(&path), Err(PersistError::BadMagic)));
+        assert!(matches!(load_any(&path), Err(PersistError::BadMagic)));
+        assert!(matches!(
+            fsck(&path, journal::FsckOptions::default()),
+            Err(PersistError::BadMagic)
+        ));
         std::fs::remove_file(&path).ok();
     }
 

@@ -107,16 +107,6 @@ impl SegmentMap {
         }
         Ok(SegmentMap { ptr, len })
     }
-
-    /// Mapped length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for a zero-length mapping.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 #[cfg(all(unix, target_pointer_width = "64"))]

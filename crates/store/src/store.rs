@@ -33,8 +33,8 @@ use bytes::Bytes;
 use kt_netbase::Os;
 use std::sync::RwLock;
 
-use crate::codec::{decode, encode, CodecError};
-use crate::record::{CrawlId, VisitRecord};
+use crate::codec::{decode, decode_view, encode, CodecError};
+use crate::record::{os_slot, CrawlId, VisitRecord};
 use crate::segment::{ShardSpill, SpillConfig};
 
 /// Number of lock-striped shards. A small power of two: enough that an
@@ -51,15 +51,6 @@ const N_OS: usize = 3;
 /// with spilling enabled, is also the store's whole steady-state heap
 /// footprint for segment data.
 pub const SEGMENT_TARGET: usize = 512 << 10;
-
-/// The paper's OS column order doubles as the slot index.
-fn os_slot(os: Os) -> usize {
-    match os {
-        Os::Windows => 0,
-        Os::Linux => 1,
-        Os::MacOs => 2,
-    }
-}
 
 /// Location of one encoded record: logical segment number within its
 /// shard, byte offset, byte length. Segments seal in order, so a
@@ -136,30 +127,6 @@ impl ShardInner {
             None => Bytes::copy_from_slice(&self.active[off..off + len]),
         }
     }
-
-    /// Decode every record of `crawl` in this shard, in (domain, OS)
-    /// order. Callers must have sealed first if they want zero-copy.
-    fn crawl_records(&self, crawl: u32, os: Option<Os>) -> Vec<VisitRecord> {
-        let Some(by_domain) = self.index.get(&crawl) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for slots in by_domain.values() {
-            for (slot, loc) in slots.iter().enumerate() {
-                if let Some(os) = os {
-                    if os_slot(os) != slot {
-                        continue;
-                    }
-                }
-                if let Some(loc) = loc {
-                    if let Ok(record) = decode(self.read(*loc)) {
-                        out.push(record);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[derive(Default, Debug)]
@@ -196,7 +163,7 @@ fn shard_of(crawl: u32, domain: &str, os: Os) -> usize {
     for b in domain.bytes() {
         mix(b);
     }
-    mix(os_slot(os) as u8);
+    mix(os_slot(os));
     (h % SHARD_COUNT as u64) as usize
 }
 
@@ -260,23 +227,17 @@ impl TelemetryStore {
     }
 
     /// Intern a crawl id, assigning a dense `u32` on first sight.
-    fn intern(&self, crawl: &CrawlId) -> u32 {
-        if let Some(&id) = self
-            .crawls
-            .read()
-            .expect("interner lock poisoned")
-            .by_name
-            .get(crawl.as_str())
-        {
+    fn intern(&self, crawl: &str) -> u32 {
+        if let Some(id) = self.lookup(crawl) {
             return id;
         }
         let mut interner = self.crawls.write().expect("interner lock poisoned");
-        if let Some(&id) = interner.by_name.get(crawl.as_str()) {
+        if let Some(&id) = interner.by_name.get(crawl) {
             return id;
         }
         let id = interner.names.len() as u32;
-        interner.names.push(crawl.clone());
-        interner.by_name.insert(crawl.as_str().to_string(), id);
+        interner.names.push(CrawlId(crawl.to_string()));
+        interner.by_name.insert(crawl.to_string(), id);
         id
     }
 
@@ -296,8 +257,23 @@ impl TelemetryStore {
         // Encode outside the lock: the critical section is only the
         // byte copy and the index insert.
         let encoded = encode(record);
-        let crawl = self.intern(&record.crawl);
-        let shard = &self.shards[shard_of(crawl, &record.domain, record.os)];
+        self.insert(record.crawl.as_str(), &record.domain, record.os, &encoded);
+    }
+
+    /// Append one encoded record, such as a replayed journal frame,
+    /// without decoding it into an owned record. The identity
+    /// `(crawl, domain, os)` is read through [`decode_view`]; bytes it
+    /// rejects are refused, never stored. Last write wins per key.
+    pub fn append_encoded(&self, encoded: &[u8]) -> Result<(), CodecError> {
+        let view = decode_view(encoded)?;
+        self.insert(view.crawl, view.domain, view.os, encoded);
+        Ok(())
+    }
+
+    /// The single insert path: store `encoded` under its identity.
+    fn insert(&self, crawl: &str, domain: &str, os: Os, encoded: &[u8]) {
+        let crawl = self.intern(crawl);
+        let shard = &self.shards[shard_of(crawl, domain, os)];
         let mut guard = shard.inner.write().expect("store lock poisoned");
         let inner = &mut *guard;
         if inner.active.len() >= inner.target.unwrap_or(SEGMENT_TARGET) {
@@ -308,17 +284,17 @@ impl TelemetryStore {
             off: inner.active.len() as u32,
             len: encoded.len() as u32,
         };
-        inner.active.extend_from_slice(&encoded);
+        inner.active.extend_from_slice(encoded);
         let by_domain = inner.index.entry(crawl).or_default();
         // Clone the domain string only on first sight of the domain;
         // overwrites and same-domain other-OS appends borrow.
-        if !by_domain.contains_key(record.domain.as_str()) {
-            by_domain.insert(record.domain.clone(), [None; N_OS]);
+        if !by_domain.contains_key(domain) {
+            by_domain.insert(domain.to_string(), [None; N_OS]);
         }
         let slots = by_domain
-            .get_mut(record.domain.as_str())
+            .get_mut(domain)
             .expect("domain entry just ensured");
-        let slot = &mut slots[os_slot(record.os)];
+        let slot = &mut slots[os_slot(os) as usize];
         if slot.is_none() {
             inner.visits += 1;
         }
@@ -387,29 +363,22 @@ impl TelemetryStore {
         let crawl = self.lookup(crawl.as_str())?;
         let shard = &self.shards[shard_of(crawl, domain, os)];
         let inner = shard.inner.read().expect("store lock poisoned");
-        let loc = (*inner.index.get(&crawl)?.get(domain)?)[os_slot(os)]?;
+        let loc = (*inner.index.get(&crawl)?.get(domain)?)[os_slot(os) as usize]?;
         decode(inner.read(loc)).ok()
     }
 
     /// All records of one crawl on one OS of one shard, in domain
-    /// order — the unit the parallel analysis driver streams. Seals
-    /// the shard's active segment so every returned record was sliced,
-    /// not copied, out of shared segment memory.
+    /// order — [`Self::shard_raw_on`], decoded.
     pub fn shard_records_on(
         &self,
         crawl: &CrawlId,
         shard: usize,
         os: Option<Os>,
     ) -> Vec<VisitRecord> {
-        let Some(crawl) = self.lookup(crawl.as_str()) else {
-            return Vec::new();
-        };
-        let mut inner = self.shards[shard]
-            .inner
-            .write()
-            .expect("store lock poisoned");
-        inner.seal();
-        inner.crawl_records(crawl, os)
+        self.shard_raw_on(crawl, shard, os)
+            .into_iter()
+            .filter_map(|bytes| decode(bytes).ok())
+            .collect()
     }
 
     /// The encoded bytes of every record of one crawl on one OS of one
@@ -436,7 +405,7 @@ impl TelemetryStore {
         for slots in by_domain.values() {
             for (slot, loc) in slots.iter().enumerate() {
                 if let Some(os) = os {
-                    if os_slot(os) != slot {
+                    if os_slot(os) as usize != slot {
                         continue;
                     }
                 }
@@ -475,34 +444,39 @@ impl TelemetryStore {
         out
     }
 
+    /// The encoded bytes of every stored record, sorted by (crawl,
+    /// domain, OS): zero-copy slices of sealed segment memory, in the
+    /// order [`Self::scan_all`] decodes and `persist::save` writes.
+    pub fn raw_all(&self) -> Vec<Bytes> {
+        let mut out = Vec::with_capacity(self.len());
+        for crawl in self.crawl_ids() {
+            let id = self.lookup(crawl.as_str()).expect("listed crawl interned");
+            let mut rows: Vec<(String, usize, Bytes)> = Vec::new();
+            for shard in &self.shards {
+                let mut inner = shard.inner.write().expect("store lock poisoned");
+                inner.seal();
+                let Some(by_domain) = inner.index.get(&id) else {
+                    continue;
+                };
+                for (domain, slots) in by_domain {
+                    for (slot, loc) in slots.iter().enumerate() {
+                        if let Some(loc) = loc {
+                            rows.push((domain.clone(), slot, inner.read(*loc)));
+                        }
+                    }
+                }
+            }
+            rows.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+            out.extend(rows.into_iter().map(|(_, _, bytes)| bytes));
+        }
+        out
+    }
+
     /// Full scan over every stored record, sorted by (crawl, domain,
     /// OS). Unlike [`Self::crawl_records`] this propagates decode
     /// errors — it is the persistence layer's integrity pass.
     pub fn scan_all(&self) -> Result<Vec<VisitRecord>, CodecError> {
-        let mut out = Vec::with_capacity(self.len());
-        for crawl in self.crawl_ids() {
-            let crawl_u32 = self.lookup(crawl.as_str()).expect("listed crawl interned");
-            let mut records = Vec::new();
-            for shard in &self.shards {
-                let mut inner = shard.inner.write().expect("store lock poisoned");
-                inner.seal();
-                let Some(by_domain) = inner.index.get(&crawl_u32) else {
-                    continue;
-                };
-                for slots in by_domain.values() {
-                    for loc in slots.iter().flatten() {
-                        records.push(decode(inner.read(*loc))?);
-                    }
-                }
-            }
-            records.sort_by(|a, b| {
-                a.domain
-                    .cmp(&b.domain)
-                    .then(os_slot(a.os).cmp(&os_slot(b.os)))
-            });
-            out.extend(records);
-        }
-        Ok(out)
+        self.raw_all().into_iter().map(decode).collect()
     }
 
     /// Export every record of a crawl as a JSON array string.
@@ -652,6 +626,15 @@ mod tests {
             }
         }
         assert!(store.shard_raw_on(&CrawlId::top2021(), 0, None).is_empty());
+    }
+
+    #[test]
+    fn append_encoded_stores_the_bytes_and_refuses_garbage() {
+        let store = TelemetryStore::new();
+        let record = rec(CrawlId::top2020(), "raw.example", Os::Linux);
+        store.append_encoded(&encode(&record)).unwrap();
+        assert!(store.append_encoded(b"not a record").is_err());
+        assert_eq!(store.scan_all().unwrap(), vec![record]);
     }
 
     #[test]

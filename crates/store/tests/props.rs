@@ -6,7 +6,8 @@
 use kt_netbase::Os;
 use kt_netlog::{EventParams, EventPhase, EventType, NetError, NetLogEvent, SourceRef, SourceType};
 use kt_store::codec::{decode, decode_view, encode};
-use kt_store::journal::{self, FrameBody, JournalWriter, VisitDelta, FLAG_FINAL, JOURNAL_MAGIC};
+use kt_store::frame::{self, MAGIC as JOURNAL_MAGIC};
+use kt_store::journal::{self, FrameBody, JournalWriter, VisitDelta, FLAG_FINAL};
 use kt_store::segment::load_segment;
 use kt_store::{CrawlId, LoadOutcome, SegmentMode, VisitRecord};
 use proptest::prelude::*;
@@ -193,11 +194,11 @@ proptest! {
 /// arbitrary (unknown-kind) payloads without payload validation.
 fn raw_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(payload.len() + 11);
-    frame.extend_from_slice(&journal::SYNC);
+    frame.extend_from_slice(&frame::SYNC);
     frame.push(kind);
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(payload);
-    let crc = journal::crc32(&frame[2..]);
+    let crc = frame::crc32(&frame[2..]);
     frame.extend_from_slice(&crc.to_le_bytes());
     frame
 }
@@ -217,7 +218,7 @@ fn raw_journal(frames: &[(u8, Vec<u8>)]) -> (Vec<u8>, Vec<usize>) {
 /// Unknown-kind frames exercise the framing layer in isolation: the
 /// scanner carries them verbatim (forward compatibility), so recovered
 /// bytes can be compared against the originals exactly. Kinds start at
-/// 10 to stay clear of the reserved visit/checkpoint/flush/meta kinds.
+/// 10 to stay clear of the reserved frame kinds.
 fn arb_unknown_frames() -> impl Strategy<Value = Vec<(u8, Vec<u8>)>> {
     proptest::collection::vec(
         (10u8..251, proptest::collection::vec(any::<u8>(), 0..120)),
@@ -230,7 +231,7 @@ fn unknown_bodies(report: &journal::ScanReport) -> Vec<(u8, Vec<u8>)> {
         .frames
         .iter()
         .filter_map(|f| match &f.body {
-            FrameBody::Unknown(kind, payload) => Some((*kind, payload.clone())),
+            FrameBody::Unknown => Some((f.kind, f.payload.to_vec())),
             _ => None,
         })
         .collect()
@@ -261,9 +262,9 @@ proptest! {
         prop_assert_eq!(report.valid_end, data.len() as u64);
         for (scanned, original) in report.frames.iter().zip(&frames) {
             match &scanned.body {
-                FrameBody::Unknown(kind, payload) => {
-                    prop_assert_eq!(*kind, original.0);
-                    prop_assert_eq!(payload, &original.1);
+                FrameBody::Unknown => {
+                    prop_assert_eq!(scanned.kind, original.0);
+                    prop_assert_eq!(scanned.payload, &original.1[..]);
                 }
                 other => prop_assert!(false, "unexpected frame body {other:?}"),
             }
@@ -396,7 +397,7 @@ fn visit_records(report: &journal::ScanReport) -> Vec<VisitRecord> {
         .frames
         .iter()
         .filter_map(|f| match &f.body {
-            FrameBody::Visit(v) => Some(v.record.clone()),
+            FrameBody::Visit { record, .. } => Some(decode_view(record).unwrap().to_owned()),
             _ => None,
         })
         .collect()

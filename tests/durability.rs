@@ -1,8 +1,8 @@
 //! Crash durability end to end: kill the process at every journal
 //! frame boundary, resume, and require the analysis tables to come out
 //! byte-identical to a run that never crashed; repair damaged journals
-//! with fsck and resume from the repaired file; keep loading the
-//! legacy `KTSTORE1` snapshot format.
+//! with fsck and resume from the repaired file; save a crawled store
+//! and load it back through the same frame reader.
 
 use knock_talk::analysis::report::{health_table, localhost_table, table1};
 use knock_talk::analysis::{analyze_crawl_par, detect_local};
@@ -11,7 +11,8 @@ use knock_talk::crawler::{
 };
 use knock_talk::faults::{Fault, FaultPlan};
 use knock_talk::netbase::{DomainName, Os, OsSet};
-use knock_talk::store::journal::{kind, scan};
+use knock_talk::store::frame::kind;
+use knock_talk::store::journal::scan;
 use knock_talk::store::{
     fsck, persist, replay, CrawlId, FsckOptions, JournalConfig, JournalWriter, KillMode, KillSpec,
     TelemetryStore,
@@ -428,7 +429,7 @@ fn fsck_repair_then_resume_recovers_a_damaged_study_journal() {
 }
 
 #[test]
-fn legacy_ktstore1_snapshots_still_load_and_analyze() {
+fn saved_store_files_load_and_analyze() {
     let sites = sweep_sites();
     let jobs: Vec<CrawlJob> = sites
         .iter()
@@ -441,14 +442,18 @@ fn legacy_ktstore1_snapshots_still_load_and_analyze() {
     run_crawl(&jobs, &sweep_config(), &store);
 
     let path = std::env::temp_dir().join(format!(
-        "kt-durability-legacy-{}.ktstore",
+        "kt-durability-saved-{}.ktstore",
         std::process::id()
     ));
     let saved = persist::save(&store, &path).unwrap();
     assert_eq!(saved.records, store.len());
     assert!(saved.bytes > 0);
 
-    // Both the explicit KTSTORE1 loader and the format-sniffing one.
+    // A saved store is a journal of final frames: `load`, `load_any`
+    // and the store doctor all read it.
+    let doctor = fsck(&path, FsckOptions::default()).unwrap();
+    assert!(doctor.clean(), "{doctor:?}");
+    assert_eq!(doctor.visits, store.len());
     for loaded in [
         persist::load(&path).unwrap(),
         persist::load_any(&path).unwrap(),
