@@ -279,65 +279,45 @@ pub fn health_table(rows: &[(&str, Os, &CrawlStats)]) -> (String, Vec<HealthRepo
 /// what the crash (if any) cost, and whether a resume can make the
 /// campaign whole. Rendered as the health report's durability section
 /// when a study runs journaled.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DurabilityReport {
-    /// Valid visit frames replayed.
-    pub visits: usize,
-    /// Campaign checkpoints found.
-    pub checkpoints: usize,
-    /// Flush (fsync) markers seen.
-    pub flush_points: usize,
-    /// Duplicate final verdicts deduped on replay (crash-window
-    /// re-runs; harmless by design).
-    pub duplicate_finals: usize,
-    /// Frames lost to CRC damage or torn writes.
-    pub corrupt_frames: usize,
-    /// Bytes skipped while resyncing past damage.
-    pub corrupt_bytes: u64,
-    /// True when the journal ends mid-frame (the classic kill scar).
-    pub truncated_tail: bool,
-    /// Byte offset of the last valid frame — everything after this is
-    /// the torn tail an `open_append` would trim.
-    pub valid_end: u64,
+    /// The replay's counts and damage. Everything after `valid_end` is
+    /// the torn tail reopening for append trims.
+    pub summary: kt_store::JournalSummary,
 }
 
 impl DurabilityReport {
     /// Summarise a journal replay.
     pub fn from_replay(report: &kt_store::ReplayReport) -> DurabilityReport {
         DurabilityReport {
-            visits: report.visits.len(),
-            checkpoints: report.checkpoints.len(),
-            flush_points: report.flush_points,
-            duplicate_finals: report.duplicate_finals,
-            corrupt_frames: report.corrupt_frames,
-            corrupt_bytes: report.corrupt_bytes,
-            truncated_tail: report.truncated_tail,
-            valid_end: report.valid_end,
+            summary: report.summary,
         }
     }
 
-    /// True when the journal shows no crash damage at all.
+    /// True when the journal shows no crash damage at all (duplicate
+    /// finals are harmless crash-window re-runs that replay dedupes).
     pub fn clean(&self) -> bool {
-        self.corrupt_frames == 0 && !self.truncated_tail
+        self.summary.corrupt_frames == 0 && !self.summary.truncated_tail
     }
 
     /// Render the health report's durability section.
     pub fn render(&self) -> String {
+        let s = &self.summary;
         let mut out = String::from("Durability (write-ahead journal):\n");
         out.push_str(&format!(
             "  {} visit frames, {} checkpoints, {} flush points, {} duplicate finals deduped\n",
-            self.visits, self.checkpoints, self.flush_points, self.duplicate_finals
+            s.visits, s.checkpoints, s.flush_points, s.duplicate_finals
         ));
         if self.clean() {
             out.push_str("  no damage: every frame CRC-valid, tail complete\n");
         } else {
             out.push_str(&format!(
                 "  damage: {} corrupt frame(s), {} byte(s) skipped, torn tail: {}\n",
-                self.corrupt_frames, self.corrupt_bytes, self.truncated_tail
+                s.corrupt_frames, s.corrupt_bytes, s.truncated_tail
             ));
             out.push_str(&format!(
-                "  recovery: replay is whole up to byte {}; run `knocktalk resume` to finish, `knocktalk fsck --repair` to scrub\n",
-                self.valid_end
+                "  recovery: replay is whole up to byte {}; run `knocktalk resume` to finish, `knocktalk fsck <journal> --repair yes` to scrub\n",
+                s.valid_end
             ));
         }
         out
@@ -866,14 +846,14 @@ mod tests {
     #[test]
     fn durability_section_reports_damage_and_recovery_path() {
         let clean = DurabilityReport {
-            visits: 120,
-            checkpoints: 8,
-            flush_points: 2,
-            duplicate_finals: 0,
-            corrupt_frames: 0,
-            corrupt_bytes: 0,
-            truncated_tail: false,
-            valid_end: 4096,
+            summary: kt_store::JournalSummary {
+                frames: 131,
+                visits: 120,
+                checkpoints: 8,
+                flush_points: 2,
+                valid_end: 4096,
+                ..kt_store::JournalSummary::default()
+            },
         };
         assert!(clean.clean());
         let text = clean.render();
@@ -881,16 +861,18 @@ mod tests {
         assert!(text.contains("no damage"));
 
         let scarred = DurabilityReport {
-            corrupt_frames: 2,
-            corrupt_bytes: 77,
-            truncated_tail: true,
-            ..clean
+            summary: kt_store::JournalSummary {
+                corrupt_frames: 2,
+                corrupt_bytes: 77,
+                truncated_tail: true,
+                ..clean.summary
+            },
         };
         assert!(!scarred.clean());
         let text = scarred.render();
         assert!(text.contains("2 corrupt frame(s)"));
         assert!(text.contains("knocktalk resume"));
-        assert!(text.contains("fsck --repair"));
+        assert!(text.contains("`knocktalk fsck <journal> --repair yes`"));
     }
 
     #[test]
@@ -914,7 +896,7 @@ mod tests {
         journal.sync();
         let replayed = kt_store::replay(&path).unwrap();
         let report = DurabilityReport::from_replay(&replayed);
-        assert_eq!(report.visits, 1);
+        assert_eq!(report.summary.visits, 1);
         assert!(report.clean());
         std::fs::remove_file(&path).ok();
     }

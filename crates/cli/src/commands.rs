@@ -83,7 +83,8 @@ pub fn help() {
            fsck      store doctor: scan a journal or a saved store (both KTSTORE2\n\
                      frames) for torn tails, bad CRCs, duplicate, orphan and missing\n\
                      records; --repair yes quarantines the damage and rewrites a\n\
-                     clean file (fsync-before-rename)\n\
+                     clean file (fsync-before-rename); damage left unrepaired fails\n\
+                     the exit code\n\
            analyze   load a saved store (crawl --save) or a journal — one KTSTORE2\n\
                      frame format — and report local activity\n\
            classify  analyse a Chrome NetLog JSON capture for local traffic\n\
@@ -418,13 +419,16 @@ pub fn analyze(opts: &Options) -> Result<(), String> {
     let path = opts
         .positional()
         .first()
-        .ok_or("analyze needs a snapshot file path")?;
+        .ok_or("analyze needs a saved store or journal file path")?;
     let report =
         knock_talk::store::load_any(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-    if report.truncated || report.corrupt > 0 {
+    let summary = &report.summary;
+    if summary.truncated() || summary.corrupt_frames > 0 {
         eprintln!(
             "note: loaded {} records ({} corrupt skipped, truncated: {})",
-            report.loaded, report.corrupt, report.truncated
+            summary.visits,
+            summary.corrupt_frames,
+            summary.truncated()
         );
     }
     // One parallel single-decode pass per crawl in the snapshot.
@@ -523,14 +527,14 @@ pub fn resume(opts: &Options) -> Result<(), String> {
         .ok_or("resume needs a journal file path")?;
     let path = std::path::Path::new(path);
     // Damage summary first, so the operator sees what the crash cost
-    // before the re-run starts.
+    // before the re-run starts from the same replay.
     let replayed = knock_talk::store::replay(path).map_err(|e| e.to_string())?;
     let durability = knock_talk::analysis::report::DurabilityReport::from_replay(&replayed);
     eprint!("{}", durability.render());
-    drop(replayed);
     let trace = trace_from_opts(opts);
     let study = Study::resume_with(
         path,
+        replayed,
         RunOpts {
             trace: trace.as_ref(),
             ..RunOpts::default()
@@ -569,38 +573,34 @@ pub fn fsck(opts: &Options) -> Result<(), String> {
         },
     )
     .map_err(|e| e.to_string())?;
+    let summary = &report.summary;
     println!(
         "{path}: {} frames ({} visits, {} checkpoints)",
-        report.frames, report.visits, report.checkpoints
+        summary.frames, summary.visits, summary.checkpoints
     );
-    if report.clean() {
+    if summary.clean() {
         println!("  clean: every frame CRC-valid, tail complete, no duplicate or orphan records");
         return Ok(());
     }
     println!(
         "  damage: {} corrupt frame(s) / {} byte(s), torn tail: {} ({} tail byte(s))",
-        report.corrupt_frames, report.corrupt_bytes, report.truncated_tail, report.tail_bytes
+        summary.corrupt_frames, summary.corrupt_bytes, summary.truncated_tail, summary.tail_bytes
     );
     println!(
         "  records: {} duplicate final(s), {} orphan(s), {} missing vs checkpoints or the store header",
-        report.duplicate_finals, report.orphan_records, report.missing_records
+        summary.duplicate_finals, summary.orphan_records, summary.missing_records
     );
-    match (&report.repaired_path, &report.quarantine_path) {
-        (Some(clean), Some(quarantine)) => {
-            println!(
-                "  repaired: clean journal rewritten in place ({}); {} damaged byte(s) quarantined to {}",
-                clean.display(),
-                report.quarantined_bytes,
-                quarantine.display()
-            );
-        }
-        (Some(clean), None) => {
-            println!(
-                "  repaired: clean journal rewritten in place ({})",
-                clean.display()
-            );
-        }
-        _ => println!("  run with --repair yes to quarantine damage and rewrite a clean journal"),
+    if !report.repaired {
+        println!("  run with --repair yes to quarantine damage and rewrite a clean journal");
+        return Err(format!("{path} is damaged and was not repaired"));
+    }
+    match &report.quarantine_path {
+        Some(quarantine) => println!(
+            "  repaired: clean journal rewritten in place ({path}); {} damaged byte(s) quarantined to {}",
+            summary.damaged_bytes(),
+            quarantine.display()
+        ),
+        None => println!("  repaired: clean journal rewritten in place ({path})"),
     }
     Ok(())
 }

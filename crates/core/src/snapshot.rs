@@ -43,7 +43,7 @@ use kt_trace::{names, Labels, Trace};
 use kt_webgen::{Availability, Behavior, DevError, NativeApp, PlantedBehavior, WebSite};
 use kt_weblists::{SeriesConfig, SnapshotSeries};
 
-use crate::study::{replay_study_journal, RunOpts};
+use crate::study::{study_meta, RunOpts};
 
 /// The OSes each snapshot is crawled on. Two, like the paper's 2021
 /// campaign — Windows carries the fraud/bot-detection signal, Linux
@@ -301,7 +301,8 @@ impl SnapshotStudy {
         config: SnapshotStudyConfig,
         opts: RunOpts<'_>,
     ) -> Result<SnapshotStudy, JournalError> {
-        let (report, meta) = replay_study_journal(path, "snapshot")?;
+        let report = kt_store::replay(path)?;
+        let meta = study_meta(&report, "snapshot")?;
         if meta.seed != config.series.seed
             || meta.top_size != config.series.size as u64
             || meta.malicious_size != config.series.snapshots as u64
@@ -316,7 +317,7 @@ impl SnapshotStudy {
             )));
         }
         debug_assert!(opts.journal.is_none(), "resume appends to `path`");
-        let opened = JournalWriter::open_append(path)?;
+        let opened = JournalWriter::open_append(path, &report.summary)?;
         let mut opts = RunOpts {
             journal: Some(&opened),
             ..opts

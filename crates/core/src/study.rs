@@ -247,20 +247,15 @@ impl RunOpts<'_> {
     }
 }
 
-/// Replay a journal written by a study engine, which must start with
-/// a campaign-parameters frame. `kind` names the engine in the error.
-pub(crate) fn replay_study_journal(
-    path: &Path,
-    kind: &str,
-) -> Result<(ReplayReport, JournalMeta), JournalError> {
-    let report = replay(path)?;
-    let meta = report.meta.ok_or_else(|| {
+/// The campaign parameters of a replayed study-engine journal, which
+/// must start with a META frame. `kind` names the engine in the error.
+pub(crate) fn study_meta(report: &ReplayReport, kind: &str) -> Result<JournalMeta, JournalError> {
+    report.meta.ok_or_else(|| {
         JournalError::Io(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("journal has no campaign-parameters frame (not a {kind} journal)"),
         ))
-    })?;
-    Ok((report, meta))
+    })
 }
 
 /// Record a snapshot save's [`kt_store::SaveReport`] as gauges.
@@ -385,17 +380,23 @@ impl Study {
     /// result — stats, store bytes, every table — is identical to the
     /// run that never crashed.
     pub fn resume(path: &Path) -> Result<Study, JournalError> {
-        Study::resume_with(path, RunOpts::default())
+        Study::resume_with(path, replay(path)?, RunOpts::default())
     }
 
-    /// [`Study::resume`] under a trace and/or a profiler. Counters for
-    /// checkpoint-restored campaigns are seeded from their restored
-    /// stats, so `visits_total` and friends match the run that never
-    /// crashed; journal counters are writer-owned and count only this
-    /// process's appends. The continuation always appends to the
-    /// journal at `path`, so `opts.journal` must be `None`.
-    pub fn resume_with(path: &Path, opts: RunOpts<'_>) -> Result<Study, JournalError> {
-        let (report, meta) = replay_study_journal(path, "study")?;
+    /// [`Study::resume`] from `report`, the [`replay`] of `path` (the
+    /// journal is reopened from it, not read again), under a trace
+    /// and/or a profiler. Counters for checkpoint-restored campaigns
+    /// are seeded from their restored stats, so `visits_total` and
+    /// friends match the run that never crashed; journal counters are
+    /// writer-owned and count only this process's appends. The
+    /// continuation always appends to the journal at `path`, so
+    /// `opts.journal` must be `None`.
+    pub fn resume_with(
+        path: &Path,
+        report: ReplayReport,
+        opts: RunOpts<'_>,
+    ) -> Result<Study, JournalError> {
+        let meta = study_meta(&report, "study")?;
         let config = StudyConfig {
             population: PopulationConfig {
                 seed: meta.seed,
@@ -406,7 +407,7 @@ impl Study {
             workers: (meta.workers as usize).max(1),
         };
         debug_assert!(opts.journal.is_none(), "resume appends to `path`");
-        let opened = JournalWriter::open_append(path)?;
+        let opened = JournalWriter::open_append(path, &report.summary)?;
         let opts = RunOpts {
             journal: Some(&opened),
             ..opts
@@ -653,6 +654,7 @@ mod tests {
         let resumed_trace = Trace::new();
         let _ = Study::resume_with(
             &path,
+            kt_store::replay(&path).unwrap(),
             RunOpts {
                 trace: Some(&resumed_trace),
                 ..RunOpts::default()

@@ -1121,8 +1121,8 @@ mod tests {
         // The journal alone rebuilds the store and (modulo the
         // schedule-owned fields) the whole tally.
         let report = replay(&path).unwrap();
-        assert_eq!(report.corrupt_frames, 0);
-        assert!(!report.truncated_tail);
+        assert_eq!(report.summary.corrupt_frames, 0);
+        assert!(!report.summary.truncated_tail);
         assert_eq!(
             report.store.crawl_records(&CrawlId::top2020()),
             baseline_store.crawl_records(&CrawlId::top2020()),
@@ -1169,7 +1169,7 @@ mod tests {
                     .get(&key)
                     .map(|c| c.plan(&jobs(&population)))
                     .unwrap_or_else(|| ResumePlan::fresh(population.len()));
-                let resumed_journal = JournalWriter::open_append(&path).unwrap();
+                let resumed_journal = JournalWriter::open_append(&path, &report.summary).unwrap();
                 let resumed = run_crawl_with(
                     &jobs(&population),
                     &config,
@@ -1220,14 +1220,17 @@ mod tests {
         let mut resume_config = config.clone();
         resume_config.faults = stormy_plan(23);
         let report = replay(&path).unwrap();
-        assert!(report.truncated_tail, "the kill tears a frame mid-write");
+        assert!(
+            report.summary.truncated_tail,
+            "the kill tears a frame mid-write"
+        );
         let campaigns = split_campaigns(&report.visits, &report.checkpoints);
         let key = ("top2020".to_string(), "Mac".to_string());
         let plan = campaigns
             .get(&key)
             .map(|c| c.plan(&jobs(&population)))
             .unwrap_or_else(|| ResumePlan::fresh(population.len()));
-        let resumed_journal = JournalWriter::open_append(&path).unwrap();
+        let resumed_journal = JournalWriter::open_append(&path, &report.summary).unwrap();
         let resumed = run_crawl_with(
             &jobs(&population),
             &resume_config,

@@ -42,7 +42,7 @@ use kt_netbase::Os;
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{self, decode_view, encode, Cursor};
-use crate::frame::{self, kind, MAGIC};
+use crate::frame::{self, kind, Frame, MAGIC};
 use crate::record::{CrawlId, VisitRecord};
 use crate::store::TelemetryStore;
 
@@ -425,32 +425,42 @@ impl JournalWriter {
         Ok(JournalWriter::over(file, stats, config, path))
     }
 
-    /// Reopen an existing journal for appending: scan it, truncate the
-    /// torn tail back to the last complete frame, and position at the
-    /// end. Interior corruption (if any) is left in place — replay
-    /// resyncs past it; `fsck --repair` rewrites it out.
-    pub fn open_append(path: &Path) -> Result<JournalWriter, JournalError> {
-        JournalWriter::open_append_with(path, JournalConfig::default())
+    /// Reopen a replayed journal for appending: truncate it back to
+    /// the summary's `valid_end` (the torn tail goes) and position at
+    /// the end. The file is not read again; `summary` must be the
+    /// [`replay`] of `path`, with nothing written to it since. Interior
+    /// corruption (if any) is left in place — replay resyncs past it;
+    /// [`fsck`] with `repair` rewrites it out.
+    pub fn open_append(
+        path: &Path,
+        summary: &JournalSummary,
+    ) -> Result<JournalWriter, JournalError> {
+        JournalWriter::open_append_with(path, summary, JournalConfig::default())
     }
 
     /// [`JournalWriter::open_append`] with explicit tuning knobs.
     pub fn open_append_with(
         path: &Path,
+        summary: &JournalSummary,
         config: JournalConfig,
     ) -> Result<JournalWriter, JournalError> {
-        let data = std::fs::read(path)?;
-        let scan = scan(&data)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(scan.valid_end)?;
+        let mut file = OpenOptions::new().write(true).open(path)?;
+        if file.metadata()?.len() < summary.valid_end {
+            // Growing the file would append zeros, not frames.
+            return Err(JournalError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the replay summary describes a longer file than the journal",
+            )));
+        }
+        file.set_len(summary.valid_end)?;
         file.sync_all()?;
         file.seek(SeekFrom::End(0))?;
-        let count = |k: u8| scan.frames.iter().filter(|f| f.kind == k).count() as u64;
         let stats = JournalStats {
-            frames: scan.frames.len() as u64,
-            visits: count(kind::VISIT),
-            checkpoints: count(kind::CHECKPOINT),
-            flush_points: count(kind::FLUSH),
-            bytes: scan.valid_end,
+            frames: summary.frames as u64,
+            visits: summary.visits as u64,
+            checkpoints: summary.checkpoints as u64,
+            flush_points: summary.flush_points as u64,
+            bytes: summary.valid_end,
             fsyncs: 1,
             ..JournalStats::default()
         };
@@ -738,6 +748,125 @@ pub fn scan(data: &[u8]) -> Result<ScanReport<'_>, JournalError> {
     frame::scan(data, parse_frame).ok_or(JournalError::BadMagic)
 }
 
+/// Everything one read of a journal or saved-store file finds: frame
+/// counts, record cross-checks and damage. [`replay`], [`fsck`],
+/// [`crate::persist::load_any`] and [`JournalWriter::open_append`] all
+/// take it from the same fold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JournalSummary {
+    /// Valid frames (all kinds).
+    pub frames: usize,
+    /// Valid visit frames.
+    pub visits: usize,
+    /// Checkpoint frames.
+    pub checkpoints: usize,
+    /// Flush markers.
+    pub flush_points: usize,
+    /// Final visit frames whose identity `(crawl, domain, os)` repeats
+    /// — the crash-between-append-and-checkpoint duplicates that
+    /// replay collapses (last write wins).
+    pub duplicate_finals: usize,
+    /// Final visit frames written before a checkpoint that does *not*
+    /// list their domain as completed — evidence the checkpoint and
+    /// journal disagree (a frame survived that bookkeeping lost).
+    pub orphan_records: usize,
+    /// Domains a checkpoint claims completed with no surviving final
+    /// frame (the checkpoint outlived a corrupted visit frame), plus
+    /// visit frames a saved store's header declares that are gone.
+    pub missing_records: usize,
+    /// Corrupt byte spans skipped by resync (failed CRC, framing, or
+    /// payload decode).
+    pub corrupt_frames: usize,
+    /// Bytes in those spans.
+    pub corrupt_bytes: u64,
+    /// True when the file ends mid-frame.
+    pub truncated_tail: bool,
+    /// Bytes in the torn tail.
+    pub tail_bytes: u64,
+    /// End offset of the last valid frame: reopening for append cuts
+    /// the file here.
+    pub valid_end: u64,
+}
+
+impl JournalSummary {
+    /// A file with nothing wrong: every frame valid, the tail
+    /// complete, no duplicate, orphan or missing record.
+    pub fn clean(&self) -> bool {
+        self.corrupt_frames == 0
+            && !self.truncated_tail
+            && self.duplicate_finals == 0
+            && self.orphan_records == 0
+            && self.missing_records == 0
+    }
+
+    /// True when the file lost records no corrupt span explains: it
+    /// ends mid-frame, or was cut at a frame boundary short of what its
+    /// checkpoints or a saved store's header declare.
+    pub fn truncated(&self) -> bool {
+        self.truncated_tail || (self.corrupt_frames == 0 && self.missing_records > 0)
+    }
+
+    /// Bytes outside every valid frame: corrupt spans plus torn tail.
+    pub fn damaged_bytes(&self) -> u64 {
+        self.corrupt_bytes + self.tail_bytes
+    }
+}
+
+/// The one reader of journal and saved-store files: read `path`, scan
+/// it, and fold every valid frame into the [`JournalSummary`] — counts,
+/// duplicate finals, checkpoint and STORE-header cross-checks, in file
+/// order — before handing the frame to `each`. Returns the file's bytes
+/// with the summary.
+fn read(
+    path: &Path,
+    mut each: impl FnMut(Frame<'_, FrameBody<'_>>),
+) -> Result<(Vec<u8>, JournalSummary), JournalError> {
+    let data = std::fs::read(path)?;
+    let scan = scan(&data)?;
+    let mut sum = JournalSummary {
+        frames: scan.frames.len(),
+        corrupt_frames: scan.corrupt_spans.len(),
+        corrupt_bytes: scan.corrupt_bytes(),
+        truncated_tail: scan.truncated_tail,
+        tail_bytes: scan.tail_bytes(),
+        valid_end: scan.valid_end,
+        ..JournalSummary::default()
+    };
+    let mut finals = BTreeSet::new();
+    let mut declared = 0u64;
+    for frame in scan.frames {
+        match &frame.body {
+            FrameBody::Visit { visit, .. } => {
+                sum.visits += 1;
+                if visit.is_final() && !finals.insert(visit.key()) {
+                    sum.duplicate_finals += 1;
+                }
+            }
+            FrameBody::Checkpoint(cp) => {
+                sum.checkpoints += 1;
+                let listed: BTreeSet<&str> = cp.completed.iter().map(|s| s.as_str()).collect();
+                let mut seen_here = 0usize;
+                for (crawl, domain, os) in &finals {
+                    if crawl == &cp.crawl && *os == cp.os {
+                        if listed.contains(domain.as_str()) {
+                            seen_here += 1;
+                        } else {
+                            sum.orphan_records += 1;
+                        }
+                    }
+                }
+                sum.missing_records += cp.completed.len().saturating_sub(seen_here);
+            }
+            FrameBody::Flush => sum.flush_points += 1,
+            FrameBody::Store(n) => declared = *n,
+            FrameBody::Meta(_) | FrameBody::Unknown => {}
+        }
+        each(frame);
+    }
+    sum.missing_records += (declared as usize).saturating_sub(sum.visits);
+    Ok((data, sum))
+}
+
 // ------------------------------------------------------------- replay
 
 /// A journal replayed into usable state.
@@ -752,26 +881,8 @@ pub struct ReplayReport {
     pub checkpoints: Vec<CheckpointFrame>,
     /// The campaign-parameters frame, if present.
     pub meta: Option<JournalMeta>,
-    /// Visit frames a saved store's header declares; an intact saved
-    /// store replays exactly this many.
-    pub declared_visits: Option<u64>,
-    /// Frame kinds in journal order (test hook for targeting specific
-    /// kill boundaries).
-    pub frame_kinds: Vec<u8>,
-    /// Visit frames whose identity `(crawl, domain, os)` had already
-    /// been seen with `FLAG_FINAL` — the crash-between-append-and-
-    /// checkpoint duplicates that replay dedupes.
-    pub duplicate_finals: usize,
-    /// Damage accounting from the scan.
-    pub corrupt_frames: usize,
-    /// Bytes lost to corruption.
-    pub corrupt_bytes: u64,
-    /// True when the file ended mid-frame.
-    pub truncated_tail: bool,
-    /// End offset of the last valid frame.
-    pub valid_end: u64,
-    /// Flush markers seen.
-    pub flush_points: usize,
+    /// Counts, record cross-checks and damage from the read.
+    pub summary: JournalSummary,
 }
 
 /// Replay a journal (or a saved store) from disk: every valid visit
@@ -779,44 +890,28 @@ pub struct ReplayReport {
 /// decoded into an owned record and re-encoded. Frame damage degrades,
 /// never fails.
 pub fn replay(path: &Path) -> Result<ReplayReport, JournalError> {
-    let data = std::fs::read(path)?;
-    let scan = scan(&data)?;
-    let mut report = ReplayReport {
-        store: TelemetryStore::new(),
-        visits: Vec::new(),
-        checkpoints: Vec::new(),
-        meta: None,
-        declared_visits: None,
-        frame_kinds: Vec::with_capacity(scan.frames.len()),
-        duplicate_finals: 0,
-        corrupt_frames: scan.corrupt_spans.len(),
-        corrupt_bytes: scan.corrupt_bytes(),
-        truncated_tail: scan.truncated_tail,
-        valid_end: scan.valid_end,
-        flush_points: 0,
-    };
-    let mut finals = BTreeSet::new();
-    for frame in scan.frames {
-        report.frame_kinds.push(frame.kind);
-        match frame.body {
-            FrameBody::Visit { visit, record } => {
-                report
-                    .store
-                    .append_encoded(record)
-                    .expect("the scan checked the record with decode_view");
-                if visit.is_final() && !finals.insert(visit.key()) {
-                    report.duplicate_finals += 1;
-                }
-                report.visits.push(visit);
-            }
-            FrameBody::Checkpoint(cp) => report.checkpoints.push(cp),
-            FrameBody::Meta(m) => report.meta = Some(m),
-            FrameBody::Store(n) => report.declared_visits = Some(n),
-            FrameBody::Flush => report.flush_points += 1,
-            FrameBody::Unknown => {}
+    let store = TelemetryStore::new();
+    let mut visits = Vec::new();
+    let mut checkpoints = Vec::new();
+    let mut meta = None;
+    let (_, summary) = read(path, |frame| match frame.body {
+        FrameBody::Visit { visit, record } => {
+            store
+                .append_encoded(record)
+                .expect("the scan checked the record with decode_view");
+            visits.push(visit);
         }
-    }
-    Ok(report)
+        FrameBody::Checkpoint(cp) => checkpoints.push(cp),
+        FrameBody::Meta(m) => meta = Some(m),
+        FrameBody::Flush | FrameBody::Store(_) | FrameBody::Unknown => {}
+    })?;
+    Ok(ReplayReport {
+        store,
+        visits,
+        checkpoints,
+        meta,
+        summary,
+    })
 }
 
 // --------------------------------------------------------------- fsck
@@ -835,128 +930,59 @@ pub struct FsckOptions {
 }
 
 /// What the store doctor found (and, with `repair`, fixed).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FsckReport {
-    /// Valid frames.
-    pub frames: usize,
-    /// Valid visit frames.
-    pub visits: usize,
-    /// Checkpoints.
-    pub checkpoints: usize,
-    /// Corrupt byte spans skipped by resync.
-    pub corrupt_frames: usize,
-    /// Bytes in those spans.
-    pub corrupt_bytes: u64,
-    /// File ended mid-frame.
-    pub truncated_tail: bool,
-    /// Bytes in the torn tail.
-    pub tail_bytes: u64,
-    /// Final visit frames whose identity repeats (idempotent replay
-    /// collapses them; reported so operators see crash duplicates).
-    pub duplicate_finals: usize,
-    /// Final visit frames written before a checkpoint that does *not*
-    /// list their domain as completed — evidence the checkpoint and
-    /// journal disagree (a frame survived that bookkeeping lost).
-    pub orphan_records: usize,
-    /// Domains a checkpoint claims completed with no surviving final
-    /// frame (the checkpoint outlived a corrupted visit frame), plus
-    /// visit frames a saved store's header declares that are gone.
-    pub missing_records: usize,
-    /// True when a clean journal was rewritten.
+    /// Counts, record cross-checks and damage from the read.
+    pub summary: JournalSummary,
+    /// True when the file was rewritten in place with its valid frames
+    /// only.
     pub repaired: bool,
-    /// Bytes quarantined to the `.quarantine` file.
-    pub quarantined_bytes: u64,
-    /// Path of the rewritten journal (same as input) when repaired.
-    pub repaired_path: Option<PathBuf>,
-    /// Path of the quarantine file when damage was quarantined.
+    /// The `.quarantine` file the damaged bytes were moved to, if any.
     pub quarantine_path: Option<PathBuf>,
 }
 
-impl FsckReport {
-    /// A journal with nothing wrong.
-    pub fn clean(&self) -> bool {
-        self.corrupt_frames == 0
-            && !self.truncated_tail
-            && self.duplicate_finals == 0
-            && self.orphan_records == 0
-            && self.missing_records == 0
-    }
-}
-
-/// Scan a journal for damage; optionally rewrite it clean. Never
-/// panics on arbitrary input (fuzzed in tests).
+/// Scan a journal or saved store for damage; optionally rewrite it
+/// with its valid frames only. Builds no store. Never panics on
+/// arbitrary input (fuzzed in tests).
 pub fn fsck(path: &Path, options: FsckOptions) -> Result<FsckReport, JournalError> {
-    let data = std::fs::read(path)?;
-    let scan = scan(&data)?;
+    let mut kept = Vec::new();
+    let (data, summary) = read(path, |f| kept.push(f.start as usize..f.end as usize))?;
     let mut report = FsckReport {
-        frames: scan.frames.len(),
-        corrupt_frames: scan.corrupt_spans.len(),
-        corrupt_bytes: scan.corrupt_bytes(),
-        truncated_tail: scan.truncated_tail,
-        tail_bytes: scan.tail_bytes(),
-        ..FsckReport::default()
+        summary,
+        repaired: false,
+        quarantine_path: None,
     };
-    // Duplicate finals + checkpoint and saved-store header
-    // cross-checks, in journal order.
-    let mut finals = BTreeSet::new();
-    let mut declared = 0u64;
-    for frame in &scan.frames {
-        match &frame.body {
-            FrameBody::Visit { visit, .. } => {
-                report.visits += 1;
-                if visit.is_final() && !finals.insert(visit.key()) {
-                    report.duplicate_finals += 1;
-                }
-            }
-            FrameBody::Checkpoint(cp) => {
-                report.checkpoints += 1;
-                let listed: BTreeSet<&str> = cp.completed.iter().map(|s| s.as_str()).collect();
-                let mut seen_here = 0usize;
-                for (crawl, domain, os) in &finals {
-                    if crawl == &cp.crawl && *os == cp.os {
-                        if listed.contains(domain.as_str()) {
-                            seen_here += 1;
-                        } else {
-                            report.orphan_records += 1;
-                        }
-                    }
-                }
-                report.missing_records += cp.completed.len().saturating_sub(seen_here);
-            }
-            FrameBody::Store(n) => declared = *n,
-            _ => {}
-        }
+    if !options.repair {
+        return Ok(report);
     }
-    report.missing_records += (declared as usize).saturating_sub(report.visits);
-    if options.repair {
-        let tmp = frame::tmp_path(path);
-        frame::write_synced(&tmp, |out| {
-            out.write_all(MAGIC)?;
-            for f in &scan.frames {
-                out.write_all(&data[f.start as usize..f.end as usize])?;
+    let tmp = frame::tmp_path(path);
+    frame::write_synced(&tmp, |out| {
+        out.write_all(MAGIC)?;
+        for f in &kept {
+            out.write_all(&data[f.clone()])?;
+        }
+        Ok(())
+    })?;
+    if summary.damaged_bytes() > 0 {
+        let qpath = frame::sibling(path, "quarantine");
+        // The bytes between and after the valid frames: every corrupt
+        // span, then the torn tail, in file order.
+        frame::write_synced(&qpath, |q| {
+            let mut at = MAGIC.len();
+            for f in &kept {
+                q.write_all(&data[at..f.start])?;
+                at = f.end;
             }
-            Ok(())
+            q.write_all(&data[at..])
         })?;
-        let damaged = report.corrupt_bytes + report.tail_bytes;
-        if damaged > 0 {
-            let qpath = frame::sibling(path, "quarantine");
-            frame::write_synced(&qpath, |q| {
-                for (s, e) in &scan.corrupt_spans {
-                    q.write_all(&data[*s as usize..*e as usize])?;
-                }
-                q.write_all(&data[data.len() - report.tail_bytes as usize..])
-            })?;
-            report.quarantined_bytes = damaged;
-            report.quarantine_path = Some(qpath);
-        }
-        if options.kill_before_rename {
-            // Crash boundary: fsynced tmp exists, original untouched.
-            return Ok(report);
-        }
-        frame::commit(&tmp, path)?;
-        report.repaired = true;
-        report.repaired_path = Some(path.to_path_buf());
+        report.quarantine_path = Some(qpath);
     }
+    if options.kill_before_rename {
+        // Crash boundary: fsynced tmp exists, original untouched.
+        return Ok(report);
+    }
+    frame::commit(&tmp, path)?;
+    report.repaired = true;
     Ok(report)
 }
 
@@ -1164,7 +1190,7 @@ mod tests {
         drop(w);
         let report = replay(&path).unwrap();
         assert_eq!(report.visits.len(), 5, "drop flushed the buffer");
-        assert!(!report.truncated_tail);
+        assert!(!report.summary.truncated_tail);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1216,9 +1242,9 @@ mod tests {
         assert_eq!(report.visits.len(), 25);
         assert_eq!(report.checkpoints.len(), 1);
         assert_eq!(report.meta.unwrap().seed, 7);
-        assert_eq!(report.duplicate_finals, 0);
-        assert_eq!(report.corrupt_frames, 0);
-        assert!(!report.truncated_tail);
+        assert_eq!(report.summary.duplicate_finals, 0);
+        assert_eq!(report.summary.corrupt_frames, 0);
+        assert!(!report.summary.truncated_tail);
         let third = &report.visits[3];
         assert_eq!(third.delta, sample_delta(3));
         assert_eq!(
@@ -1245,7 +1271,10 @@ mod tests {
         w.sync();
         let report = replay(&path).unwrap();
         assert_eq!(report.visits.len(), 3, "frames are all there");
-        assert_eq!(report.duplicate_finals, 2, "two are crash duplicates");
+        assert_eq!(
+            report.summary.duplicate_finals, 2,
+            "two are crash duplicates"
+        );
         assert_eq!(report.store.len(), 1, "the store keeps one (idempotent)");
         std::fs::remove_file(&path).ok();
     }
@@ -1254,32 +1283,79 @@ mod tests {
     fn mid_frame_kill_leaves_a_repairable_torn_tail() {
         let path = tmp("midframe");
         let w = JournalWriter::create(&path).unwrap();
-        for i in 0..10 {
+        for i in 0..3 {
             append_final(&w, i, Os::Linux);
         }
+        w.append_checkpoint(&CheckpointFrame {
+            crawl: "top2020".into(),
+            os: "Linux".into(),
+            completed: (0..3).map(|i| format!("site{i}.example")).collect(),
+            stats: vec![1, 2, 3],
+        });
+        append_final(&w, 3, Os::Windows);
         w.set_kill(Some(KillSpec {
-            at_frame: 10,
+            at_frame: 5,
             mode: KillMode::MidFrame,
         }));
-        append_final(&w, 10, Os::Linux);
+        append_final(&w, 4, Os::Windows);
         assert!(w.killed());
         // Appends after death are silently dropped, like a dead process.
-        append_final(&w, 11, Os::Linux);
+        append_final(&w, 5, Os::Windows);
         let report = replay(&path).unwrap();
+        assert_eq!(report.visits.len(), 4, "torn frame 5 is lost, 0..3 survive");
+        assert!(report.summary.truncated_tail);
+
+        // Every prefix of the torn file reopens from its own replay:
+        // the tail is cut, one more visit goes on, and the result
+        // replays clean with every surviving visit plus the new one.
+        let torn = std::fs::read(&path).unwrap();
+        let added = ReplayedVisit {
+            crawl: CrawlId::top2020(),
+            domain: "site9.example".into(),
+            os: Os::MacOs,
+            delta: sample_delta(9),
+            flags: FLAG_FINAL,
+        };
+        for cut in 0..=torn.len() {
+            std::fs::write(&path, &torn[..cut]).unwrap();
+            let Ok(before) = replay(&path) else {
+                assert!(cut < MAGIC.len(), "cut at {cut}: only a cut magic fails");
+                continue;
+            };
+            let w = JournalWriter::open_append(&path, &before.summary).unwrap();
+            assert_eq!(w.stats().frames, before.summary.frames as u64);
+            append_final(&w, 9, Os::MacOs);
+            w.sync();
+            assert_eq!(w.stats().bytes, std::fs::metadata(&path).unwrap().len());
+            drop(w);
+            let after = replay(&path).unwrap();
+            assert!(
+                !after.summary.truncated_tail && after.summary.corrupt_frames == 0,
+                "cut at {cut}: {:?}",
+                after.summary
+            );
+            let mut expected = before.visits;
+            expected.push(added.clone());
+            assert_eq!(after.visits, expected, "cut at {cut}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reopening_with_a_summary_of_a_longer_file_is_refused() {
+        let path = tmp("stale-summary");
+        let w = JournalWriter::create(&path).unwrap();
+        append_final(&w, 0, Os::Linux);
+        w.sync();
+        drop(w);
+        let report = replay(&path).unwrap();
+        std::fs::write(&path, MAGIC).unwrap();
+        assert!(JournalWriter::open_append(&path, &report.summary).is_err());
         assert_eq!(
-            report.visits.len(),
-            10,
-            "torn frame 10 is lost, 0..9 survive"
+            std::fs::read(&path).unwrap(),
+            MAGIC,
+            "the file is left alone"
         );
-        assert!(report.truncated_tail);
-        // open_append truncates the torn tail and appending resumes.
-        let w2 = JournalWriter::open_append(&path).unwrap();
-        append_final(&w2, 10, Os::Linux);
-        w2.sync();
-        let report = replay(&path).unwrap();
-        assert_eq!(report.visits.len(), 11);
-        assert!(!report.truncated_tail);
-        assert_eq!(report.corrupt_frames, 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1296,7 +1372,7 @@ mod tests {
         assert!(w.killed());
         let report = replay(&path).unwrap();
         assert_eq!(report.visits.len(), 2, "the kill frame itself is durable");
-        assert!(!report.truncated_tail);
+        assert!(!report.summary.truncated_tail);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1316,7 +1392,7 @@ mod tests {
         }
         std::fs::write(&path, &data).unwrap();
         let report = replay(&path).unwrap();
-        assert!(report.corrupt_frames >= 1, "damage detected");
+        assert!(report.summary.corrupt_frames >= 1, "damage detected");
         assert!(
             report.visits.len() >= 18,
             "at most two frames lost to a 10-byte smash, got {}",
@@ -1339,7 +1415,7 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let report = replay(&path).unwrap();
         assert_eq!(report.visits.len(), 0);
-        assert!(report.corrupt_frames >= 1 || report.truncated_tail);
+        assert!(report.summary.corrupt_frames >= 1 || report.summary.truncated_tail);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1363,10 +1439,10 @@ mod tests {
         data.extend_from_slice(&[SYNC[0], SYNC[1], kind::VISIT, 200, 0, 0, 0, 1, 2, 3]);
         std::fs::write(&path, &data).unwrap();
         let report = fsck(&path, FsckOptions::default()).unwrap();
-        assert!(!report.clean());
-        assert!(report.corrupt_frames >= 1);
-        assert!(report.truncated_tail);
-        assert!(report.duplicate_finals >= 1);
+        assert!(!report.summary.clean());
+        assert!(report.summary.corrupt_frames >= 1);
+        assert!(report.summary.truncated_tail);
+        assert!(report.summary.duplicate_finals >= 1);
         assert!(!report.repaired);
         // Now repair: rewritten journal scans clean, damage quarantined.
         let report = fsck(
@@ -1378,13 +1454,17 @@ mod tests {
         )
         .unwrap();
         assert!(report.repaired);
-        assert!(report.quarantined_bytes > 0);
         let qpath = report.quarantine_path.clone().unwrap();
+        assert_eq!(
+            std::fs::metadata(&qpath).unwrap().len(),
+            report.summary.damaged_bytes(),
+            "every corrupt span and the torn tail are quarantined"
+        );
         assert!(qpath.exists());
         let after = fsck(&path, FsckOptions::default()).unwrap();
-        assert_eq!(after.corrupt_frames, 0);
-        assert!(!after.truncated_tail);
-        assert_eq!(after.visits, report.visits);
+        assert_eq!(after.summary.corrupt_frames, 0);
+        assert!(!after.summary.truncated_tail);
+        assert_eq!(after.summary.visits, report.summary.visits);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&qpath).ok();
     }
@@ -1404,9 +1484,9 @@ mod tests {
             stats: Vec::new(),
         });
         let report = fsck(&path, FsckOptions::default()).unwrap();
-        assert_eq!(report.orphan_records, 1);
-        assert_eq!(report.missing_records, 1);
-        assert!(!report.clean());
+        assert_eq!(report.summary.orphan_records, 1);
+        assert_eq!(report.summary.missing_records, 1);
+        assert!(!report.summary.clean());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1443,7 +1523,7 @@ mod tests {
         )
         .unwrap();
         assert!(report.repaired);
-        assert!(fsck(&path, FsckOptions::default()).unwrap().clean());
+        assert!(fsck(&path, FsckOptions::default()).unwrap().summary.clean());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&tmp_path).ok();
         std::fs::remove_file(frame::sibling(&path, "quarantine")).ok();
@@ -1456,8 +1536,8 @@ mod tests {
         drop(w);
         let report = replay(&path).unwrap();
         assert!(report.visits.is_empty());
-        assert!(!report.truncated_tail);
-        assert!(fsck(&path, FsckOptions::default()).unwrap().clean());
+        assert!(!report.summary.truncated_tail);
+        assert!(fsck(&path, FsckOptions::default()).unwrap().summary.clean());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1472,7 +1552,7 @@ mod tests {
         ));
         std::fs::write(&path, MAGIC).unwrap();
         let report = replay(&path).unwrap();
-        assert!(report.visits.is_empty() && report.frame_kinds.is_empty());
+        assert!(report.visits.is_empty() && report.summary.frames == 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1495,7 +1575,7 @@ mod tests {
         }
         assert!(w.stats().flush_points >= 1, "a flush point sealed the run");
         let report = replay(&path).unwrap();
-        assert!(report.flush_points >= 1);
+        assert!(report.summary.flush_points >= 1);
         std::fs::remove_file(&path).ok();
     }
 }

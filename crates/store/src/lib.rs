@@ -24,7 +24,9 @@
 //!   frames, campaign checkpoints, deterministic crash-point
 //!   injection, replay/resume, and the `fsck` store doctor (for
 //!   journals and saved stores alike), with group-commit frame
-//!   batching behind [`journal::JournalConfig`];
+//!   batching behind [`journal::JournalConfig`]; one read of a file
+//!   yields the [`JournalSummary`] that replay, fsck, load and resume's
+//!   reopen-for-append share;
 //! * [`segment`] — memory-mapped sealed segments: spill a sealed
 //!   segment to disk and serve it back through the zero-copy `Bytes`
 //!   API via `mmap` (with an explicit resident fallback);
@@ -48,10 +50,10 @@ pub mod store;
 pub use codec::{decode_view, VisitView};
 pub use journal::{
     fsck, replay, CheckpointFrame, FsckOptions, FsckReport, JournalConfig, JournalError,
-    JournalMeta, JournalStats, JournalWriter, KillMode, KillSpec, ReplayReport, ReplayedVisit,
-    VisitDelta,
+    JournalMeta, JournalStats, JournalSummary, JournalWriter, KillMode, KillSpec, ReplayReport,
+    ReplayedVisit, VisitDelta,
 };
-pub use persist::{load, load_any, save, LoadReport, PersistError, SaveReport};
+pub use persist::{load_any, save, LoadReport, PersistError, SaveReport};
 pub use record::{os_slot, slot_os, CrawlId, LoadOutcome, VisitRecord};
 pub use segment::{SegmentMode, SpillConfig};
 pub use snapshot::{

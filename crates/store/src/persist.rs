@@ -14,7 +14,7 @@ use std::io::Write;
 use std::path::Path;
 
 use crate::frame::{self, kind, MAGIC};
-use crate::journal::{self, JournalError, VisitDelta, FLAG_FINAL};
+use crate::journal::{self, JournalError, JournalSummary, VisitDelta, FLAG_FINAL};
 use crate::store::TelemetryStore;
 
 /// Result of loading a saved store or a journal.
@@ -22,15 +22,11 @@ use crate::store::TelemetryStore;
 pub struct LoadReport {
     /// The reconstructed store.
     pub store: TelemetryStore,
-    /// Visit frames successfully loaded.
-    pub loaded: usize,
-    /// True if the file ended mid-frame (load stopped at the last
-    /// complete one) or before every visit frame a saved store's
-    /// header declares.
-    pub truncated: bool,
     /// Damaged byte spans skipped (failed CRC, framing, or record
-    /// decode).
+    /// decode): the summary's `corrupt_frames`.
     pub corrupt: usize,
+    /// Counts, record cross-checks and damage from the read.
+    pub summary: JournalSummary,
 }
 
 /// Result of writing a store: how much went out and how hard it was
@@ -82,25 +78,13 @@ pub fn save(store: &TelemetryStore, path: &Path) -> Result<SaveReport, PersistEr
 /// Load a saved store (or any journal) by replaying its visit frames.
 /// Truncation and damaged frames degrade the load, never fail it; a
 /// file without the store magic is [`JournalError::BadMagic`].
-pub fn load(path: &Path) -> Result<LoadReport, PersistError> {
-    let report = journal::replay(path)?;
-    let loaded = report.visits.len();
-    Ok(LoadReport {
-        loaded,
-        // A header count the frames fall short of, with no other
-        // damage to explain it, is a cut at a frame boundary.
-        truncated: report.truncated_tail
-            || (report.corrupt_frames == 0
-                && report.declared_visits.is_some_and(|n| n > loaded as u64)),
-        corrupt: report.corrupt_frames,
-        store: report.store,
-    })
-}
-
-/// What read-side tools (`analyze`) call: a saved store and a journal
-/// are one format, so this is [`load`].
 pub fn load_any(path: &Path) -> Result<LoadReport, PersistError> {
-    load(path)
+    let report = journal::replay(path)?;
+    Ok(LoadReport {
+        store: report.store,
+        corrupt: report.summary.corrupt_frames,
+        summary: report.summary,
+    })
 }
 
 #[cfg(test)]
@@ -147,10 +131,10 @@ mod tests {
         let store = sample_store(120);
         let path = tmp("roundtrip");
         save(&store, &path).unwrap();
-        let report = load(&path).unwrap();
+        let report = load_any(&path).unwrap();
         assert_eq!(report.store.scan_all().unwrap(), store.scan_all().unwrap());
-        assert_eq!(report.loaded, 120);
-        assert!(!report.truncated);
+        assert_eq!(report.summary.visits, 120);
+        assert!(!report.summary.truncated());
         assert_eq!(report.corrupt, 0);
         std::fs::remove_file(&path).ok();
     }
@@ -162,9 +146,9 @@ mod tests {
         save(&store, &path).unwrap();
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() * 2 / 3]).unwrap();
-        let report = load(&path).unwrap();
-        assert!(report.truncated);
-        assert!(report.loaded > 0 && report.loaded < 50);
+        let report = load_any(&path).unwrap();
+        assert!(report.summary.truncated());
+        assert!(report.summary.visits > 0 && report.summary.visits < 50);
         std::fs::remove_file(&path).ok();
     }
 
@@ -172,9 +156,9 @@ mod tests {
     fn bad_magic_is_rejected() {
         let path = tmp("magic");
         std::fs::write(&path, b"NOTASTORE-file-contents").unwrap();
-        assert!(matches!(load(&path), Err(PersistError::BadMagic)));
+        assert!(matches!(load_any(&path), Err(PersistError::BadMagic)));
         std::fs::write(&path, b"KT").unwrap();
-        assert!(matches!(load(&path), Err(PersistError::BadMagic)));
+        assert!(matches!(load_any(&path), Err(PersistError::BadMagic)));
         std::fs::remove_file(&path).ok();
     }
 
@@ -188,8 +172,8 @@ mod tests {
         let at = frame_starts(&bytes)[1] + 20;
         bytes[at] ^= 0xAA;
         std::fs::write(&path, &bytes).unwrap();
-        let report = load(&path).unwrap();
-        assert_eq!(report.loaded + report.corrupt, 10);
+        let report = load_any(&path).unwrap();
+        assert_eq!(report.summary.visits + report.corrupt, 10);
         assert!(report.corrupt >= 1);
         std::fs::remove_file(&path).ok();
     }
@@ -199,8 +183,8 @@ mod tests {
         let store = TelemetryStore::new();
         let path = tmp("empty");
         assert_eq!(save(&store, &path).unwrap().records, 0);
-        let report = load(&path).unwrap();
-        assert_eq!(report.loaded, 0);
+        let report = load_any(&path).unwrap();
+        assert_eq!(report.summary.visits, 0);
         assert!(report.store.is_empty());
         std::fs::remove_file(&path).ok();
     }
@@ -231,8 +215,8 @@ mod tests {
         let len_at = frame_starts(&bytes)[1] + 3;
         bytes[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let report = load(&path).unwrap();
-        assert_eq!(report.loaded, 4, "only the damaged frame is lost");
+        let report = load_any(&path).unwrap();
+        assert_eq!(report.summary.visits, 4, "only the damaged frame is lost");
         assert_eq!(report.corrupt, 1, "the oversized frame counts as corrupt");
         std::fs::remove_file(&path).ok();
     }
@@ -247,9 +231,9 @@ mod tests {
         let len_at = frame_starts(&bytes)[5] + 3;
         bytes[len_at..len_at + 4].copy_from_slice(&(1u32 << 20).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let report = load(&path).unwrap();
-        assert!(report.truncated);
-        assert_eq!(report.loaded, 4);
+        let report = load_any(&path).unwrap();
+        assert!(report.summary.truncated());
+        assert_eq!(report.summary.visits, 4);
         assert_eq!(report.corrupt, 0);
         std::fs::remove_file(&path).ok();
     }
@@ -262,18 +246,24 @@ mod tests {
         let clean = std::fs::read(&path).unwrap();
         for (what, bytes) in crate::frame::tests::damaged(&clean) {
             std::fs::write(&path, &bytes).unwrap();
-            let Ok(report) = load(&path) else { continue };
+            let doctor = fsck(&path, journal::FsckOptions::default());
+            let Ok(report) = load_any(&path) else {
+                assert!(doctor.is_err(), "{what}: fsck reads what load refuses");
+                continue;
+            };
+            let doctor = doctor.unwrap();
+            assert_eq!(
+                doctor.summary, report.summary,
+                "{what}: fsck and load report different damage"
+            );
             if bytes.len() == MAGIC.len() {
                 // The magic alone is a well-formed empty journal; a cut
                 // there cannot be told from one, and loads as empty.
                 assert!(report.store.is_empty(), "{what}");
                 continue;
             }
-            let detected = report.corrupt > 0
-                || report.truncated
-                || !fsck(&path, journal::FsckOptions::default())
-                    .unwrap()
-                    .clean();
+            let detected =
+                report.corrupt > 0 || report.summary.truncated() || !doctor.summary.clean();
             let identical = report.store.scan_all() == store.scan_all();
             assert!(detected || identical, "{what}: silent divergence");
         }
@@ -287,7 +277,6 @@ mod tests {
         legacy.extend_from_slice(&3u32.to_le_bytes());
         legacy.extend_from_slice(b"abc");
         std::fs::write(&path, &legacy).unwrap();
-        assert!(matches!(load(&path), Err(PersistError::BadMagic)));
         assert!(matches!(load_any(&path), Err(PersistError::BadMagic)));
         assert!(matches!(
             fsck(&path, journal::FsckOptions::default()),
@@ -303,7 +292,7 @@ mod tests {
         let snap = tmp("any-snap");
         save(&store, &snap).unwrap();
         let report = load_any(&snap).unwrap();
-        assert_eq!(report.loaded, 8);
+        assert_eq!(report.summary.visits, 8);
 
         let jpath = tmp("any-journal");
         let w = JournalWriter::create(&jpath).unwrap();
@@ -312,7 +301,7 @@ mod tests {
         }
         w.sync();
         let report = load_any(&jpath).unwrap();
-        assert_eq!(report.loaded, 8);
+        assert_eq!(report.summary.visits, 8);
         assert_eq!(
             report.store.scan_all().unwrap(),
             store.scan_all().unwrap(),

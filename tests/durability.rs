@@ -96,7 +96,7 @@ fn kill_at_every_frame_boundary_resumes_to_identical_tables() {
         },
     );
     journal.sync();
-    let total_frames = replay(&probe).unwrap().frame_kinds.len() as u64;
+    let total_frames = replay(&probe).unwrap().summary.frames as u64;
     std::fs::remove_file(&probe).ok();
     assert!(total_frames >= jobs.len() as u64, "one frame per visit");
 
@@ -123,7 +123,7 @@ fn kill_at_every_frame_boundary_resumes_to_identical_tables() {
                 .get(&("top2020".to_string(), "Windows".to_string()))
                 .map(|c| c.plan(&jobs))
                 .unwrap_or_else(|| ResumePlan::fresh(jobs.len()));
-            let journal = JournalWriter::open_append(&path).unwrap();
+            let journal = JournalWriter::open_append(&path, &report.summary).unwrap();
             let stats = run_crawl_with(
                 &jobs,
                 &config,
@@ -204,7 +204,7 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
     );
     journal.sync();
     drop(journal);
-    let total_frames = replay(&probe).unwrap().frame_kinds.len() as u64;
+    let total_frames = replay(&probe).unwrap().summary.frames as u64;
     std::fs::remove_file(&probe).ok();
 
     for at_frame in 0..total_frames {
@@ -256,7 +256,8 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
                     .map(|c| c.plan(&jobs))
                     .unwrap_or_else(|| ResumePlan::fresh(jobs.len()));
                 let journal =
-                    JournalWriter::open_append_with(&grouped_path, grouped_config).unwrap();
+                    JournalWriter::open_append_with(&grouped_path, &report.summary, grouped_config)
+                        .unwrap();
                 let stats = run_crawl_with(
                     &jobs,
                     &config,
@@ -289,7 +290,8 @@ fn study_kills_at_meta_and_checkpoint_boundaries() {
     let journal = JournalWriter::create(&probe).unwrap();
     Study::run_journaled(config, Some(&journal));
     drop(journal);
-    let kinds = replay(&probe).unwrap().frame_kinds;
+    let data = std::fs::read(&probe).unwrap();
+    let kinds: Vec<u8> = scan(&data).unwrap().frames.iter().map(|f| f.kind).collect();
     std::fs::remove_file(&probe).ok();
     let first_cp = kinds
         .iter()
@@ -384,16 +386,20 @@ fn fsck_repair_then_resume_recovers_a_damaged_study_journal() {
         },
     )
     .unwrap();
-    assert_eq!(report.corrupt_frames, 2, "both flips detected");
+    assert_eq!(report.summary.corrupt_frames, 2, "both flips detected");
     assert!(report.repaired, "repair rewrote the journal");
-    assert!(report.quarantined_bytes > 0, "damage quarantined, not lost");
     let quarantine = report.quarantine_path.clone().expect("quarantine written");
+    assert_eq!(
+        std::fs::metadata(&quarantine).unwrap().len(),
+        report.summary.corrupt_bytes,
+        "damage quarantined, not lost"
+    );
 
     // The rewritten journal is clean; the two vandalised visits are
     // simply missing, and resume re-runs exactly those.
     let clean = fsck(&path, FsckOptions::default()).unwrap();
-    assert_eq!(clean.corrupt_frames, 0);
-    assert!(!clean.truncated_tail);
+    assert_eq!(clean.summary.corrupt_frames, 0);
+    assert!(!clean.summary.truncated_tail);
 
     let resumed = Study::resume(&path).unwrap();
     for (crawl, _) in campaigns() {
@@ -449,27 +455,22 @@ fn saved_store_files_load_and_analyze() {
     assert_eq!(saved.records, store.len());
     assert!(saved.bytes > 0);
 
-    // A saved store is a journal of final frames: `load`, `load_any`
-    // and the store doctor all read it.
+    // A saved store is a journal of final frames: `load_any` and the
+    // store doctor both read it, into the same summary.
     let doctor = fsck(&path, FsckOptions::default()).unwrap();
-    assert!(doctor.clean(), "{doctor:?}");
-    assert_eq!(doctor.visits, store.len());
-    for loaded in [
-        persist::load(&path).unwrap(),
-        persist::load_any(&path).unwrap(),
-    ] {
-        assert_eq!(loaded.loaded, store.len());
-        assert_eq!(loaded.corrupt, 0);
-        assert!(!loaded.truncated);
-        assert_eq!(
-            loaded.store.crawl_records(&CrawlId::top2020()),
-            store.crawl_records(&CrawlId::top2020()),
-            "snapshot round-trips byte for byte"
-        );
-        // The analysis pipeline accepts the reloaded store unchanged.
-        let records = loaded.store.crawl_records(&CrawlId::top2020());
-        let detections: usize = records.iter().map(|r| detect_local(r).len()).sum();
-        assert!(detections >= 10, "planted Discord probes survive the trip");
-    }
+    assert!(doctor.summary.clean(), "{doctor:?}");
+    assert_eq!(doctor.summary.visits, store.len());
+    let loaded = persist::load_any(&path).unwrap();
+    assert_eq!(loaded.summary, doctor.summary);
+    assert_eq!(loaded.corrupt, 0);
+    assert_eq!(
+        loaded.store.crawl_records(&CrawlId::top2020()),
+        store.crawl_records(&CrawlId::top2020()),
+        "snapshot round-trips byte for byte"
+    );
+    // The analysis pipeline accepts the reloaded store unchanged.
+    let records = loaded.store.crawl_records(&CrawlId::top2020());
+    let detections: usize = records.iter().map(|r| detect_local(r).len()).sum();
+    assert!(detections >= 10, "planted Discord probes survive the trip");
     std::fs::remove_file(&path).ok();
 }
