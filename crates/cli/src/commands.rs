@@ -32,7 +32,8 @@ pub fn help() {
            knocktalk resume   <study.ktj> [--id T5]\n\
            knocktalk fsck     <journal.ktj|store.ktstore> [--repair yes]\n\
            knocktalk analyze  <store.ktstore|journal.ktj>\n\
-           knocktalk classify <netlog.json> [--loaded-at MS] [--domain NAME]\n\
+           knocktalk classify <netlog.json> [--os windows|linux|mac] [--loaded-at MS]\n\
+                              [--domain NAME]\n\
            knocktalk entropy  [--machines N] [--seed N]\n\
            knocktalk scan     [--os windows|linux|mac] [--seed N] [--ports P,P,...]\n\
                               [--sequence P,P,P] [--payload HEX] [--udp yes] [--ipv6 yes]\n\
@@ -1141,15 +1142,9 @@ fn open_snapshot_store(opts: &Options) -> Result<(String, SnapshotStore), String
         .get("store")
         .ok_or("--store DIR is required")?
         .to_string();
-    let mode = match opts.get("mode").unwrap_or("mmap") {
-        "mmap" => SegmentMode::Mmap,
-        "resident" => SegmentMode::Resident,
-        other => {
-            return Err(format!(
-                "unknown --mode {other:?}; expected mmap | resident"
-            ))
-        }
-    };
+    let mode = opts.get("mode").unwrap_or("mmap");
+    let mode = SegmentMode::parse(mode)
+        .ok_or_else(|| format!("unknown --mode {mode:?}; expected mmap | resident"))?;
     let store = SnapshotStore::open(std::path::Path::new(&dir), mode)
         .map_err(|e| format!("opening snapshot store {dir}: {e}"))?;
     Ok((dir, store))

@@ -10,7 +10,8 @@
 //! knocktalk resume   <study.ktj> [--id T5]
 //! knocktalk fsck     <journal.ktj|store.ktstore> [--repair yes]
 //! knocktalk analyze  <store.ktstore|journal.ktj>
-//! knocktalk classify <netlog.json> [--loaded-at MS]
+//! knocktalk classify <netlog.json> [--os windows|linux|mac] [--loaded-at MS]
+//!                    [--domain NAME]
 //! knocktalk entropy  [--machines N] [--seed N]
 //! knocktalk scan     [--os windows|linux|mac] [--seed N] [--ports P,P,...]
 //!                    [--sequence P,P,P] [--udp yes] [--ipv6 yes] [--concurrency N]

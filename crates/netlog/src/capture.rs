@@ -4,10 +4,15 @@
 //! produces: a `constants` object followed by an `events` array.
 //! Chrome appends events to the file as they happen, so a browser that
 //! is killed mid-crawl (or a 20-second window that expires mid-flight)
-//! leaves a file whose `events` array is never closed. The parser here
-//! recovers every complete event from such truncated captures instead
-//! of rejecting the file — at crawl scale, losing a whole page visit to
-//! a truncated tail would bias the error statistics of Table 1.
+//! leaves a file whose `events` array is never closed.
+//!
+//! [`Capture::parse`] reads a document in one pass. It walks only the
+//! top-level punctuation itself and hands every key, the `constants`
+//! object and each event to the JSON parser one value at a time, so
+//! no tree of the whole document is ever built. A truncated capture
+//! keeps every event that ends before the input does instead of being
+//! rejected — at crawl scale, losing a whole page visit to a truncated
+//! tail would bias the error statistics of Table 1.
 
 use std::fmt;
 
@@ -31,23 +36,28 @@ use crate::event::NetLogEvent;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Capture {
-    /// The constant tables shipped with the capture.
+    /// The constant tables the events' wire codes were resolved
+    /// through: the document's own `constants` when it comes before
+    /// `events` and parses, else the standard tables. [`Capture::to_json`]
+    /// always writes the standard tables, with the codes they assign.
     pub constants: ConstantTables,
     /// Events in file order (which is time order for Chrome captures).
     pub events: Vec<NetLogEvent>,
-    /// Number of wire events skipped because their type/source/phase
-    /// codes were outside the modelled tables.
+    /// Number of wire events skipped because their type, source type
+    /// or phase code is not a modelled kind.
     pub skipped: usize,
-    /// True if the capture was recovered from a truncated file.
+    /// True if the document is not closed: the read stopped at the
+    /// first event, or top-level value after the events, that does not
+    /// end before the input does (a torn tail).
     pub truncated: bool,
 }
 
 /// Errors when reading a capture.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CaptureError {
-    /// Input is not JSON and recovery found no event objects either.
+    /// The document is truncated before any complete event.
     Unparseable(String),
-    /// JSON parsed but lacked the `events` array.
+    /// The input never reaches an `events` array.
     MissingEvents,
 }
 
@@ -65,12 +75,7 @@ impl std::error::Error for CaptureError {}
 impl Capture {
     /// A fresh, empty capture with the standard constant tables.
     pub fn new() -> Capture {
-        Capture {
-            constants: ConstantTables::standard(),
-            events: Vec::new(),
-            skipped: 0,
-            truncated: false,
-        }
+        Capture::from_events(Vec::new())
     }
 
     /// Build a capture around already-collected events.
@@ -86,86 +91,49 @@ impl Capture {
     /// Serialise to the `chrome://net-export` JSON document.
     pub fn to_json(&self) -> String {
         let doc = serde_json::json!({
-            "constants": self.constants,
+            "constants": ConstantTables::standard(),
             "events": self.events.iter().map(NetLogEvent::to_wire).collect::<Vec<_>>(),
         });
         serde_json::to_string(&doc).expect("capture serialisation cannot fail")
     }
 
-    /// Parse a capture document, recovering from truncation.
+    /// Parse a capture document in one pass, keeping every event that
+    /// ends before a truncated input does.
     pub fn parse(input: &str) -> Result<Capture, CaptureError> {
-        match serde_json::from_str::<Value>(input) {
-            Ok(doc) => {
-                let events_val = doc.get("events").ok_or(CaptureError::MissingEvents)?;
-                let arr = events_val.as_array().ok_or(CaptureError::MissingEvents)?;
-                let mut events = Vec::with_capacity(arr.len());
-                let mut skipped = 0;
-                for v in arr {
-                    match NetLogEvent::from_wire(v) {
-                        Some(ev) => events.push(ev),
-                        None => skipped += 1,
-                    }
-                }
-                let constants = doc
-                    .get("constants")
-                    .and_then(|c| serde_json::from_value(c.clone()).ok())
-                    .unwrap_or_else(ConstantTables::standard);
-                Ok(Capture {
-                    constants,
-                    events,
-                    skipped,
-                    truncated: false,
-                })
+        let mut doc = Reader { input, pos: 0 };
+        let constants = doc.open_events().ok_or(CaptureError::MissingEvents)?;
+        let codes = constants.wire_codes();
+        let mut capture = Capture {
+            constants,
+            events: Vec::new(),
+            skipped: 0,
+            truncated: false,
+        };
+        let mut closed = doc.eat(b']');
+        while !closed {
+            let Some(wire) = doc.value() else { break };
+            match NetLogEvent::from_wire(&wire, &codes) {
+                Some(event) => capture.events.push(event),
+                None => capture.skipped += 1,
             }
-            Err(_) => Capture::parse_truncated(input),
-        }
-    }
-
-    /// Recovery path: scan for complete top-level JSON objects inside
-    /// the `events` array of a truncated document and parse each one.
-    fn parse_truncated(input: &str) -> Result<Capture, CaptureError> {
-        let start = input
-            .find("\"events\"")
-            .and_then(|i| input[i..].find('[').map(|j| i + j + 1))
-            .ok_or(CaptureError::MissingEvents)?;
-        let mut events = Vec::new();
-        let mut skipped = 0;
-        let bytes = input.as_bytes();
-        let mut i = start;
-        while i < bytes.len() {
-            // Find the next object start.
-            match bytes[i] {
-                b'{' => {
-                    if let Some(end) = balanced_object_end(input, i) {
-                        let slice = &input[i..=end];
-                        match serde_json::from_str::<Value>(slice) {
-                            Ok(v) => match NetLogEvent::from_wire(&v) {
-                                Some(ev) => events.push(ev),
-                                None => skipped += 1,
-                            },
-                            Err(_) => skipped += 1,
-                        }
-                        i = end + 1;
-                    } else {
-                        // Incomplete trailing object: stop.
-                        break;
-                    }
-                }
-                b']' => break,
-                _ => i += 1,
+            closed = doc.eat(b']');
+            if !closed && !doc.eat(b',') {
+                break;
             }
         }
-        if events.is_empty() && skipped == 0 {
+        // The rest of the top-level object, read only to see it close.
+        while closed && doc.eat(b',') {
+            closed = matches!(doc.value(), Some(Value::String(_)))
+                && doc.eat(b':')
+                && doc.value().is_some();
+        }
+        capture.truncated = !(closed && doc.eat(b'}') && doc.rest().is_empty());
+        if capture.truncated && capture.events.is_empty() && capture.skipped == 0 {
             return Err(CaptureError::Unparseable(
                 "no complete events recovered".into(),
             ));
         }
-        Ok(Capture {
-            constants: ConstantTables::standard(),
-            events,
-            skipped,
-            truncated: true,
-        })
+        Ok(capture)
     }
 
     /// Number of events.
@@ -185,39 +153,59 @@ impl Default for Capture {
     }
 }
 
-/// Find the index of the `}` closing the object that starts at `start`,
-/// honouring nesting and JSON string escapes. Returns `None` if the
-/// object is not closed within the input.
-fn balanced_object_end(input: &str, start: usize) -> Option<usize> {
-    let bytes = input.as_bytes();
-    debug_assert_eq!(bytes[start], b'{');
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (offset, &b) in bytes[start..].iter().enumerate() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
+/// A cursor over a capture document's top level.
+struct Reader<'a> {
+    input: &'a str,
+    pos: usize,
+}
+
+impl Reader<'_> {
+    /// Read the top level up to and including the `[` that opens the
+    /// `events` array. Returns the tables of a `constants` object met
+    /// on the way (the standard tables if there is none or it does not
+    /// parse), or `None` if the input never reaches the array.
+    fn open_events(&mut self) -> Option<ConstantTables> {
+        let mut constants = None;
+        self.eat(b'{').then_some(())?;
+        loop {
+            let Value::String(key) = self.value()? else {
+                return None;
+            };
+            self.eat(b':').then_some(())?;
+            if key == "events" {
+                self.eat(b'[').then_some(())?;
+                return Some(constants.unwrap_or_else(ConstantTables::standard));
             }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(start + offset);
-                }
+            let value = self.value()?;
+            if key == "constants" {
+                constants = serde_json::from_value(value).ok();
             }
-            _ => {}
+            self.eat(b',').then_some(())?;
         }
     }
-    None
+
+    /// Skip whitespace and return what is left.
+    fn rest(&mut self) -> &str {
+        let rest = self.input[self.pos..].trim_start_matches([' ', '\t', '\n', '\r']);
+        self.pos = self.input.len() - rest.len();
+        rest
+    }
+
+    /// Skip whitespace, then consume `punct` if it comes next.
+    fn eat(&mut self, punct: u8) -> bool {
+        let found = self.rest().as_bytes().first() == Some(&punct);
+        self.pos += usize::from(found);
+        found
+    }
+
+    /// Parse the next JSON value, or `None` if none ends before a
+    /// syntax error or the end of the input.
+    fn value(&mut self) -> Option<Value> {
+        let mut stream = serde_json::Deserializer::from_str(&self.input[self.pos..]).into_iter();
+        let value = stream.next()?.ok()?;
+        self.pos += stream.byte_offset();
+        Some(value)
+    }
 }
 
 #[cfg(test)]
@@ -260,19 +248,98 @@ mod tests {
 
     #[test]
     fn truncated_capture_recovers_complete_events() {
+        // Escapes (`\"`, `\t`, `\u0001`) and multi-byte chars, so cuts
+        // land inside escapes and between the bytes of one char.
         let capture = Capture::from_events(vec![
-            ev(1, 10, "https://example.com/"),
-            ev(2, 20, "http://localhost:4444/"),
+            ev(1, 10, "https://exämple.com/?q=\"}\"\t{"),
+            ev(2, 20, "http://localhost:4444/\u{1}\u{1F600}"),
             ev(3, 30, "http://10.0.0.200/x.jpg"),
         ]);
         let text = capture.to_json();
-        // Cut the file in the middle of the third event.
-        let third_start = text.rfind("{\"params\"").unwrap_or(text.len() - 40);
-        let cut = &text[..third_start + 15];
-        let parsed = Capture::parse(cut).unwrap();
-        assert!(parsed.truncated);
-        assert!(parsed.len() >= 2, "recovered {} events", parsed.len());
-        assert_eq!(parsed.events[0].url(), Some("https://example.com/"));
+        let array = text.find("\"events\":[").unwrap() + "\"events\":[".len();
+        // The offset just past each event's closing `}`.
+        let mut ends = Vec::new();
+        let mut at = array;
+        for event in &capture.events {
+            let wire = event.to_wire().to_string();
+            at += text[at..].find(&wire).unwrap() + wire.len();
+            ends.push(at);
+        }
+        assert!(text.contains("\\u0001") && text.contains("\\\""));
+        for cut in (0..=text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+            let result = Capture::parse(&text[..cut]);
+            let complete = ends.iter().filter(|&&end| end <= cut).count();
+            if cut < array {
+                assert_eq!(result, Err(CaptureError::MissingEvents), "cut {cut}");
+            } else if complete == 0 {
+                assert!(
+                    matches!(result, Err(CaptureError::Unparseable(_))),
+                    "cut {cut}: {result:?}"
+                );
+            } else {
+                let parsed = result.unwrap();
+                assert_eq!(parsed.events, capture.events[..complete], "cut {cut}");
+                assert_eq!(parsed.skipped, 0, "cut {cut}");
+                assert_eq!(parsed.truncated, cut < text.len(), "cut {cut}");
+                assert_eq!(parsed.constants, capture.constants, "cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_document_that_does_not_close_cleanly_is_truncated() {
+        let text = Capture::from_events(vec![ev(1, 10, "https://example.com/")]).to_json();
+        let (body, close) = text.split_at(text.len() - 1);
+        assert_eq!(close, "}");
+        for (doc, truncated) in [
+            (format!("{body}, \"polledData\": {{\"x\": [1]}}}}\n"), false),
+            (format!("{body}, \"polledData\": {{\"x\": [1]"), true),
+            (format!("{body}, \"polledData\" 1}}"), true),
+            (format!("{text} trailing"), true),
+            (format!("{body}]}}"), true),
+        ] {
+            let parsed = Capture::parse(&doc).unwrap();
+            assert_eq!(parsed.len(), 1, "{doc}");
+            assert_eq!(parsed.truncated, truncated, "{doc}");
+        }
+        // An empty events array that is never closed has nothing to keep.
+        let empty = Capture::new().to_json();
+        assert!(Capture::parse(&empty).unwrap().is_empty());
+        assert!(matches!(
+            Capture::parse(&empty[..empty.len() - 1]),
+            Err(CaptureError::Unparseable(_))
+        ));
+    }
+
+    #[test]
+    fn constants_before_events_number_the_codes() {
+        let mut doc: Value = serde_json::from_str(
+            &Capture::from_events(vec![ev(1, 10, "wss://localhost:3389/")]).to_json(),
+        )
+        .unwrap();
+        let mut constants = ConstantTables::standard();
+        constants
+            .log_event_types
+            .insert("URL_REQUEST_START_JOB".into(), 112);
+        constants.log_source_type.insert("URL_REQUEST".into(), 9);
+        doc["constants"] = serde_json::json!(constants);
+        let event = &mut doc["events"].as_array_mut().unwrap()[0];
+        event["type"] = serde_json::json!(112);
+        event["source"]["type"] = serde_json::json!(9);
+        let parsed = Capture::parse(&doc.to_string()).unwrap();
+        assert_eq!(parsed.events[0].url(), Some("wss://localhost:3389/"));
+        assert_eq!(parsed.constants, constants);
+        // Our writer goes back to the standard tables and codes.
+        assert_eq!(
+            Capture::parse(&parsed.to_json()).unwrap().events,
+            parsed.events
+        );
+
+        // Tables that do not parse fall back to the standard ones.
+        doc["constants"] = serde_json::json!({ "logEventTypes": "?" });
+        let parsed = Capture::parse(&doc.to_string()).unwrap();
+        assert_eq!((parsed.len(), parsed.skipped), (0, 1));
+        assert_eq!(parsed.constants, ConstantTables::standard());
     }
 
     #[test]
@@ -303,16 +370,6 @@ mod tests {
         let parsed = Capture::parse(&doc.to_string()).unwrap();
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed.skipped, 1);
-    }
-
-    #[test]
-    fn balanced_object_end_handles_nesting_and_strings() {
-        let s = r#"{"a": {"b": "}"}, "c": 1}"#;
-        assert_eq!(balanced_object_end(s, 0), Some(s.len() - 1));
-        let unterminated = r#"{"a": {"b": 1}"#;
-        assert_eq!(balanced_object_end(unterminated, 0), None);
-        let escaped = r#"{"a": "\"}"}"#;
-        assert_eq!(balanced_object_end(escaped, 0), Some(escaped.len() - 1));
     }
 
     #[test]

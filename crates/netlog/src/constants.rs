@@ -8,7 +8,7 @@
 //! recognisable to standard NetLog tooling and captures from a real
 //! Chrome can be mapped back losslessly.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -200,6 +200,9 @@ pub enum EventPhase {
 }
 
 impl EventPhase {
+    /// All phases in wire-code order.
+    pub const ALL: [EventPhase; 3] = [EventPhase::None, EventPhase::Begin, EventPhase::End];
+
     /// Chrome-style constant name.
     pub fn name(self) -> &'static str {
         match self {
@@ -349,7 +352,7 @@ impl ConstantTables {
                 .iter()
                 .map(|t| (t.name().to_string(), t.code()))
                 .collect(),
-            log_event_phase: [EventPhase::None, EventPhase::Begin, EventPhase::End]
+            log_event_phase: EventPhase::ALL
                 .iter()
                 .map(|p| (p.name().to_string(), p.code()))
                 .collect(),
@@ -359,6 +362,38 @@ impl ConstantTables {
                 .collect(),
         }
     }
+
+    /// The wire-code lookups these tables define for the modelled
+    /// kinds, matched by name. A modelled name missing from a table
+    /// has no code, so its events are skipped.
+    pub fn wire_codes(&self) -> WireCodes {
+        fn by_name<K: Copy>(
+            table: &BTreeMap<String, u32>,
+            kinds: &[K],
+            name: fn(K) -> &'static str,
+        ) -> HashMap<u32, K> {
+            kinds
+                .iter()
+                .filter_map(|&kind| Some((*table.get(name(kind))?, kind)))
+                .collect()
+        }
+        WireCodes {
+            event_types: by_name(&self.log_event_types, &EventType::ALL, EventType::name),
+            source_types: by_name(&self.log_source_type, &SourceType::ALL, SourceType::name),
+            phases: by_name(&self.log_event_phase, &EventPhase::ALL, EventPhase::name),
+        }
+    }
+}
+
+/// Wire code → modelled kind, for the `type`, `source.type` and `phase`
+/// fields of a capture's events. Built once per capture by
+/// [`ConstantTables::wire_codes`], so a capture that numbers its types
+/// as Chrome does is read through its own numbering.
+#[derive(Debug, Clone)]
+pub struct WireCodes {
+    pub(crate) event_types: HashMap<u32, EventType>,
+    pub(crate) source_types: HashMap<u32, SourceType>,
+    pub(crate) phases: HashMap<u32, EventPhase>,
 }
 
 #[cfg(test)]
@@ -442,5 +477,32 @@ mod tests {
         codes.sort();
         codes.dedup();
         assert_eq!(codes.len(), EventType::ALL.len(), "event codes injective");
+    }
+
+    #[test]
+    fn wire_codes_resolve_by_name() {
+        let standard = ConstantTables::standard().wire_codes();
+        for t in EventType::ALL {
+            assert_eq!(standard.event_types.get(&t.code()), Some(&t));
+        }
+        for t in SourceType::ALL {
+            assert_eq!(standard.source_types.get(&t.code()), Some(&t));
+        }
+        for p in EventPhase::ALL {
+            assert_eq!(standard.phases.get(&p.code()), Some(&p));
+        }
+
+        // Chrome's own numbering; names we do not model are ignored and
+        // modelled names the table lacks get no code.
+        let mut chrome = ConstantTables::standard();
+        chrome.log_event_types = [("URL_REQUEST_START_JOB", 112), ("SOME_OTHER_EVENT", 1)]
+            .into_iter()
+            .map(|(name, code)| (name.to_string(), code))
+            .collect();
+        let codes = chrome.wire_codes();
+        assert_eq!(
+            codes.event_types,
+            HashMap::from([(112, EventType::UrlRequestStartJob)])
+        );
     }
 }

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Map, Value};
 
-use crate::constants::{EventPhase, EventType, NetError, SourceType};
+use crate::constants::{EventPhase, EventType, NetError, SourceType, WireCodes};
 
 /// Milliseconds on the capture's virtual clock.
 pub type TimeMs = u64;
@@ -208,24 +208,26 @@ impl NetLogEvent {
         })
     }
 
-    /// Parse one wire event. Returns `None` for events whose type,
-    /// source type or phase code is outside the modelled tables (a real
-    /// Chrome capture contains hundreds of event types we don't need;
-    /// skipping unknown ones matches how the paper's parser stores only
-    /// the relevant telemetry).
-    pub fn from_wire(v: &Value) -> Option<NetLogEvent> {
+    /// Parse one wire event, resolving its codes through the capture's
+    /// `codes`. Returns `None` for events whose type, source type or
+    /// phase code is not a modelled kind (a real Chrome capture contains
+    /// hundreds of event types we don't need; skipping unknown ones
+    /// matches how the paper's parser stores only the relevant
+    /// telemetry).
+    pub fn from_wire(v: &Value, codes: &WireCodes) -> Option<NetLogEvent> {
         let time: TimeMs = match v.get("time")? {
             Value::String(s) => s.parse().ok()?,
             Value::Number(n) => n.as_u64()?,
             _ => return None,
         };
-        let event_type = EventType::from_code(v.get("type")?.as_u64()? as u32)?;
+        let code = |field: &Value| u32::try_from(field.as_u64()?).ok();
+        let event_type = *codes.event_types.get(&code(v.get("type")?)?)?;
         let source_obj = v.get("source")?;
         let source = SourceRef {
             id: source_obj.get("id")?.as_u64()?,
-            kind: SourceType::from_code(source_obj.get("type")?.as_u64()? as u32)?,
+            kind: *codes.source_types.get(&code(source_obj.get("type")?)?)?,
         };
-        let phase = EventPhase::from_code(v.get("phase")?.as_u64()? as u32)?;
+        let phase = *codes.phases.get(&code(v.get("phase")?)?)?;
         let params = v
             .get("params")
             .map(|p| EventParams::from_wire(event_type, p))
@@ -261,6 +263,11 @@ impl NetLogEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constants::ConstantTables;
+
+    fn from_wire(v: &Value) -> Option<NetLogEvent> {
+        NetLogEvent::from_wire(v, &ConstantTables::standard().wire_codes())
+    }
 
     fn sample_event() -> NetLogEvent {
         NetLogEvent {
@@ -286,7 +293,7 @@ mod tests {
         let wire = ev.to_wire();
         assert_eq!(wire["time"], "1234");
         assert_eq!(wire["source"]["id"], 7);
-        let back = NetLogEvent::from_wire(&wire).unwrap();
+        let back = from_wire(&wire).unwrap();
         assert_eq!(back, ev);
     }
 
@@ -355,7 +362,7 @@ mod tests {
                 phase: EventPhase::None,
                 params: params.clone(),
             };
-            let back = NetLogEvent::from_wire(&ev.to_wire()).unwrap();
+            let back = from_wire(&ev.to_wire()).unwrap();
             assert_eq!(back.params, params, "{ty:?}");
         }
     }
@@ -364,24 +371,24 @@ mod tests {
     fn numeric_time_is_accepted() {
         let mut wire = sample_event().to_wire();
         wire["time"] = serde_json::json!(1234);
-        assert_eq!(NetLogEvent::from_wire(&wire).unwrap().time, 1234);
+        assert_eq!(from_wire(&wire).unwrap().time, 1234);
     }
 
     #[test]
     fn unknown_codes_are_skipped() {
         let mut wire = sample_event().to_wire();
         wire["type"] = serde_json::json!(4242);
-        assert!(NetLogEvent::from_wire(&wire).is_none());
+        assert!(from_wire(&wire).is_none());
         let mut wire = sample_event().to_wire();
         wire["phase"] = serde_json::json!(9);
-        assert!(NetLogEvent::from_wire(&wire).is_none());
+        assert!(from_wire(&wire).is_none());
     }
 
     #[test]
     fn missing_params_default_to_none() {
         let mut wire = sample_event().to_wire();
         wire.as_object_mut().unwrap().remove("params");
-        let ev = NetLogEvent::from_wire(&wire).unwrap();
+        let ev = from_wire(&wire).unwrap();
         assert_eq!(ev.params, EventParams::None);
     }
 

@@ -14,16 +14,20 @@
 //! ```
 //!
 //! where `type`, `source.type` and `phase` are integers resolved through
-//! the `constants` tables. This crate provides:
+//! the `constants` tables — by name, so a capture that numbers its
+//! types as Chrome does reads the same as one we wrote. This crate
+//! provides:
 //!
 //! * [`event`] — typed events ([`NetLogEvent`]) with the fields the
 //!   paper enumerates: `time`, `type`, `source` (serial IDs grouping a
 //!   flow), and `phase` (`BEGIN`/`END`/`NONE`);
 //! * [`constants`] — Chrome's constant tables (event types, source
 //!   types, phases, `net_error` codes such as `ERR_NAME_NOT_RESOLVED`);
-//! * [`capture`] — reading and writing whole captures, including
-//!   recovery on truncated files (Chrome appends events incrementally,
-//!   so a crashed browser leaves a syntactically unterminated array);
+//! * [`capture`] — reading and writing whole captures. The reader is one
+//!   streaming pass that parses one event at a time and keeps every
+//!   complete event of a truncated file (Chrome appends events
+//!   incrementally, so a crashed browser leaves a syntactically
+//!   unterminated array);
 //! * [`flow`] — reconstruction of logical request flows by source ID,
 //!   which is how the analysis pipeline tells page-initiated requests
 //!   apart from browser-internal traffic;

@@ -2,8 +2,24 @@
 //! event. The JSON reader copies each unescaped string run as one
 //! slice, so this stays linear in the document size; a reader that
 //! re-validated the rest of the input per string byte takes minutes.
+//! The capture reader holds one event's JSON tree at a time, so its
+//! peak heap is the result plus one event, whole or truncated; a
+//! reader that builds the whole document's tree first peaks at several
+//! times the input.
 
 use kt_netlog::{Capture, EventParams, EventPhase, EventType, NetLogEvent, SourceRef, SourceType};
+
+#[global_allocator]
+static HEAP: kt_trace::CountingAllocator = kt_trace::CountingAllocator;
+
+/// Parse `input`, returning the capture and the peak heap the parse
+/// held above what was live before it (the result included).
+fn parse_with_peak(input: &str) -> (Capture, u64) {
+    let before = kt_trace::live_bytes();
+    kt_trace::reset_peak_bytes();
+    let parsed = Capture::parse(input).unwrap();
+    (parsed, kt_trace::peak_bytes() - before)
+}
 
 #[test]
 fn multi_megabyte_capture_parses_and_round_trips() {
@@ -31,7 +47,23 @@ fn multi_megabyte_capture_parses_and_round_trips() {
         .collect();
     let json = Capture::from_events(events.clone()).to_json();
     assert!(json.len() > 4 << 20, "capture is {} bytes", json.len());
-    let parsed = Capture::parse(&json).unwrap();
+    let (parsed, peak) = parse_with_peak(&json);
     assert!(!parsed.truncated && parsed.skipped == 0);
     assert_eq!(parsed.events, events);
+    assert!(
+        peak < 2 * json.len() as u64,
+        "peak heap {peak} for {} input bytes",
+        json.len()
+    );
+
+    // Cut inside the last event, as a killed browser leaves it.
+    let cut = &json[..json.len() - 50];
+    let (parsed, peak) = parse_with_peak(cut);
+    assert!(parsed.truncated);
+    assert_eq!(parsed.events, events[..events.len() - 1]);
+    assert!(
+        peak < 2 * cut.len() as u64,
+        "peak heap {peak} for {} input bytes",
+        cut.len()
+    );
 }

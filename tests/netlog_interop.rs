@@ -1,7 +1,8 @@
 //! NetLog interoperability: the analysis pipeline must accept capture
 //! documents shaped like real `chrome://net-export` output, including
 //! material we do not model (extra constants, unknown event types,
-//! numeric timestamps) — and our own output must re-parse bit-exactly.
+//! numeric timestamps, Chrome's own numbering of event and source
+//! types) — and our own output must re-parse bit-exactly.
 
 use knock_talk::analysis::detect::detect_local;
 use knock_talk::netbase::Os;
@@ -41,20 +42,44 @@ fn chromeish_capture() -> String {
     )
 }
 
+/// The same three events in a hand-written capture that numbers its
+/// types as Chrome does (`URL_REQUEST_START_JOB` is 112, `WEBSOCKET`
+/// sources are 11), so they resolve only through its own `constants`.
+/// It also ends, as Chrome's do, with a `polledData` object after the
+/// events.
+const CHROME_NUMBERED: &str = include_str!("data/chrome-numbered.json");
+
+/// Both chromeish inputs.
+fn chromeish_inputs() -> [String; 2] {
+    [chromeish_capture(), CHROME_NUMBERED.to_string()]
+}
+
 #[test]
 fn chromeish_document_parses_with_unknowns_skipped() {
-    let capture = Capture::parse(&chromeish_capture()).unwrap();
-    assert_eq!(capture.len(), 2, "two modelled events");
-    assert_eq!(capture.skipped, 1, "the type-31337 event is skipped");
-    assert!(!capture.truncated);
-    // Numeric and string times both accepted.
-    assert_eq!(capture.events[0].time, 1_000);
-    assert_eq!(capture.events[1].time, 9_500);
+    for input in chromeish_inputs() {
+        let capture = Capture::parse(&input).unwrap();
+        assert_eq!(capture.len(), 2, "two modelled events");
+        assert_eq!(capture.skipped, 1, "the unmodelled event is skipped");
+        assert!(!capture.truncated);
+        // Numeric and string times both accepted.
+        assert_eq!(capture.events[0].time, 1_000);
+        assert_eq!(capture.events[1].time, 9_500);
+        assert_eq!(
+            capture.events[1].event_type,
+            EventType::WebSocketSendRequestHeaders
+        );
+        assert_eq!(capture.events[1].source.kind, SourceType::WebSocket);
+    }
 }
 
 #[test]
 fn detection_works_on_chromeish_input() {
-    let capture = Capture::parse(&chromeish_capture()).unwrap();
+    for input in chromeish_inputs() {
+        detects_the_probe(Capture::parse(&input).unwrap());
+    }
+}
+
+fn detects_the_probe(capture: Capture) {
     let record = VisitRecord {
         crawl: CrawlId::top2020(),
         domain: "shop.example".into(),
@@ -75,23 +100,32 @@ fn detection_works_on_chromeish_input() {
 
 #[test]
 fn own_output_round_trips_and_carries_constants() {
-    let capture = Capture::parse(&chromeish_capture()).unwrap();
-    let rendered = capture.to_json();
-    let reparsed = Capture::parse(&rendered).unwrap();
-    assert_eq!(reparsed.events, capture.events);
-    // The standard constant tables are embedded in our output.
-    assert!(rendered.contains("logEventTypes"));
-    assert!(rendered.contains("URL_REQUEST_START_JOB"));
-    assert!(rendered.contains("ERR_NAME_NOT_RESOLVED"));
+    for input in chromeish_inputs() {
+        let capture = Capture::parse(&input).unwrap();
+        let rendered = capture.to_json();
+        let reparsed = Capture::parse(&rendered).unwrap();
+        assert_eq!(reparsed.events, capture.events);
+        // The standard constant tables are embedded in our output.
+        assert!(rendered.contains("logEventTypes"));
+        assert!(rendered.contains("URL_REQUEST_START_JOB"));
+        assert!(rendered.contains("ERR_NAME_NOT_RESOLVED"));
+    }
 }
 
 #[test]
 fn truncated_chromeish_document_recovers() {
-    let full = chromeish_capture();
-    // Cut inside the second event.
-    let cut = full.find("wss://localhost").unwrap() + 5;
-    let capture = Capture::parse(&full[..cut]).unwrap();
-    assert!(capture.truncated);
-    assert_eq!(capture.len(), 1, "the complete first event survives");
-    assert_eq!(capture.events[0].url(), Some("https://shop.example/"));
+    for full in chromeish_inputs() {
+        // Cut inside the second event.
+        let cut = full.find("wss://localhost").unwrap() + 5;
+        let capture = Capture::parse(&full[..cut]).unwrap();
+        assert!(capture.truncated);
+        assert_eq!(capture.len(), 1, "the complete first event survives");
+        assert_eq!(capture.events[0].url(), Some("https://shop.example/"));
+
+        // Cut inside the last event: the probe survives.
+        let cut = full.rfind("mystery").unwrap();
+        let capture = Capture::parse(&full[..cut]).unwrap();
+        assert!(capture.truncated);
+        detects_the_probe(capture);
+    }
 }
