@@ -3,7 +3,7 @@
 //! The figures in the paper are three-ring sunbursts: the centre is an
 //! OS with its total localhost request count, the middle ring splits
 //! by scheme, the outer ring by port. This module computes exactly
-//! those nested counts; the repro binary renders them as indented
+//! those nested counts; `knocktalk repro` renders them as indented
 //! text.
 
 use kt_netbase::{Os, Scheme};

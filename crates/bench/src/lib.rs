@@ -1,8 +1,8 @@
 //! # kt-bench
 //!
 //! Criterion benchmarks (one target per paper table and figure, plus
-//! pipeline and ablation benches) and the `repro` binary that prints
-//! every regenerated artefact.
+//! pipeline and ablation benches) and the `perf` regression binary.
+//! `knocktalk repro` prints every regenerated artefact.
 //!
 //! Shared infrastructure: a lazily-built study at a bench-friendly
 //! scale, reused across benchmark functions so Criterion measures the

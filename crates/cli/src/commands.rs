@@ -30,7 +30,7 @@ pub fn help() {
                               [--flush-every BYTES] [--group-frames N]\n\
            knocktalk bias     [--seed N] [--workers N] [--out FILE] [--metrics-out FILE]\n\
            knocktalk resume   <study.ktj> [--id T5]\n\
-           knocktalk fsck     <journal.ktj|store.ktstore> [--repair yes]\n\
+           knocktalk fsck     <journal.ktj|store.ktstore|DIR> [--repair yes]\n\
            knocktalk analyze  <store.ktstore|journal.ktj>\n\
            knocktalk classify <netlog.json> [--os windows|linux|mac] [--loaded-at MS]\n\
                               [--domain NAME]\n\
@@ -54,7 +54,6 @@ pub fn help() {
            knocktalk snapshot diff --store DIR [--mode mmap|resident] [--workers N]\n\
                               [--snapshots L1,L2,...] [--out FILE] [--metrics-out FILE]\n\
            knocktalk snapshot gc --store DIR [--keep N]\n\
-           knocktalk snapshot fsck --store DIR\n\
            knocktalk health   [--scale quick|standard|paper] [--seed N]\n\
            knocktalk profile  [--scale quick|standard|paper] [--seed N] [--workers N]\n\
            knocktalk help\n\
@@ -84,8 +83,11 @@ pub fn help() {
            fsck      store doctor: scan a journal or a saved store (both KTSTORE2\n\
                      frames) for torn tails, bad CRCs, duplicate, orphan and missing\n\
                      records; --repair yes quarantines the damage and rewrites a\n\
-                     clean file (fsync-before-rename); damage left unrepaired fails\n\
-                     the exit code\n\
+                     clean file (fsync-before-rename). Given a snapshot store\n\
+                     directory (snapshot crawl --store), it CRC-checks every segment,\n\
+                     re-hashes every chunk, reconciles refcounts, and flags dangling\n\
+                     rows and stray segment files; --repair is refused there. Damage\n\
+                     left unrepaired fails the exit code\n\
            analyze   load a saved store (crawl --save) or a journal — one KTSTORE2\n\
                      frame format — and report local activity\n\
            classify  analyse a Chrome NetLog JSON capture for local traffic\n\
@@ -116,9 +118,8 @@ pub fn help() {
                      population flows, byte-identical for any --workers. `gc` drops all but the newest --keep snapshots, sweeps\n\
                      unreferenced chunks, and rewrites the store compacted (new\n\
                      segments first, the manifest swapped in atomically, then the old\n\
-                     segments removed). `fsck` CRC-checks every segment, re-hashes\n\
-                     every chunk, reconciles refcounts, and flags stray segment files;\n\
-                     a damaged store fails the exit code\n\
+                     segments removed). `diff` and `gc` refuse a store `fsck` would\n\
+                     report damaged (stray segment files aside)\n\
            health    run the study and print the crawl health report\n\
                      (retries, recrawls, recoveries, quarantines per campaign/OS)\n\
            profile   run the study under the stage profiler and print per-stage\n\
@@ -468,8 +469,18 @@ pub fn classify(opts: &Options) -> Result<(), String> {
         .positional()
         .first()
         .ok_or("classify needs a capture file path")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let capture = Capture::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let text = match std::str::from_utf8(&bytes) {
+        Ok(text) => text,
+        // Cut inside a multi-byte character, as a crashed writer leaves
+        // it: parse the whole characters, and the parser reports the
+        // truncation.
+        Err(e) if e.error_len().is_none() => {
+            std::str::from_utf8(&bytes[..e.valid_up_to()]).expect("valid up to here")
+        }
+        Err(e) => return Err(format!("reading {path}: {e}")),
+    };
+    let capture = Capture::parse(text).map_err(|e| format!("parsing {path}: {e}"))?;
     if capture.truncated {
         eprintln!(
             "note: capture was truncated; recovered {} events ({} skipped)",
@@ -559,13 +570,23 @@ pub fn resume(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `knocktalk fsck <journal.ktj|store.ktstore> [--repair yes]`.
+/// `knocktalk fsck <journal.ktj|store.ktstore|DIR> [--repair yes]`: a
+/// directory is a snapshot store, anything else a journal or saved
+/// store.
 pub fn fsck(opts: &Options) -> Result<(), String> {
     let path = opts
         .positional()
         .first()
-        .ok_or("fsck needs a journal or saved-store file path")?;
+        .ok_or("fsck needs a journal or saved-store file or a snapshot store directory")?;
     let repair = matches!(opts.get("repair"), Some("yes" | "true" | "1"));
+    if std::path::Path::new(path).is_dir() {
+        if repair {
+            return Err(format!(
+                "--repair yes rewrites journals and saved stores; {path} is a snapshot store"
+            ));
+        }
+        return snapshot_fsck(path);
+    }
     let report = knock_talk::store::fsck(
         std::path::Path::new(path),
         FsckOptions {
@@ -604,6 +625,36 @@ pub fn fsck(opts: &Options) -> Result<(), String> {
         None => println!("  repaired: clean journal rewritten in place ({path})"),
     }
     Ok(())
+}
+
+/// `knocktalk fsck DIR`: doctor a snapshot store directory.
+fn snapshot_fsck(dir: &str) -> Result<(), String> {
+    let report = knock_talk::store::snapshot_fsck(std::path::Path::new(dir))
+        .map_err(|e| format!("fsck of snapshot store {dir}: {e}"))?;
+    println!(
+        "{dir}: {} segment(s), {} chunk(s), {} manifest row(s)",
+        report.segments, report.chunks, report.manifest_entries
+    );
+    if report.clean() {
+        println!(
+            "  clean: every segment frame CRC-valid, every chunk re-hashes, refcounts reconcile, \
+             no dangling or duplicate references, no stray segments"
+        );
+        return Ok(());
+    }
+    println!(
+        "  segments: {} damaged, {} on disk but not in the manifest",
+        report.damaged_segments, report.unlisted_segments
+    );
+    println!(
+        "  damage: {} dangling ref(s), {} duplicate chunk(s), {} hash mismatch(es)",
+        report.dangling_refs, report.duplicate_chunks, report.hash_mismatches
+    );
+    println!(
+        "  refcounts: {} mismatch(es), {} orphan chunk(s)",
+        report.refcount_mismatches, report.orphan_chunks
+    );
+    Err("snapshot store is not clean".to_string())
 }
 
 /// `knocktalk health`.
@@ -1065,11 +1116,10 @@ pub fn snapshot(opts: &Options) -> Result<(), String> {
         Some("crawl") => snapshot_crawl(opts),
         Some("diff") => snapshot_diff(opts),
         Some("gc") => snapshot_gc(opts),
-        Some("fsck") => snapshot_fsck_cmd(opts),
         Some(other) => Err(format!(
-            "unknown snapshot subcommand {other:?}; expected crawl | diff | gc | fsck"
+            "unknown snapshot subcommand {other:?}; expected crawl | diff | gc"
         )),
-        None => Err("snapshot needs a subcommand: crawl | diff | gc | fsck".to_string()),
+        None => Err("snapshot needs a subcommand: crawl | diff | gc".to_string()),
     }
 }
 
@@ -1204,33 +1254,30 @@ fn snapshot_gc(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `knocktalk snapshot fsck`.
-fn snapshot_fsck_cmd(opts: &Options) -> Result<(), String> {
-    let dir = opts.get("store").ok_or("--store DIR is required")?;
-    let report = knock_talk::store::snapshot_fsck(std::path::Path::new(dir))
-        .map_err(|e| format!("fsck of snapshot store {dir}: {e}"))?;
-    println!(
-        "{dir}: {} segment(s), {} chunk(s), {} manifest row(s)",
-        report.segments, report.chunks, report.manifest_entries
-    );
-    if report.clean() {
-        println!(
-            "  clean: every segment frame CRC-valid, every chunk re-hashes, refcounts reconcile, \
-             no dangling or duplicate references, no stray segments"
-        );
-        return Ok(());
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn classify_file(path: &std::path::Path) -> Result<(), String> {
+        classify(&Options::parse(&[path.display().to_string()]).unwrap())
     }
-    println!(
-        "  segments: {} damaged, {} on disk but not in the manifest",
-        report.damaged_segments, report.unlisted_segments
-    );
-    println!(
-        "  damage: {} dangling ref(s), {} duplicate chunk(s), {} hash mismatch(es)",
-        report.dangling_refs, report.duplicate_chunks, report.hash_mismatches
-    );
-    println!(
-        "  refcounts: {} mismatch(es), {} orphan chunk(s)",
-        report.refcount_mismatches, report.orphan_chunks
-    );
-    Err("snapshot store is not clean".to_string())
+
+    #[test]
+    fn classify_reads_a_capture_cut_inside_a_multi_byte_character() {
+        // The Chrome-numbered fixture with an emoji in its last event,
+        // cut two bytes into the emoji.
+        let fixture = include_str!("../../../tests/data/chrome-numbered.json")
+            .replace(r#""mystery":true"#, "\"mystery\":\"\u{1F600}\"");
+        let cut = fixture.find('\u{1F600}').expect("emoji planted") + 2;
+        let path = std::env::temp_dir().join(format!("kt-cli-cut-{}.json", std::process::id()));
+        std::fs::write(&path, &fixture.as_bytes()[..cut]).unwrap();
+        assert_eq!(classify_file(&path), Ok(()));
+        // Invalid UTF-8 before the end is still refused.
+        let mut bytes = fixture.into_bytes();
+        bytes[10] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let refused = classify_file(&path).unwrap_err();
+        assert!(refused.contains("invalid utf-8"), "{refused}");
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -511,7 +511,7 @@ mod tests {
             stored < 2.0 * per_snapshot_logical_bytes(&study.snapshots),
             "store holds 4 snapshots in {stored} bytes"
         );
-        assert!(study.snapshots.verify().is_empty());
+        assert!(study.snapshots.audit().clean());
     }
 
     #[test]

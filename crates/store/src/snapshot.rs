@@ -23,15 +23,22 @@
 //!   [`SnapshotStore::gc`] drops unreferenced chunks;
 //! * **persistence** — chunks pack into sealed segment files in the
 //!   shared [`crate::frame`] format, one CHUNK frame (hash, refcount,
-//!   canonical bytes) per chunk. [`SnapshotStore::open`] maps each
-//!   segment through [`load_segment`], checks every CRC once, and
-//!   indexes the chunks as zero-copy slices of the mapping. A JSON
-//!   manifest lists the segment files and their sizes plus each
-//!   snapshot's rows; [`SnapshotStore::save`] writes fresh segments,
-//!   swaps the manifest in last, then deletes what it no longer lists.
-//!   [`snapshot_fsck`] is the store doctor for the on-disk layout
-//!   (damaged or stray segments, dangling references, duplicated
-//!   chunks, refcount drift).
+//!   canonical bytes) per chunk. A JSON manifest lists the segment
+//!   files and their sizes plus each snapshot's rows;
+//!   [`SnapshotStore::save`] writes fresh segments, swaps the manifest
+//!   in last, then deletes what it no longer lists;
+//! * **reading** — one private reader is the only code that reads a
+//!   store directory: it maps each segment through [`load_segment`],
+//!   checks every CRC once, indexes the chunks as zero-copy slices of
+//!   the mapping, and audits the references
+//!   ([`SnapshotStore::audit`]). [`SnapshotStore::open`] refuses a
+//!   damaged or missing segment, a dangling row, a duplicated chunk,
+//!   refcount drift and orphan chunks; it lets through only segment
+//!   files the manifest does not list, which an interrupted save
+//!   leaves. [`snapshot_fsck`], the store doctor, reports all of these
+//!   and re-hashes every chunk. The manifest has no checksum of its
+//!   own: a flipped rank digit, or a label, domain or OS slot bent
+//!   into one no other row uses, still opens.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -419,38 +426,35 @@ impl SnapshotStore {
         report
     }
 
-    /// Internal-consistency check of the live store: every manifest
-    /// entry must resolve to a chunk whose declared length matches,
-    /// and every chunk's refcount must equal its manifest reference
-    /// count. Returns human-readable violations (empty = consistent).
-    pub fn verify(&self) -> Vec<String> {
-        let mut violations = Vec::new();
+    /// The reference audit, over the live store or one just read from
+    /// disk: manifest rows that resolve to no chunk, chunks whose
+    /// refcount differs from the rows referencing them, and chunks no
+    /// row references. One pass over the rows, one over the chunks;
+    /// [`SnapshotFsckReport::clean`] is the verdict.
+    pub fn audit(&self) -> SnapshotFsckReport {
+        let mut report = SnapshotFsckReport {
+            chunks: self.chunks.len(),
+            ..SnapshotFsckReport::default()
+        };
         let mut counted: BTreeMap<ContentHash, u64> = BTreeMap::new();
-        for (label, manifest) in &self.manifests {
-            for ((domain, slot), entry) in &manifest.entries {
-                match self.chunks.get(&entry.hash) {
-                    None => violations.push(format!(
-                        "{label}/{domain}/os{slot}: dangling chunk reference {}",
-                        entry.hash
-                    )),
-                    Some(chunk) if chunk.bytes.len() as u32 != entry.len => {
-                        violations.push(format!("{label}/{domain}/os{slot}: length drift vs chunk"))
-                    }
-                    Some(_) => {}
-                }
+        for entry in self.manifests.values().flat_map(|m| m.entries.values()) {
+            report.manifest_entries += 1;
+            if self.chunks.contains_key(&entry.hash) {
                 *counted.entry(entry.hash).or_default() += 1;
+            } else {
+                report.dangling_refs += 1;
             }
         }
         for (hash, chunk) in &self.chunks {
             let referenced = counted.get(hash).copied().unwrap_or(0);
+            if referenced == 0 {
+                report.orphan_chunks += 1;
+            }
             if chunk.refs != referenced {
-                violations.push(format!(
-                    "chunk {hash}: refcount {} but {referenced} manifest reference(s)",
-                    chunk.refs
-                ));
+                report.refcount_mismatches += 1;
             }
         }
-        violations
+        report
     }
 
     /// Write the store to `dir`: sealed chunk segments plus the JSON
@@ -533,63 +537,17 @@ impl SnapshotStore {
         Ok((doc, report))
     }
 
-    /// Load a store from `dir`. Segment files come back through
-    /// [`load_segment`] — `SegmentMode::Mmap` serves chunk reads as
-    /// zero-copy slices of the mapped file. Every segment must match
-    /// its manifest size and scan clean (every frame CRC-valid); any
-    /// damage is an [`io::ErrorKind::InvalidData`] error.
+    /// Load a store from `dir` through the one reader, `read`.
+    /// Segment files come back through [`load_segment`] —
+    /// `SegmentMode::Mmap` serves chunk reads as zero-copy slices of
+    /// the mapped file. Anything [`snapshot_fsck`] would report except
+    /// unlisted segments — a damaged segment, a dangling row, a
+    /// duplicated chunk, refcount drift, an orphan — is an
+    /// [`io::ErrorKind::InvalidData`] error naming the first damage.
+    /// Chunks are not re-hashed: their frame CRCs already cover them.
     pub fn open(dir: &Path, mode: SegmentMode) -> io::Result<SnapshotStore> {
-        let doc = read_manifest_doc(dir)?;
-        let mut chunks = BTreeMap::new();
-        for seg in &doc.segments {
-            let bytes = load_segment(&dir.join(&seg.file), mode)?;
-            let scan = scan_segment(&bytes, seg)
-                .map_err(|damage| bad_data(format!("{}: {damage}", seg.file)))?;
-            for f in &scan.frames {
-                let start = f.body.bytes.as_ptr() as usize - bytes.as_ptr() as usize;
-                chunks.insert(
-                    f.body.hash,
-                    Chunk {
-                        bytes: bytes.slice(start..start + f.body.bytes.len()),
-                        refs: f.body.refs,
-                    },
-                );
-            }
-        }
-        let mut store = SnapshotStore {
-            chunks,
-            manifests: BTreeMap::new(),
-            order: Vec::new(),
-        };
-        for snap in &doc.snapshots {
-            store.manifest_mut(&snap.label);
-            for e in &snap.entries {
-                let hash = ContentHash::from_hex(&e.hash)
-                    .ok_or_else(|| bad_data(format!("bad entry hash {:?}", e.hash)))?;
-                if slot_os(e.os).is_none() {
-                    return Err(bad_data(format!("{}: bad os slot {}", e.domain, e.os)));
-                }
-                let len = store
-                    .chunks
-                    .get(&hash)
-                    .map(|c| c.bytes.len() as u32)
-                    .unwrap_or(0);
-                store
-                    .manifests
-                    .get_mut(&snap.label)
-                    .expect("manifest exists")
-                    .entries
-                    .insert(
-                        (e.domain.clone(), e.os),
-                        ManifestEntry {
-                            hash,
-                            rank: e.rank,
-                            len,
-                        },
-                    );
-            }
-        }
-        Ok(store)
+        let (store, _, damage) = read(dir, mode)?;
+        damage.map_or(Ok(store), |damage| Err(bad_data(damage)))
     }
 }
 
@@ -597,7 +555,18 @@ fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn read_manifest_doc(dir: &Path) -> io::Result<ManifestDoc> {
+/// The only reader of a store directory, behind [`SnapshotStore::open`]
+/// and [`snapshot_fsck`]. It parses the manifest, loads and scans every
+/// listed segment (a damaged segment's intact frames are still
+/// indexed), counts duplicated chunks, lists the segment files the
+/// manifest does not, and runs [`SnapshotStore::audit`]. Returns the
+/// store, the report, and the first damage found other than unlisted
+/// segments. A manifest that cannot be read, or a row whose hash or OS
+/// slot does not parse, is an error.
+fn read(
+    dir: &Path,
+    mode: SegmentMode,
+) -> io::Result<(SnapshotStore, SnapshotFsckReport, Option<String>)> {
     let text = fs::read_to_string(dir.join(MANIFEST))?;
     let doc: ManifestDoc =
         serde_json::from_str(&text).map_err(|e| bad_data(format!("{MANIFEST}: {e}")))?;
@@ -607,7 +576,96 @@ fn read_manifest_doc(dir: &Path) -> io::Result<ManifestDoc> {
             doc.version
         )));
     }
-    Ok(doc)
+    let (mut damaged_segments, mut duplicate_chunks) = (0, 0);
+    let mut damage = None;
+    let mut store = SnapshotStore::new();
+    for seg in &doc.segments {
+        let bytes = match load_segment(&dir.join(&seg.file), mode) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                damaged_segments += 1;
+                damage.get_or_insert_with(|| format!("{}: {e}", seg.file));
+                continue;
+            }
+        };
+        let scan = frame::scan(&bytes, parse_chunk);
+        let fault = match &scan {
+            _ if bytes.len() as u64 != seg.bytes => Some(format!(
+                "{} bytes, manifest says {}",
+                bytes.len(),
+                seg.bytes
+            )),
+            None => Some("not a chunk segment".to_string()),
+            Some(scan) if !scan.clean() => Some(format!(
+                "{} damaged span(s), torn tail: {}",
+                scan.corrupt_spans.len(),
+                scan.truncated_tail
+            )),
+            Some(_) => None,
+        };
+        if let Some(fault) = fault {
+            damaged_segments += 1;
+            damage.get_or_insert_with(|| format!("{}: {fault}", seg.file));
+        }
+        for f in scan.iter().flat_map(|scan| &scan.frames) {
+            let start = f.body.bytes.as_ptr() as usize - bytes.as_ptr() as usize;
+            let chunk = Chunk {
+                bytes: bytes.slice(start..start + f.body.bytes.len()),
+                refs: f.body.refs,
+            };
+            if store.chunks.insert(f.body.hash, chunk).is_some() {
+                duplicate_chunks += 1;
+            }
+        }
+    }
+    for snap in &doc.snapshots {
+        let rows = snap
+            .entries
+            .iter()
+            .map(|e| {
+                let hash = ContentHash::from_hex(&e.hash)
+                    .ok_or_else(|| bad_data(format!("bad entry hash {:?}", e.hash)))?;
+                if slot_os(e.os).is_none() {
+                    return Err(bad_data(format!("{}: bad os slot {}", e.domain, e.os)));
+                }
+                let len = store.chunks.get(&hash).map_or(0, |c| c.bytes.len() as u32);
+                let entry = ManifestEntry {
+                    hash,
+                    rank: e.rank,
+                    len,
+                };
+                Ok(((e.domain.clone(), e.os), entry))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        store.manifest_mut(&snap.label).entries.extend(rows);
+    }
+    let report = SnapshotFsckReport {
+        unlisted_segments: segment_files(dir)?
+            .iter()
+            .filter(|(_, name)| !doc.segments.iter().any(|s| &s.file == name))
+            .count(),
+        segments: doc.segments.len(),
+        damaged_segments,
+        duplicate_chunks,
+        ..store.audit()
+    };
+    let refused = SnapshotFsckReport {
+        unlisted_segments: 0,
+        ..report
+    };
+    let damage = damage.or_else(|| {
+        (!refused.clean()).then(|| {
+            format!(
+                "{} dangling ref(s), {} duplicate chunk(s), {} refcount mismatch(es), \
+                 {} orphan chunk(s)",
+                report.dangling_refs,
+                report.duplicate_chunks,
+                report.refcount_mismatches,
+                report.orphan_chunks
+            )
+        })
+    });
+    Ok((store, report, damage))
 }
 
 /// Chunk segment files in `dir` (`chunks-NNNN.ktc`), by number.
@@ -649,30 +707,6 @@ fn parse_chunk(kind_byte: u8, payload: &[u8]) -> Option<ChunkFrame<'_>> {
     })
 }
 
-/// Scan one segment's bytes. A missing magic, a size other than the
-/// manifest's, or any damaged frame is an `Err` describing it.
-fn scan_segment<'a>(
-    bytes: &'a [u8],
-    seg: &SegmentDoc,
-) -> Result<frame::Scan<'a, ChunkFrame<'a>>, String> {
-    if bytes.len() as u64 != seg.bytes {
-        return Err(format!(
-            "{} bytes, manifest says {}",
-            bytes.len(),
-            seg.bytes
-        ));
-    }
-    let scan = frame::scan(bytes, parse_chunk).ok_or("not a chunk segment")?;
-    if !scan.clean() {
-        return Err(format!(
-            "{} damaged span(s), torn tail: {}",
-            scan.corrupt_spans.len(),
-            scan.truncated_tail
-        ));
-    }
-    Ok(scan)
-}
-
 /// What [`SnapshotStore::save`] wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotSaveReport {
@@ -686,12 +720,14 @@ pub struct SnapshotSaveReport {
     pub manifest_entries: usize,
 }
 
-/// The snapshot-store doctor's findings over an on-disk directory.
+/// The snapshot-store doctor's findings: [`snapshot_fsck`] over an
+/// on-disk directory, or [`SnapshotStore::audit`] over a live store
+/// (its references only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotFsckReport {
     /// Segment files the manifest lists.
     pub segments: usize,
-    /// Chunk frames found in those segments.
+    /// Distinct chunks found (for a directory, in its listed segments).
     pub chunks: usize,
     /// Manifest rows inspected.
     pub manifest_entries: usize,
@@ -728,70 +764,17 @@ impl SnapshotFsckReport {
     }
 }
 
-/// Check an on-disk snapshot store: every listed segment through the
-/// frame scanner, stray segment files, dangling references, duplicated
-/// chunks, hash drift, refcount drift, and orphans. Never panics on
+/// Check an on-disk snapshot store: [`read`] it (every listed segment
+/// through the frame scanner, stray segment files, duplicated chunks,
+/// the reference audit), then re-hash every chunk. Never panics on
 /// damage; an unreadable manifest is an error.
 pub fn snapshot_fsck(dir: &Path) -> io::Result<SnapshotFsckReport> {
-    let doc = read_manifest_doc(dir)?;
-    let mut report = SnapshotFsckReport {
-        segments: doc.segments.len(),
-        ..SnapshotFsckReport::default()
-    };
-    // Content hash -> declared refcount, over every intact frame.
-    let mut stored: BTreeMap<ContentHash, u64> = BTreeMap::new();
-    for seg in &doc.segments {
-        let Ok(bytes) = load_segment(&dir.join(&seg.file), SegmentMode::Resident) else {
-            report.damaged_segments += 1;
-            continue;
-        };
-        // A damaged segment's intact frames are still audited.
-        let scan = match scan_segment(&bytes, seg) {
-            Ok(scan) => scan,
-            Err(_) => {
-                report.damaged_segments += 1;
-                match frame::scan(&bytes, parse_chunk) {
-                    Some(scan) => scan,
-                    None => continue,
-                }
-            }
-        };
-        for f in &scan.frames {
-            let chunk = &f.body;
-            report.chunks += 1;
-            if ContentHash::of(chunk.bytes) != chunk.hash {
-                report.hash_mismatches += 1;
-            }
-            if stored.insert(chunk.hash, chunk.refs).is_some() {
-                report.duplicate_chunks += 1;
-            }
-        }
-    }
-    report.unlisted_segments = segment_files(dir)?
+    let (store, mut report, _) = read(dir, SegmentMode::Resident)?;
+    report.hash_mismatches = store
+        .chunks
         .iter()
-        .filter(|(_, name)| !doc.segments.iter().any(|s| &s.file == name))
+        .filter(|(hash, chunk)| ContentHash::of(&chunk.bytes) != **hash)
         .count();
-    let mut referenced: BTreeMap<ContentHash, u64> = BTreeMap::new();
-    for snap in &doc.snapshots {
-        for e in &snap.entries {
-            report.manifest_entries += 1;
-            match ContentHash::from_hex(&e.hash) {
-                Some(hash) if stored.contains_key(&hash) => {
-                    *referenced.entry(hash).or_default() += 1;
-                }
-                _ => report.dangling_refs += 1,
-            }
-        }
-    }
-    for (hash, declared_refs) in &stored {
-        let counted = referenced.get(hash).copied().unwrap_or(0);
-        if counted == 0 {
-            report.orphan_chunks += 1;
-        }
-        if *declared_refs != counted {
-            report.refcount_mismatches += 1;
-        }
-    }
     Ok(report)
 }
 
@@ -896,7 +879,7 @@ mod tests {
             store.record("snap01", "a.example", Os::Linux).unwrap().rank,
             Some(9)
         );
-        assert!(store.verify().is_empty());
+        assert!(store.audit().clean());
     }
 
     #[test]
@@ -925,7 +908,7 @@ mod tests {
                 .unwrap()
                 .events
         );
-        assert!(store.verify().is_empty());
+        assert!(store.audit().clean());
     }
 
     #[test]
@@ -943,7 +926,7 @@ mod tests {
         assert_eq!(store.chunk_count(), 2);
         assert!(store.get("snap01", "shared.example", Os::Linux).is_some());
         assert!(store.get("snap00", "shared.example", Os::Linux).is_none());
-        assert!(store.verify().is_empty());
+        assert!(store.audit().clean());
     }
 
     #[test]
@@ -954,7 +937,7 @@ mod tests {
         assert_eq!(store.manifest("snap00").unwrap().entries.len(), 1);
         let report = store.gc();
         assert_eq!(report.chunks_dropped, 1, "the overwritten chunk is garbage");
-        assert!(store.verify().is_empty());
+        assert!(store.audit().clean());
     }
 
     #[test]
@@ -985,7 +968,7 @@ mod tests {
                     "mode {mode:?}"
                 );
             }
-            assert!(loaded.verify().is_empty());
+            assert!(loaded.audit().clean());
         }
         assert!(snapshot_fsck(&dir).unwrap().clean());
         fs::remove_dir_all(&dir).ok();
@@ -1005,6 +988,15 @@ mod tests {
         assert_eq!(loaded.chunk_count(), 1);
         assert!(snapshot_fsck(&dir).unwrap().clean());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The store's manifest as written.
+    fn manifest_doc(dir: &Path) -> ManifestDoc {
+        serde_json::from_str(&fs::read_to_string(dir.join(MANIFEST)).unwrap()).unwrap()
+    }
+
+    fn write_manifest(dir: &Path, doc: &ManifestDoc) {
+        fs::write(dir.join(MANIFEST), serde_json::to_string(doc).unwrap()).unwrap();
     }
 
     /// The chunk frames of a one-segment store, as (hash, refs, bytes).
@@ -1030,9 +1022,9 @@ mod tests {
             frame::put(&mut seg, kind::CHUNK, &payload);
         }
         fs::write(dir.join("chunks-0000.ktc"), &seg).unwrap();
-        let mut doc = read_manifest_doc(dir).unwrap();
+        let mut doc = manifest_doc(dir);
         doc.segments[0].bytes = seg.len() as u64;
-        fs::write(dir.join(MANIFEST), serde_json::to_string(&doc).unwrap()).unwrap();
+        write_manifest(dir, &doc);
     }
 
     #[test]
@@ -1067,13 +1059,13 @@ mod tests {
         let report = snapshot_fsck(&dir).unwrap();
         assert!(report.hash_mismatches >= 1, "{report:?}");
         fs::write(&seg_path, &clean).unwrap();
-        let mut doc = read_manifest_doc(&dir).unwrap();
+        let mut doc = manifest_doc(&dir);
         doc.segments[0].bytes = clean.len() as u64;
 
         // Point a manifest row at a hash that does not exist.
         let bogus = "0".repeat(32);
         doc.snapshots[0].entries[0].hash = bogus;
-        fs::write(dir.join(MANIFEST), serde_json::to_string(&doc).unwrap()).unwrap();
+        write_manifest(&dir, &doc);
         let report = snapshot_fsck(&dir).unwrap();
         assert!(report.dangling_refs >= 1, "{report:?}");
         fs::remove_dir_all(&dir).ok();
@@ -1119,7 +1111,7 @@ mod tests {
 
     /// Segment files the manifest lists, and those on disk.
     fn listed_and_on_disk(dir: &Path) -> (Vec<String>, Vec<String>) {
-        let doc = read_manifest_doc(dir).unwrap();
+        let doc = manifest_doc(dir);
         let listed = doc.segments.into_iter().map(|s| s.file).collect();
         let on_disk = segment_files(dir)
             .unwrap()
@@ -1146,15 +1138,37 @@ mod tests {
         out
     }
 
+    /// True when `report` shows no damage besides unlisted segments:
+    /// exactly the stores `open` accepts.
+    fn opens(report: &SnapshotFsckReport) -> bool {
+        SnapshotFsckReport {
+            unlisted_segments: 0,
+            ..*report
+        }
+        .clean()
+    }
+
     /// Damage `file` of the store in `dir` every way
-    /// ([`frame::tests::damaged`]), hand each outcome of `open` to
-    /// `judge`, then restore the file.
-    fn sweep(dir: &Path, file: &str, judge: impl Fn(&str, io::Result<SnapshotStore>)) {
+    /// ([`frame::tests::damaged`]), check that `open` succeeds exactly
+    /// when `snapshot_fsck` finds no damage besides unlisted segments,
+    /// hand both outcomes to `judge`, then restore the file.
+    fn sweep(
+        dir: &Path,
+        file: &str,
+        judge: impl Fn(&str, io::Result<SnapshotStore>, io::Result<SnapshotFsckReport>),
+    ) {
         let path = dir.join(file);
         let clean = fs::read(&path).unwrap();
         for (what, bytes) in frame::tests::damaged(&clean) {
             fs::write(&path, &bytes).unwrap();
-            judge(&what, SnapshotStore::open(dir, SegmentMode::Resident));
+            let opened = SnapshotStore::open(dir, SegmentMode::Resident);
+            let doctor = snapshot_fsck(dir);
+            assert_eq!(
+                opened.is_ok(),
+                doctor.as_ref().is_ok_and(opens),
+                "{what}: open and fsck disagree ({doctor:?})"
+            );
+            judge(&what, opened, doctor);
         }
         fs::write(&path, &clean).unwrap();
     }
@@ -1174,35 +1188,60 @@ mod tests {
     #[test]
     fn chunk_segment_damage_is_detected_or_harmless() {
         let (dir, store) = sweep_fixture("sweep-segment");
-        sweep(&dir, "chunks-0000.ktc", |what, opened| {
-            let Ok(opened) = opened else { return };
-            let detected = !snapshot_fsck(&dir).unwrap().clean();
-            assert!(
-                detected || contents(&opened) == contents(&store),
-                "{what}: silent divergence"
-            );
+        sweep(&dir, "chunks-0000.ktc", |what, opened, _| {
+            if let Ok(opened) = opened {
+                assert_eq!(
+                    contents(&opened),
+                    contents(&store),
+                    "{what}: silent divergence"
+                );
+            }
         });
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn damaged_manifests_fail_with_a_typed_error_never_a_panic() {
-        // MANIFEST.json has no checksum of its own yet, so a flipped
-        // rank or label can load as a different store; the sweep pins
-        // only that bad input is refused with a typed error —
-        // InvalidData, or NotFound for a segment name bent into a
-        // missing file — and never a panic.
-        let typed = |e: io::Error| {
-            matches!(
-                e.kind(),
-                io::ErrorKind::InvalidData | io::ErrorKind::NotFound
-            )
-        };
+        // MANIFEST.json has no checksum of its own yet. A bent hash,
+        // segment name or size, or a row bent onto another row's key,
+        // is refused (dangling row, damaged segment, refcount drift).
+        // A flipped rank digit, or a label, domain or OS slot bent into
+        // one no other row uses, still opens as a different store; the
+        // sweep pins only that what is refused is refused with
+        // InvalidData, never a panic.
+        let typed = |e: io::Error| e.kind() == io::ErrorKind::InvalidData;
         let (dir, _) = sweep_fixture("sweep-manifest");
-        sweep(&dir, MANIFEST, |what, opened| {
+        sweep(&dir, MANIFEST, |what, opened, doctor| {
             assert!(opened.err().is_none_or(typed), "{what}");
-            assert!(snapshot_fsck(&dir).err().is_none_or(typed), "{what}");
+            assert!(doctor.err().is_none_or(typed), "{what}");
         });
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_refuses_the_rows_fsck_counts() {
+        let (dir, _) = sweep_fixture("bent-rows");
+        let clean = manifest_doc(&dir);
+        let missing = "0".repeat(32);
+        let other = clean.snapshots[0].entries[1].hash.clone();
+        // Both snapshots reference each chunk once. A row moved to a
+        // hash no segment holds dangles and leaves its own chunk one
+        // reference short; a row moved to another stored chunk leaves
+        // both chunks' refcounts off.
+        for (hash, dangling, drifted) in [(missing, 1, 1), (other, 0, 2)] {
+            let mut doc = manifest_doc(&dir);
+            doc.snapshots[0].entries[0].hash = hash;
+            write_manifest(&dir, &doc);
+            let refused = SnapshotStore::open(&dir, SegmentMode::Mmap).err();
+            assert_eq!(refused.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+            let report = snapshot_fsck(&dir).unwrap();
+            assert_eq!(
+                (report.dangling_refs, report.refcount_mismatches),
+                (dangling, drifted),
+                "{report:?}"
+            );
+            write_manifest(&dir, &clean);
+        }
         fs::remove_dir_all(&dir).ok();
     }
 
