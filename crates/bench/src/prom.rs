@@ -15,9 +15,13 @@
 //!   and `_count` equals the `+Inf` bucket.
 //!
 //! Callers may also require specific families to be present with at
-//! least one sample — the smoke job's "core series exist" assertion.
+//! least one sample. [`required_series`] is the set `perf --check-prom`
+//! requires of a knocktalk export: every series the metric schema
+//! pre-creates, plus the ones named with `--require`.
 
 use std::collections::{BTreeMap, BTreeSet};
+
+use knock_talk::trace::names;
 
 /// What a successful check saw.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,6 +133,15 @@ fn family_of<'a>(name: &'a str, histograms: &BTreeSet<String>) -> &'a str {
         }
     }
     name
+}
+
+/// The series a knocktalk export must carry: every series the schema
+/// pre-creates (each export is built on `describe_defaults`), then
+/// `extra`.
+pub fn required_series<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    let mut required: Vec<&'a str> = names::pre_created().collect();
+    required.extend_from_slice(extra);
+    required
 }
 
 /// Validate `text` as Prometheus text exposition; `required` lists
@@ -409,5 +422,21 @@ temp 21.5\n";
         )
         .expect("registry export is valid exposition");
         assert!(report.series >= 3);
+    }
+
+    #[test]
+    fn export_missing_a_pre_created_series_fails_the_requirement() {
+        let text = knock_talk::trace::Trace::new().export_prometheus();
+        let required = required_series(&[]);
+        check(&text, &required).expect("a fresh export carries every pre-created series");
+        for name in ["journal_frames_total", "snapshot_dedup_ratio"] {
+            let sample = text
+                .lines()
+                .find(|line| line.split(' ').next() == Some(name))
+                .expect("pre-created sample line");
+            let cut = text.replacen(&format!("{sample}\n"), "", 1);
+            let errs = check(&cut, &required).unwrap_err();
+            assert_eq!(errs, [format!("required series {name} has no samples")]);
+        }
     }
 }

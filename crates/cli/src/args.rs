@@ -1,5 +1,6 @@
 //! Minimal hand-rolled option parsing: `--key value` flags plus bare
-//! positional arguments, collected in order.
+//! positional arguments, collected in order. A command names the flags
+//! it reads, and any other flag is an error.
 
 use std::collections::BTreeMap;
 
@@ -11,15 +12,27 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parse an argument list. Every `--key` consumes the following
-    /// token as its value; everything else is positional.
-    pub fn parse(args: &[String]) -> Result<Options, String> {
+    /// Parse an argument list for a command that reads the flags
+    /// `known` (space-separated, without dashes). Every `--key`
+    /// consumes the following token as its value; everything else is
+    /// positional.
+    pub fn parse(args: &[String], known: &str) -> Result<Options, String> {
         let mut opts = Options::default();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
                 if key.is_empty() {
                     return Err("empty flag name".to_string());
+                }
+                if !known.split_whitespace().any(|flag| flag == key) {
+                    let known: Vec<&str> = known.split_whitespace().collect();
+                    return Err(match known.as_slice() {
+                        [] => format!("unknown flag --{key}; this command takes no flags"),
+                        _ => format!(
+                            "unknown flag --{key}; this command takes --{}",
+                            known.join(", --")
+                        ),
+                    });
                 }
                 let value = iter
                     .next()
@@ -65,7 +78,11 @@ mod tests {
 
     #[test]
     fn flags_and_positionals() {
-        let opts = Options::parse(&argv("file.json --seed 42 --scale quick extra")).unwrap();
+        let opts = Options::parse(
+            &argv("file.json --seed 42 --scale quick extra"),
+            "seed scale",
+        )
+        .unwrap();
         assert_eq!(opts.get("seed"), Some("42"));
         assert_eq!(opts.get("scale"), Some("quick"));
         assert_eq!(opts.positional(), &["file.json", "extra"]);
@@ -75,10 +92,16 @@ mod tests {
 
     #[test]
     fn errors() {
-        assert!(Options::parse(&argv("--seed")).is_err(), "missing value");
-        assert!(Options::parse(&argv("--seed 1 --seed 2")).is_err(), "dup");
         assert!(
-            Options::parse(&argv("--seed abc"))
+            Options::parse(&argv("--seed"), "seed").is_err(),
+            "missing value"
+        );
+        assert!(
+            Options::parse(&argv("--seed 1 --seed 2"), "seed").is_err(),
+            "dup"
+        );
+        assert!(
+            Options::parse(&argv("--seed abc"), "seed")
                 .unwrap()
                 .get_u64("seed", 0)
                 .is_err(),
@@ -87,8 +110,26 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_are_named() {
+        let known = "machines seed";
+        assert_eq!(
+            Options::parse(&argv("--machnes 5 --sed 3"), known),
+            Err("unknown flag --machnes; this command takes --machines, --seed".to_string())
+        );
+        assert_eq!(
+            Options::parse(&argv("--machines 5 --sed 3"), known),
+            Err("unknown flag --sed; this command takes --machines, --seed".to_string())
+        );
+        assert_eq!(
+            Options::parse(&argv("store.ktstore --seed 1"), ""),
+            Err("unknown flag --seed; this command takes no flags".to_string())
+        );
+        assert!(Options::parse(&argv("--machines 5 --seed 3"), known).is_ok());
+    }
+
+    #[test]
     fn empty_input() {
-        let opts = Options::parse(&[]).unwrap();
+        let opts = Options::parse(&[], "").unwrap();
         assert!(opts.positional().is_empty());
         assert_eq!(opts.get("anything"), None);
     }

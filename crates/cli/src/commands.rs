@@ -15,116 +15,204 @@ use knock_talk::{RunOpts, SnapshotStudy, SnapshotStudyConfig, Study, StudyConfig
 
 use crate::args::Options;
 
+/// The usage text `knocktalk help` prints. Under USAGE every flag a
+/// command reads is listed (the tests hold [`COMMANDS`] to it).
+const HELP: &str = "\
+knocktalk — reproduce 'Knock and Talk' (IMC 2021)
+
+USAGE:
+  knocktalk repro    [--scale quick|standard|paper] [--seed N] [--id T5]
+                     [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]
+                     [--flush-every BYTES] [--group-frames N]
+  knocktalk crawl    [--os windows|linux|mac] [--scale ...] [--seed N] [--save FILE]
+                     [--profile naive|headless-patched|stealth|human-replay]
+                     [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]
+                     [--flush-every BYTES] [--group-frames N]
+  knocktalk bias     [--seed N] [--workers N] [--out FILE] [--metrics-out FILE]
+  knocktalk resume   <study.ktj> [--id T5] [--metrics-out FILE] [--trace-out FILE]
+  knocktalk fsck     <journal.ktj|store.ktstore|DIR> [--repair yes]
+  knocktalk analyze  <store.ktstore|journal.ktj>
+  knocktalk classify <netlog.json> [--os windows|linux|mac] [--loaded-at MS]
+                     [--domain NAME]
+  knocktalk entropy  [--machines N] [--seed N]
+  knocktalk scan     [--os windows|linux|mac] [--seed N] [--ports P,P,...]
+                     [--sequence P,P,P] [--payload HEX] [--udp yes] [--ipv6 yes]
+                     [--lan no] [--concurrency N] [--timeout-ms N] [--retries N]
+                     [--breaker-threshold N] [--breaker-cooldown-ms N]
+                     [--deadline-ms N] [--fault-rate R] [--agreement yes]
+                     [--sites N] [--metrics-out FILE]
+  knocktalk serve    [--tenants N] [--campaigns N] [--sites N] [--seed N]
+                     [--workers N] [--queue-capacity N] [--policy block|shed]
+                     [--max-campaigns N] [--max-visits N] [--deadline-ms N]
+                     [--storm yes] [--check invariants,tables] [--metrics-out FILE]
+                     [--journal-dir DIR] [--flush-every BYTES] [--group-frames N]
+  knocktalk snapshot crawl [--snapshots N] [--size N] [--churn R] [--relist R]
+                     [--content-churn R] [--seed N] [--workers N] [--full yes]
+                     [--store DIR] [--spill DIR] [--journal FILE] [--resume yes]
+                     [--kill-frames N] [--kill-mode mid-frame|post-frame]
+                     [--flush-every BYTES] [--group-frames N]
+                     [--metrics-out FILE] [--trace-out FILE]
+  knocktalk snapshot diff --store DIR [--mode mmap|resident] [--workers N]
+                     [--snapshots L1,L2,...] [--out FILE] [--metrics-out FILE]
+                     [--trace-out FILE]
+  knocktalk snapshot gc --store DIR [--mode mmap|resident] [--keep N]
+  knocktalk health   [--scale quick|standard|paper] [--seed N] [--workers N]
+  knocktalk profile  [--scale quick|standard|paper] [--seed N] [--workers N]
+                     [--metrics-out FILE] [--trace-out FILE]
+  knocktalk help
+
+repro and crawl also accept:
+  --workers N        override the worker-thread count
+  --flush-every B    bytes of visit payload between journal FLUSH fsyncs
+  --group-frames N   journal frames per group-commit write (1 = unbatched)
+  --metrics-out FILE write the campaign's metrics registry in Prometheus
+                     text exposition format (worker-count-invariant)
+  --trace-out FILE   write the span/event trace (simulated clock) as JSONL
+
+A flag a command does not read is an error. Yes/no switches take
+exactly `yes` or `no`.
+
+COMMANDS:
+  repro     regenerate the paper's tables and figures (all, or one --id);
+            --journal writes a checksummed write-ahead log (KTSTORE2) so a
+            crash can be resumed; --kill-frames N simulates `kill -9` while
+            writing frame N (mid-frame tears it, post-frame dies just after)
+  crawl     run one campaign on one OS and print Table-1 statistics
+            (--journal/--kill-frames work here too; resume is study-level);
+            --profile selects how the crawler presents to anti-bot sensors
+  bias      crawl the sensor-planted population once per crawler profile and
+            print observed-vs-true local-activity rates with per-archetype
+            confusion cells — the measurement bias a detectable crawler
+            suffers; the table is byte-identical for any --workers
+  resume    replay a study journal, re-run only what the crash lost, and
+            print the tables — byte-identical to a run that never crashed;
+            the worker count and journal cadence come from the journal
+  fsck      store doctor: scan a journal or a saved store (both KTSTORE2
+            frames) for torn tails, bad CRCs, duplicate, orphan and missing
+            records; --repair yes quarantines the damage and rewrites a
+            clean file (fsync-before-rename). Given a snapshot store
+            directory (snapshot crawl --store), it CRC-checks every segment,
+            re-hashes every chunk, reconciles refcounts, and flags dangling
+            rows and stray segment files; --repair is refused there. Damage
+            left unrepaired fails the exit code
+  analyze   load a saved store (crawl --save) or a journal — one KTSTORE2
+            frame format — and report local activity
+  classify  analyse a Chrome NetLog JSON capture for local traffic
+  entropy   measure the fingerprinting entropy of the observed scans
+  scan      actively knock loopback (and LAN) ports on a simulated machine:
+            TCP plus optional UDP and IPv6 sweeps, ordered knock sequences,
+            shared retry/backoff policy, per-host circuit breakers, and a
+            total deadline budget that degrades to an explicit unprobed set;
+            results are byte-identical for any --concurrency; --fault-rate R
+            arms a seeded fault storm; --agreement yes cross-validates the
+            active scan against the passive 20 s capture window and prints
+            the per-class agreement matrix
+  serve     run a synthetic multi-tenant fleet through the resident campaign
+            service (admission control, bounded queues, deadline budgets);
+            --storm yes arms a deterministic fault storm, --check fails the
+            exit code unless degradation was deterministic and accounted
+  snapshot  the longitudinal engine. `crawl` runs an N-snapshot series over a
+            churning top list: snapshot 0 is crawled in full, later snapshots
+            recrawl only changed or newly-listed sites and link unchanged rows
+            by content reference (--full yes forces full recrawls). --store DIR
+            persists the content-addressed dedup store: sealed chunks-NNNN.ktc
+            segment files (KTSTORE2 CRC frames: hash, refcount, canonical
+            record bytes) plus a MANIFEST.json listing the segments and
+            mapping each snapshot's (domain, os) rows to chunk hashes —
+            identical content across snapshots is stored once. `diff`
+            streams N manifests shard-parallel (zero-copy mmap by default)
+            and prints adoption curves, behaviour churn matrices, and
+            population flows, byte-identical for any --workers. `gc` drops
+            all but the newest --keep snapshots, sweeps unreferenced chunks,
+            and rewrites the store compacted (new segments first, the
+            manifest swapped in atomically, then the old segments removed).
+            `diff` and `gc` refuse a store `fsck` would report damaged
+            (stray segment files aside)
+  health    run the study and print the crawl health report
+            (retries, recrawls, recoveries, quarantines per campaign/OS)
+  profile   run the study under the stage profiler and print per-stage
+            real time, simulated time, and allocator traffic
+";
+
 /// Print usage.
 pub fn help() {
-    println!(
-        "knocktalk — reproduce 'Knock and Talk' (IMC 2021)\n\
-         \n\
-         USAGE:\n\
-           knocktalk repro    [--scale quick|standard|paper] [--seed N] [--id T5]\n\
-                              [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]\n\
-                              [--flush-every BYTES] [--group-frames N]\n\
-           knocktalk crawl    [--os windows|linux|mac] [--scale ...] [--seed N] [--save FILE]\n\
-                              [--profile naive|headless-patched|stealth|human-replay]\n\
-                              [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]\n\
-                              [--flush-every BYTES] [--group-frames N]\n\
-           knocktalk bias     [--seed N] [--workers N] [--out FILE] [--metrics-out FILE]\n\
-           knocktalk resume   <study.ktj> [--id T5]\n\
-           knocktalk fsck     <journal.ktj|store.ktstore|DIR> [--repair yes]\n\
-           knocktalk analyze  <store.ktstore|journal.ktj>\n\
-           knocktalk classify <netlog.json> [--os windows|linux|mac] [--loaded-at MS]\n\
-                              [--domain NAME]\n\
-           knocktalk entropy  [--machines N] [--seed N]\n\
-           knocktalk scan     [--os windows|linux|mac] [--seed N] [--ports P,P,...]\n\
-                              [--sequence P,P,P] [--payload HEX] [--udp yes] [--ipv6 yes]\n\
-                              [--lan no] [--concurrency N] [--timeout-ms N] [--retries N]\n\
-                              [--breaker-threshold N] [--breaker-cooldown-ms N]\n\
-                              [--deadline-ms N] [--fault-rate R] [--agreement yes]\n\
-                              [--sites N] [--metrics-out FILE]\n\
-           knocktalk serve    [--tenants N] [--campaigns N] [--sites N] [--seed N]\n\
-                              [--workers N] [--queue-capacity N] [--policy block|shed]\n\
-                              [--max-campaigns N] [--max-visits N] [--deadline-ms N]\n\
-                              [--storm yes] [--check invariants,tables] [--metrics-out FILE]\n\
-                              [--journal-dir DIR] [--flush-every BYTES] [--group-frames N]\n\
-           knocktalk snapshot crawl [--snapshots N] [--size N] [--churn R] [--relist R]\n\
-                              [--content-churn R] [--seed N] [--workers N] [--full yes]\n\
-                              [--store DIR] [--spill DIR] [--journal FILE] [--resume yes]\n\
-                              [--kill-frames N] [--kill-mode mid-frame|post-frame]\n\
-                              [--metrics-out FILE]\n\
-           knocktalk snapshot diff --store DIR [--mode mmap|resident] [--workers N]\n\
-                              [--snapshots L1,L2,...] [--out FILE] [--metrics-out FILE]\n\
-           knocktalk snapshot gc --store DIR [--keep N]\n\
-           knocktalk health   [--scale quick|standard|paper] [--seed N]\n\
-           knocktalk profile  [--scale quick|standard|paper] [--seed N] [--workers N]\n\
-           knocktalk help\n\
-         \n\
-         repro, crawl, and resume also accept:\n\
-           --workers N        override the worker-thread count\n\
-           --flush-every B    bytes of visit payload between journal FLUSH fsyncs\n\
-           --group-frames N   journal frames per group-commit write (1 = unbatched)\n\
-           --metrics-out FILE write the campaign's metrics registry in Prometheus\n\
-                              text exposition format (worker-count-invariant)\n\
-           --trace-out FILE   write the span/event trace (simulated clock) as JSONL\n\
-         \n\
-         COMMANDS:\n\
-           repro     regenerate the paper's tables and figures (all, or one --id);\n\
-                     --journal writes a checksummed write-ahead log (KTSTORE2) so a\n\
-                     crash can be resumed; --kill-frames N simulates `kill -9` while\n\
-                     writing frame N (mid-frame tears it, post-frame dies just after)\n\
-           crawl     run one campaign on one OS and print Table-1 statistics\n\
-                     (--journal/--kill-frames work here too; resume is study-level);\n\
-                     --profile selects how the crawler presents to anti-bot sensors\n\
-           bias      crawl the sensor-planted population once per crawler profile and\n\
-                     print observed-vs-true local-activity rates with per-archetype\n\
-                     confusion cells — the measurement bias a detectable crawler\n\
-                     suffers; the table is byte-identical for any --workers\n\
-           resume    replay a study journal, re-run only what the crash lost, and\n\
-                     print the tables — byte-identical to a run that never crashed\n\
-           fsck      store doctor: scan a journal or a saved store (both KTSTORE2\n\
-                     frames) for torn tails, bad CRCs, duplicate, orphan and missing\n\
-                     records; --repair yes quarantines the damage and rewrites a\n\
-                     clean file (fsync-before-rename). Given a snapshot store\n\
-                     directory (snapshot crawl --store), it CRC-checks every segment,\n\
-                     re-hashes every chunk, reconciles refcounts, and flags dangling\n\
-                     rows and stray segment files; --repair is refused there. Damage\n\
-                     left unrepaired fails the exit code\n\
-           analyze   load a saved store (crawl --save) or a journal — one KTSTORE2\n\
-                     frame format — and report local activity\n\
-           classify  analyse a Chrome NetLog JSON capture for local traffic\n\
-           entropy   measure the fingerprinting entropy of the observed scans\n\
-           scan      actively knock loopback (and LAN) ports on a simulated machine:\n\
-                     TCP plus optional UDP and IPv6 sweeps, ordered knock sequences,\n\
-                     shared retry/backoff policy, per-host circuit breakers, and a\n\
-                     total deadline budget that degrades to an explicit unprobed set;\n\
-                     results are byte-identical for any --concurrency; --fault-rate R\n\
-                     arms a seeded fault storm; --agreement yes cross-validates the\n\
-                     active scan against the passive 20 s capture window and prints\n\
-                     the per-class agreement matrix\n\
-           serve     run a synthetic multi-tenant fleet through the resident campaign\n\
-                     service (admission control, bounded queues, deadline budgets);\n\
-                     --storm yes arms a deterministic fault storm, --check fails the\n\
-                     exit code unless degradation was deterministic and accounted\n\
-           snapshot  the longitudinal engine. `crawl` runs an N-snapshot series over a\n\
-                     churning top list: snapshot 0 is crawled in full, later snapshots\n\
-                     recrawl only changed or newly-listed sites and link unchanged rows\n\
-                     by content reference (--full yes forces full recrawls). --store DIR\n\
-                     persists the content-addressed dedup store: sealed chunks-NNNN.ktc\n\
-                     segment files (KTSTORE2 CRC frames: hash, refcount, canonical\n\
-                     record bytes) plus a MANIFEST.json listing the segments and\n\
-                     mapping each snapshot's (domain, os) rows to chunk hashes —\n\
-                     identical content across snapshots is stored once. `diff`\n\
-                     streams N manifests shard-parallel (zero-copy mmap by default)\n\
-                     and prints adoption curves, behaviour churn matrices, and\n\
-                     population flows, byte-identical for any --workers. `gc` drops all but the newest --keep snapshots, sweeps\n\
-                     unreferenced chunks, and rewrites the store compacted (new\n\
-                     segments first, the manifest swapped in atomically, then the old\n\
-                     segments removed). `diff` and `gc` refuse a store `fsck` would\n\
-                     report damaged (stray segment files aside)\n\
-           health    run the study and print the crawl health report\n\
-                     (retries, recrawls, recoveries, quarantines per campaign/OS)\n\
-           profile   run the study under the stage profiler and print per-stage\n\
-                     real time, simulated time, and allocator traffic"
-    );
+    print!("{HELP}");
+}
+
+/// A command's implementation.
+pub type Run = fn(&Options) -> Result<(), String>;
+
+/// Every command (a `snapshot` subcommand by both words), the flags it
+/// reads, and the function that runs it.
+const COMMANDS: &[(&str, &str, Run)] = &[
+    (
+        "repro",
+        "scale seed workers id journal kill-frames kill-mode flush-every group-frames \
+         metrics-out trace-out",
+        repro,
+    ),
+    (
+        "crawl",
+        "os scale seed workers save profile journal kill-frames kill-mode flush-every \
+         group-frames metrics-out trace-out",
+        crawl,
+    ),
+    ("bias", "seed workers out metrics-out", bias),
+    ("resume", "id metrics-out trace-out", resume),
+    ("fsck", "repair", fsck),
+    ("analyze", "", analyze),
+    ("classify", "os loaded-at domain", classify),
+    ("entropy", "machines seed", entropy),
+    (
+        "scan",
+        "os seed ports sequence payload udp ipv6 lan concurrency timeout-ms retries \
+         breaker-threshold breaker-cooldown-ms deadline-ms fault-rate agreement sites \
+         metrics-out",
+        scan,
+    ),
+    (
+        "serve",
+        "tenants campaigns sites seed workers queue-capacity policy max-campaigns max-visits \
+         deadline-ms storm check metrics-out journal-dir flush-every group-frames",
+        serve,
+    ),
+    (
+        "snapshot crawl",
+        "snapshots size churn relist content-churn seed workers full store spill journal \
+         resume kill-frames kill-mode flush-every group-frames metrics-out trace-out",
+        snapshot_crawl,
+    ),
+    (
+        "snapshot diff",
+        "store mode workers snapshots out metrics-out trace-out",
+        snapshot_diff,
+    ),
+    ("snapshot gc", "store mode keep", snapshot_gc),
+    ("health", "scale seed workers", health),
+    (
+        "profile",
+        "scale seed workers metrics-out trace-out",
+        profile,
+    ),
+];
+
+/// Look up `name` (with its subcommand, the first of `rest`, for
+/// `snapshot`): the flags it reads, space-separated, and the function
+/// that runs it.
+pub fn lookup(name: &str, rest: &[String]) -> Result<(&'static str, Run), String> {
+    let key = match (name, rest.first()) {
+        ("snapshot", Some(sub)) => format!("snapshot {sub}"),
+        ("snapshot", None) => return Err("snapshot needs a subcommand: crawl | diff | gc".into()),
+        _ => name.to_string(),
+    };
+    match COMMANDS.iter().find(|(command, _, _)| *command == key) {
+        Some(&(_, flags, run)) => Ok((flags, run)),
+        None if name == "snapshot" => Err(format!(
+            "unknown snapshot subcommand {:?}; expected crawl | diff | gc",
+            rest[0]
+        )),
+        None => Err(format!("unknown command {name:?}; try `knocktalk help`")),
+    }
 }
 
 fn study_config(opts: &Options) -> Result<StudyConfig, String> {
@@ -578,7 +666,7 @@ pub fn fsck(opts: &Options) -> Result<(), String> {
         .positional()
         .first()
         .ok_or("fsck needs a journal or saved-store file or a snapshot store directory")?;
-    let repair = matches!(opts.get("repair"), Some("yes" | "true" | "1"));
+    let repair = parse_switch(opts, "repair", false)?;
     if std::path::Path::new(path).is_dir() {
         if repair {
             return Err(format!(
@@ -728,10 +816,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         "shed" => OverflowPolicy::Shed,
         other => return Err(format!("unknown --policy {other:?} (block|shed)")),
     };
-    let storm = matches!(
-        opts.get("storm").unwrap_or("no"),
-        "yes" | "on" | "true" | "1"
-    );
+    let storm = parse_switch(opts, "storm", false)?;
     let journal_dir = opts.get("journal-dir").map(std::path::PathBuf::from);
     let journal_config = journal_config_from_opts(opts)?;
     let quota = TenantQuota {
@@ -1110,19 +1195,6 @@ fn snapshot_study_config(opts: &Options) -> Result<SnapshotStudyConfig, String> 
     Ok(config)
 }
 
-/// `knocktalk snapshot` — dispatch on the subcommand positional.
-pub fn snapshot(opts: &Options) -> Result<(), String> {
-    match opts.positional().first().map(String::as_str) {
-        Some("crawl") => snapshot_crawl(opts),
-        Some("diff") => snapshot_diff(opts),
-        Some("gc") => snapshot_gc(opts),
-        Some(other) => Err(format!(
-            "unknown snapshot subcommand {other:?}; expected crawl | diff | gc"
-        )),
-        None => Err("snapshot needs a subcommand: crawl | diff | gc".to_string()),
-    }
-}
-
 /// `knocktalk snapshot crawl`.
 fn snapshot_crawl(opts: &Options) -> Result<(), String> {
     let config = snapshot_study_config(opts)?;
@@ -1258,8 +1330,102 @@ fn snapshot_gc(opts: &Options) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_string).collect()
+    }
+
     fn classify_file(path: &std::path::Path) -> Result<(), String> {
-        classify(&Options::parse(&[path.display().to_string()]).unwrap())
+        classify(&Options::parse(&[path.display().to_string()], "").unwrap())
+    }
+
+    /// The USAGE block: every line up to the first blank one.
+    fn usage() -> Vec<&'static str> {
+        let (_, rest) = HELP.split_once("USAGE:\n").expect("USAGE header");
+        rest.lines().take_while(|line| !line.is_empty()).collect()
+    }
+
+    #[test]
+    fn help_keeps_usage_continuation_lines_indented() {
+        for line in usage() {
+            assert!(
+                line.starts_with(char::is_whitespace),
+                "usage line flush left: {line:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn help_lists_exactly_the_flags_each_command_reads() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let flags_in = |line: &str| -> Vec<String> {
+            line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"))
+                .map(str::to_string)
+                .collect()
+        };
+        let mut listed: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut command = String::new();
+        for line in usage() {
+            if let Some(entry) = line.trim_start().strip_prefix("knocktalk ") {
+                let mut words = entry.split_whitespace();
+                command = words.next().expect("command").to_string();
+                if command == "snapshot" {
+                    command = format!("snapshot {}", words.next().expect("subcommand"));
+                }
+            }
+            listed
+                .entry(command.clone())
+                .or_default()
+                .extend(flags_in(line));
+        }
+        let (_, shared) = HELP
+            .split_once("repro and crawl also accept:\n")
+            .expect("shared flags");
+        for line in shared.lines().take_while(|line| !line.is_empty()) {
+            for command in ["repro", "crawl"] {
+                listed.get_mut(command).unwrap().extend(flags_in(line));
+            }
+        }
+        listed.remove("help");
+        let read: BTreeMap<String, BTreeSet<String>> = COMMANDS
+            .iter()
+            .map(|(command, flags, _)| {
+                let flags = flags.split_whitespace().map(str::to_string).collect();
+                (command.to_string(), flags)
+            })
+            .collect();
+        assert_eq!(listed, read);
+    }
+
+    #[test]
+    fn lookup_parses_with_the_command_flags() {
+        let parse = |line: &str| -> Result<Options, String> {
+            let argv = argv(line);
+            let (flags, _) = lookup(&argv[0], &argv[1..])?;
+            Options::parse(&argv[1..], flags)
+        };
+        assert!(parse("entropy --machines 5 --seed 3").is_ok());
+        let err = parse("entropy --machnes 5 --sed 3").unwrap_err();
+        assert!(err.contains("--machnes"), "{err}");
+        assert!(parse("snapshot diff --store s --workers 8").is_ok());
+        assert!(parse("snapshot gc --store s --workers 8").is_err());
+        assert!(parse("snapshot --store s").is_err());
+        assert!(parse("resume study.ktj --workers 8").is_err());
+        assert!(parse("bogus").unwrap_err().contains("unknown command"));
+    }
+
+    #[test]
+    fn yes_no_switches_refuse_other_spellings() {
+        let opts = Options::parse(&argv("missing.ktj --repair maybe"), "repair").unwrap();
+        assert_eq!(
+            fsck(&opts),
+            Err("flag --repair expects yes|no, got \"maybe\"".to_string())
+        );
+        let opts = Options::parse(&argv("--storm on"), "storm").unwrap();
+        assert_eq!(
+            serve(&opts),
+            Err("flag --storm expects yes|no, got \"on\"".to_string())
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The metric-name schema: every series the pipeline exports, declared
-//! in one place so producers and the CI checker agree on spelling.
+//! once as a row of [`SERIES`]. The `pub const` names producers use,
+//! the registry's help text ([`describe_defaults`]) and the series CI
+//! requires in every export ([`pre_created`]) all come from that table.
 //!
 //! Naming rules (see DESIGN.md §13):
 //! - counters end in `_total`; gauges and histograms name their unit
@@ -16,480 +18,268 @@
 
 use crate::metrics::{HistogramSpec, Labels, Registry};
 
-/// Sites whose crawl reached a terminal verdict. Labels: crawl, os.
-pub const VISITS_TOTAL: &str = "visits_total";
-/// Visits whose final attempt loaded cleanly. Labels: crawl, os.
-pub const SUCCESS_TOTAL: &str = "success_total";
-/// In-place retry attempts after transient failures. Labels: crawl, os.
-pub const RETRIES_TOTAL: &str = "retries_total";
-/// Sites queued for the end-of-campaign recrawl pass. Labels: crawl, os.
-pub const RECRAWLED_TOTAL: &str = "recrawled_total";
-/// Sites that succeeded only on the recrawl pass. Labels: crawl, os.
-pub const RECOVERED_TOTAL: &str = "recovered_total";
-/// Sites abandoned after exhausting every attempt. Labels: crawl, os.
-pub const GAVE_UP_TOTAL: &str = "gave_up_total";
-/// Browser panics quarantined by the supervisor. Labels: crawl, os.
-pub const CRASHED_TOTAL: &str = "crashed_total";
-/// Store appends retried after injected failures. Labels: crawl, os.
-pub const STORE_RETRIES_TOTAL: &str = "store_retries_total";
-/// Final-attempt failures by Chrome net_error. Labels: crawl, os, error.
-pub const FAILURES_TOTAL: &str = "failures_total";
-
-/// Journal frames appended (all kinds). No labels.
-pub const JOURNAL_FRAMES_TOTAL: &str = "journal_frames_total";
-/// Visit frames appended to the journal. No labels.
-pub const JOURNAL_VISITS_TOTAL: &str = "journal_visits_total";
-/// Checkpoint frames appended to the journal. No labels.
-pub const JOURNAL_CHECKPOINTS_TOTAL: &str = "journal_checkpoints_total";
-/// Bytes appended to the journal. No labels.
-pub const JOURNAL_BYTES_TOTAL: &str = "journal_bytes_total";
-/// fsync calls issued by the journal writer. No labels.
-pub const JOURNAL_FSYNCS_TOTAL: &str = "journal_fsyncs_total";
-/// Batched group-commit writes that drained the journal's frame
-/// buffer. No labels.
-pub const JOURNAL_GROUP_COMMITS_TOTAL: &str = "journal_group_commits_total";
-/// Frames whose write syscall was amortized by a group of more than
-/// one. No labels.
-pub const JOURNAL_GROUPED_FRAMES_TOTAL: &str = "journal_grouped_frames_total";
-/// Frames appended per fsync (the group-commit amortization). No
-/// labels.
-pub const JOURNAL_FRAMES_PER_FSYNC: &str = "journal_frames_per_fsync";
-
-/// Local-network observations found by analysis. Labels: crawl.
-pub const LOCAL_OBSERVATIONS_TOTAL: &str = "local_observations_total";
-
-/// Knock attempts sent by the active scanner, retries included. No
-/// labels.
-pub const SCAN_KNOCKS_TOTAL: &str = "scan_knocks_total";
-/// Knock retries after transient probe failures. No labels.
-pub const SCAN_RETRIES_TOTAL: &str = "scan_retries_total";
-/// Knock attempts that hit the per-knock timeout. No labels.
-pub const SCAN_TIMEOUTS_TOTAL: &str = "scan_timeouts_total";
-/// Per-host circuit-breaker trips during a scan. No labels.
-pub const SCAN_BREAKER_TRIPS_TOTAL: &str = "scan_breaker_trips_total";
-/// Knocks skipped because the target host's breaker was open. No
-/// labels.
-pub const SCAN_BREAKER_SKIPS_TOTAL: &str = "scan_breaker_skips_total";
-/// Targets left unprobed when the scan's deadline budget ran out. No
-/// labels.
-pub const SCAN_UNPROBED_TOTAL: &str = "scan_unprobed_total";
-/// Ports the active scanner confirmed open. No labels.
-pub const SCAN_OPEN_PORTS: &str = "scan_open_ports";
-/// Cross-validation cells where passive detection and the active scan
-/// agree a behaviour is present. Labels: reason.
-pub const SCAN_AGREEMENT_BOTH_TOTAL: &str = "scan_agreement_both_total";
-/// Cells where only the 20-second passive window saw the behaviour.
-/// Labels: reason.
-pub const SCAN_AGREEMENT_PASSIVE_ONLY_TOTAL: &str = "scan_agreement_passive_only_total";
-/// Cells where only the active scan saw the behaviour (passive false
-/// negatives, typically late-firing scripts). Labels: reason.
-pub const SCAN_AGREEMENT_ACTIVE_ONLY_TOTAL: &str = "scan_agreement_active_only_total";
-/// Cells where neither side saw the behaviour. Labels: reason.
-pub const SCAN_AGREEMENT_NEITHER_TOTAL: &str = "scan_agreement_neither_total";
-
-/// Ground-truth locally-active sites planted in the bias population
-/// (profile-invariant by construction; exported per profile so the
-/// checker can assert the invariance). Labels: profile.
-pub const BIAS_TRUE_SITES_TOTAL: &str = "bias_true_sites_total";
-/// Ground-truth sites the profile's crawl actually observed as locally
-/// active. Labels: profile.
-pub const BIAS_OBSERVED_SITES_TOTAL: &str = "bias_observed_sites_total";
-/// Ground-truth sites missing from the profile's crawl — behaviour the
-/// sensors suppressed, delayed past the window, or swapped away (plus
-/// the profile-invariant availability misses). Labels: profile.
-pub const BIAS_SUPPRESSED_SITES_TOTAL: &str = "bias_suppressed_sites_total";
-/// Sensored ground-truth sites invisible to the profile, split by the
-/// deployed sensor archetype. Labels: profile, archetype.
-pub const BIAS_HIDDEN_SITES_TOTAL: &str = "bias_hidden_sites_total";
-/// observed sites / true sites for the profile (the headline bias
-/// figure; 1.0 = unbiased). Labels: profile.
-pub const BIAS_OBSERVED_RATIO: &str = "bias_observed_ratio";
-
-/// Visits executed by the longitudinal snapshot engine (changed +
-/// fresh sites only; derived from the incremental plan, so the value
-/// is identical across worker counts and kill/resume). No labels.
-pub const SNAPSHOT_VISITS_TOTAL: &str = "snapshot_visits_total";
-/// Visits a full per-snapshot recrawl would have executed (every
-/// listed site, every crawled OS). No labels.
-pub const SNAPSHOT_FULL_VISITS_TOTAL: &str = "snapshot_full_visits_total";
-/// Manifest rows linked to the prior snapshot's chunks by reference
-/// instead of being crawled. No labels.
-pub const SNAPSHOT_LINKED_TOTAL: &str = "snapshot_linked_total";
-/// Chunks newly written to the content-addressed snapshot store
-/// (deduplicated ingests don't count). No labels.
-pub const SNAPSHOT_CHUNKS_TOTAL: &str = "snapshot_chunks_total";
-/// logical bytes / stored bytes of the snapshot store (≥ 1). No labels.
-pub const SNAPSHOT_DEDUP_RATIO: &str = "snapshot_dedup_ratio";
-/// Bytes the snapshot store actually holds (each chunk once). No labels.
-pub const SNAPSHOT_STORED_BYTES: &str = "snapshot_stored_bytes";
-/// Bytes the snapshots would occupy stored flat. No labels.
-pub const SNAPSHOT_LOGICAL_BYTES: &str = "snapshot_logical_bytes";
-/// executed visits / full-recrawl visits over the whole series (the
-/// incremental-crawl work fraction; lower is better). No labels.
-pub const SNAPSHOT_INCREMENTAL_FRACTION: &str = "snapshot_incremental_fraction";
-
-/// Campaigns accepted by service admission control. Labels: tenant.
-pub const SERVICE_ADMITTED_TOTAL: &str = "service_admitted_total";
-/// Campaigns rejected at admission. Labels: tenant, reason.
-pub const SERVICE_REJECTED_TOTAL: &str = "service_rejected_total";
-/// Admitted campaigns that ran to completion. Labels: tenant.
-pub const SERVICE_COMPLETED_TOTAL: &str = "service_completed_total";
-/// Admitted campaigns cancelled by deadline budget. Labels: tenant.
-pub const SERVICE_SHED_TOTAL: &str = "service_shed_total";
-/// Admitted campaigns still in flight when the service drained.
-/// Labels: tenant.
-pub const SERVICE_DRAINED_TOTAL: &str = "service_drained_total";
-/// Visit-result updates enqueued toward online aggregation.
-/// Labels: tenant.
-pub const SERVICE_UPDATES_TOTAL: &str = "service_updates_total";
-/// Updates shed by the bounded queue's overflow policy. Labels: tenant.
-pub const SERVICE_UPDATES_SHED_TOTAL: &str = "service_updates_shed_total";
-/// Producer stalls absorbed by the Block overflow policy.
-/// Labels: tenant.
-pub const SERVICE_QUEUE_BLOCKS_TOTAL: &str = "service_queue_blocks_total";
-/// Modeled high-water depth of the bounded result queue (deterministic
-/// single-server queue model, not the physical channel). Labels: tenant.
-pub const SERVICE_QUEUE_DEPTH: &str = "service_queue_depth";
-
-/// Distinct sites with local traffic. Labels: crawl, locality.
-pub const LOCAL_SITES: &str = "local_sites";
-/// Telemetry records analyzed per campaign. Labels: crawl.
-pub const STORE_RECORDS: &str = "store_records";
-/// successful / attempted for the campaign. Labels: crawl, os.
-pub const CRAWL_SUCCESS_RATIO: &str = "crawl_success_ratio";
-/// Records written by `persist::save`. No labels.
-pub const SAVE_RECORDS: &str = "save_records";
-/// Bytes written by `persist::save`. No labels.
-pub const SAVE_BYTES: &str = "save_bytes";
-/// fsyncs issued by `persist::save`. No labels.
-pub const SAVE_FSYNCS: &str = "save_fsyncs";
-
-/// Simulated seconds per analysis stage, recorded in microseconds
-/// under the deterministic per-element cost model (see DESIGN.md §13)
-/// so the distribution is identical across worker counts.
-/// Labels: crawl, stage.
-pub static ANALYSIS_STAGE_SECONDS: HistogramSpec = HistogramSpec {
-    name: "analysis_stage_seconds",
-    help: "Simulated seconds spent per analysis stage (deterministic cost model)",
-    buckets: &[
-        100,        // 100 µs
-        1_000,      // 1 ms
-        10_000,     // 10 ms
-        100_000,    // 100 ms
-        1_000_000,  // 1 s
-        10_000_000, // 10 s
-        60_000_000, // 1 min
-    ],
-    scale_exp: -6,
-};
-
-/// Simulated seconds per knock (attempt latency under the latency
-/// model, fault delays included), recorded in milliseconds so the
-/// distribution is identical across probe-worker counts.
-/// No labels.
-pub static SCAN_KNOCK_SECONDS: HistogramSpec = HistogramSpec {
-    name: "scan_knock_seconds",
-    help: "Simulated seconds per knock attempt (deterministic latency model)",
-    buckets: &[
-        1,      // 1 ms (loopback RST)
-        5,      // 5 ms
-        20,     // 20 ms
-        100,    // 100 ms
-        500,    // 500 ms
-        1_000,  // 1 s (typical per-knock timeout)
-        5_000,  // 5 s
-        30_000, // 30 s (fabric connect timeout)
-    ],
-    scale_exp: -3,
-};
-
-/// The scanner counters every scan exports, in declaration order.
-pub const SCAN_COUNTERS: [&str; 10] = [
-    SCAN_KNOCKS_TOTAL,
-    SCAN_RETRIES_TOTAL,
-    SCAN_TIMEOUTS_TOTAL,
-    SCAN_BREAKER_TRIPS_TOTAL,
-    SCAN_BREAKER_SKIPS_TOTAL,
-    SCAN_UNPROBED_TOTAL,
-    SCAN_AGREEMENT_BOTH_TOTAL,
-    SCAN_AGREEMENT_PASSIVE_ONLY_TOTAL,
-    SCAN_AGREEMENT_ACTIVE_ONLY_TOTAL,
-    SCAN_AGREEMENT_NEITHER_TOTAL,
-];
-
-/// The measurement-bias counters every bias sweep exports, in
-/// declaration order.
-pub const BIAS_COUNTERS: [&str; 4] = [
-    BIAS_TRUE_SITES_TOTAL,
-    BIAS_OBSERVED_SITES_TOTAL,
-    BIAS_SUPPRESSED_SITES_TOTAL,
-    BIAS_HIDDEN_SITES_TOTAL,
-];
-
-/// The longitudinal snapshot-engine counters, in declaration order.
-pub const SNAPSHOT_COUNTERS: [&str; 4] = [
-    SNAPSHOT_VISITS_TOTAL,
-    SNAPSHOT_FULL_VISITS_TOTAL,
-    SNAPSHOT_LINKED_TOTAL,
-    SNAPSHOT_CHUNKS_TOTAL,
-];
-
-/// The crawl-layer counters every campaign exports, in declaration
-/// order (render order is alphabetical regardless).
-pub const CRAWL_COUNTERS: [&str; 8] = [
-    VISITS_TOTAL,
-    SUCCESS_TOTAL,
-    RETRIES_TOTAL,
-    RECRAWLED_TOTAL,
-    RECOVERED_TOTAL,
-    GAVE_UP_TOTAL,
-    CRASHED_TOTAL,
-    STORE_RETRIES_TOTAL,
-];
-
-/// Declare help text for every schema metric and materialise the
-/// always-present zero-valued series (the journal counters exist even
-/// in un-journaled runs, so dashboards and the CI checker can rely on
-/// them unconditionally).
-pub fn describe_defaults(reg: &mut Registry) {
-    reg.describe_counter(VISITS_TOTAL, "Sites whose crawl reached a terminal verdict");
-    reg.describe_counter(SUCCESS_TOTAL, "Visits whose final attempt loaded cleanly");
-    reg.describe_counter(
-        RETRIES_TOTAL,
-        "In-place retry attempts after transient failures",
-    );
-    reg.describe_counter(
-        RECRAWLED_TOTAL,
-        "Sites queued for the end-of-campaign recrawl pass",
-    );
-    reg.describe_counter(
-        RECOVERED_TOTAL,
-        "Sites that succeeded only on the recrawl pass",
-    );
-    reg.describe_counter(
-        GAVE_UP_TOTAL,
-        "Sites abandoned after exhausting every attempt",
-    );
-    reg.describe_counter(
-        CRASHED_TOTAL,
-        "Browser panics quarantined by the supervisor",
-    );
-    reg.describe_counter(
-        STORE_RETRIES_TOTAL,
-        "Store appends retried after injected failures",
-    );
-    reg.describe_counter(FAILURES_TOTAL, "Final-attempt failures by Chrome net_error");
-    reg.describe_counter(JOURNAL_FRAMES_TOTAL, "Journal frames appended (all kinds)");
-    reg.describe_counter(JOURNAL_VISITS_TOTAL, "Visit frames appended to the journal");
-    reg.describe_counter(
-        JOURNAL_CHECKPOINTS_TOTAL,
-        "Checkpoint frames appended to the journal",
-    );
-    reg.describe_counter(JOURNAL_BYTES_TOTAL, "Bytes appended to the journal");
-    reg.describe_counter(
-        JOURNAL_FSYNCS_TOTAL,
-        "fsync calls issued by the journal writer",
-    );
-    reg.describe_counter(
-        JOURNAL_GROUP_COMMITS_TOTAL,
-        "Batched group-commit writes draining the journal frame buffer",
-    );
-    reg.describe_counter(
-        JOURNAL_GROUPED_FRAMES_TOTAL,
-        "Frames whose write syscall was amortized by a group commit",
-    );
-    reg.describe_gauge(
-        JOURNAL_FRAMES_PER_FSYNC,
-        "Frames appended per fsync (group-commit amortization)",
-    );
-    reg.describe_counter(
-        LOCAL_OBSERVATIONS_TOTAL,
-        "Local-network observations found by analysis",
-    );
-    reg.describe_counter(
-        SCAN_KNOCKS_TOTAL,
-        "Knock attempts sent by the active scanner, retries included",
-    );
-    reg.describe_counter(
-        SCAN_RETRIES_TOTAL,
-        "Knock retries after transient probe failures",
-    );
-    reg.describe_counter(
-        SCAN_TIMEOUTS_TOTAL,
-        "Knock attempts that hit the per-knock timeout",
-    );
-    reg.describe_counter(
-        SCAN_BREAKER_TRIPS_TOTAL,
-        "Per-host circuit-breaker trips during a scan",
-    );
-    reg.describe_counter(
-        SCAN_BREAKER_SKIPS_TOTAL,
-        "Knocks skipped because the target host's breaker was open",
-    );
-    reg.describe_counter(
-        SCAN_UNPROBED_TOTAL,
-        "Targets left unprobed when the scan deadline budget ran out",
-    );
-    reg.describe_gauge(SCAN_OPEN_PORTS, "Ports the active scanner confirmed open");
-    reg.describe_counter(
-        SCAN_AGREEMENT_BOTH_TOTAL,
-        "Cross-validation cells where passive and active detection agree",
-    );
-    reg.describe_counter(
-        SCAN_AGREEMENT_PASSIVE_ONLY_TOTAL,
-        "Cells only the 20-second passive window detected",
-    );
-    reg.describe_counter(
-        SCAN_AGREEMENT_ACTIVE_ONLY_TOTAL,
-        "Cells only the active scan detected (passive false negatives)",
-    );
-    reg.describe_counter(
-        SCAN_AGREEMENT_NEITHER_TOTAL,
-        "Cells where neither detection side fired",
-    );
-    reg.describe_counter(
-        BIAS_TRUE_SITES_TOTAL,
-        "Ground-truth locally-active sites planted in the bias population",
-    );
-    reg.describe_counter(
-        BIAS_OBSERVED_SITES_TOTAL,
-        "Ground-truth sites the profile's crawl observed as locally active",
-    );
-    reg.describe_counter(
-        BIAS_SUPPRESSED_SITES_TOTAL,
-        "Ground-truth sites missing from the profile's crawl",
-    );
-    reg.describe_counter(
-        BIAS_HIDDEN_SITES_TOTAL,
-        "Sensored ground-truth sites invisible to the profile, by archetype",
-    );
-    reg.describe_gauge(
-        BIAS_OBSERVED_RATIO,
-        "observed sites / true sites for the profile",
-    );
-    reg.describe_counter(
-        SNAPSHOT_VISITS_TOTAL,
-        "Visits executed by the longitudinal snapshot engine",
-    );
-    reg.describe_counter(
-        SNAPSHOT_FULL_VISITS_TOTAL,
-        "Visits a full per-snapshot recrawl would have executed",
-    );
-    reg.describe_counter(
-        SNAPSHOT_LINKED_TOTAL,
-        "Manifest rows linked to prior-snapshot chunks by reference",
-    );
-    reg.describe_counter(
-        SNAPSHOT_CHUNKS_TOTAL,
-        "Chunks newly written to the content-addressed snapshot store",
-    );
-    reg.describe_gauge(
-        SNAPSHOT_DEDUP_RATIO,
-        "logical bytes / stored bytes of the snapshot store",
-    );
-    reg.describe_gauge(
-        SNAPSHOT_STORED_BYTES,
-        "Bytes the snapshot store actually holds",
-    );
-    reg.describe_gauge(
-        SNAPSHOT_LOGICAL_BYTES,
-        "Bytes the snapshots would occupy stored flat",
-    );
-    reg.describe_gauge(
-        SNAPSHOT_INCREMENTAL_FRACTION,
-        "executed visits / full-recrawl visits over the snapshot series",
-    );
-    reg.describe_counter(
-        SERVICE_ADMITTED_TOTAL,
-        "Campaigns accepted by service admission control",
-    );
-    reg.describe_counter(SERVICE_REJECTED_TOTAL, "Campaigns rejected at admission");
-    reg.describe_counter(
-        SERVICE_COMPLETED_TOTAL,
-        "Admitted campaigns that ran to completion",
-    );
-    reg.describe_counter(
-        SERVICE_SHED_TOTAL,
-        "Admitted campaigns cancelled by deadline budget",
-    );
-    reg.describe_counter(
-        SERVICE_DRAINED_TOTAL,
-        "Admitted campaigns still in flight when the service drained",
-    );
-    reg.describe_counter(
-        SERVICE_UPDATES_TOTAL,
-        "Visit-result updates enqueued toward online aggregation",
-    );
-    reg.describe_counter(
-        SERVICE_UPDATES_SHED_TOTAL,
-        "Updates shed by the bounded queue's overflow policy",
-    );
-    reg.describe_counter(
-        SERVICE_QUEUE_BLOCKS_TOTAL,
-        "Producer stalls absorbed by the Block overflow policy",
-    );
-    reg.describe_gauge(
-        SERVICE_QUEUE_DEPTH,
-        "Modeled high-water depth of the bounded result queue",
-    );
-    reg.describe_gauge(
-        LOCAL_SITES,
-        "Distinct sites with local traffic, by locality",
-    );
-    reg.describe_gauge(STORE_RECORDS, "Telemetry records analyzed per campaign");
-    reg.describe_gauge(CRAWL_SUCCESS_RATIO, "successful visits / attempted visits");
-    reg.describe_gauge(SAVE_RECORDS, "Records written by the store snapshot");
-    reg.describe_gauge(SAVE_BYTES, "Bytes written by the store snapshot");
-    reg.describe_gauge(SAVE_FSYNCS, "fsyncs issued by the store snapshot");
-    reg.describe_histogram(&ANALYSIS_STAGE_SECONDS);
-    reg.describe_histogram(&SCAN_KNOCK_SECONDS);
-    reg.touch_histogram(&SCAN_KNOCK_SECONDS, Labels::empty());
-    for name in SCAN_COUNTERS {
-        reg.touch_counter(name, Labels::empty());
-    }
-    reg.set_gauge(SCAN_OPEN_PORTS, Labels::empty(), 0.0);
-    for name in BIAS_COUNTERS {
-        reg.touch_counter(name, Labels::empty());
-    }
-    reg.set_gauge(BIAS_OBSERVED_RATIO, Labels::empty(), 0.0);
-    for name in SNAPSHOT_COUNTERS {
-        reg.touch_counter(name, Labels::empty());
-    }
-    reg.set_gauge(SNAPSHOT_DEDUP_RATIO, Labels::empty(), 1.0);
-    reg.set_gauge(SNAPSHOT_STORED_BYTES, Labels::empty(), 0.0);
-    reg.set_gauge(SNAPSHOT_LOGICAL_BYTES, Labels::empty(), 0.0);
-    reg.set_gauge(SNAPSHOT_INCREMENTAL_FRACTION, Labels::empty(), 0.0);
-    for name in [
-        JOURNAL_FRAMES_TOTAL,
-        JOURNAL_VISITS_TOTAL,
-        JOURNAL_CHECKPOINTS_TOTAL,
-        JOURNAL_BYTES_TOTAL,
-        JOURNAL_FSYNCS_TOTAL,
-        JOURNAL_GROUP_COMMITS_TOTAL,
-        JOURNAL_GROUPED_FRAMES_TOTAL,
-        SERVICE_ADMITTED_TOTAL,
-        SERVICE_REJECTED_TOTAL,
-        SERVICE_COMPLETED_TOTAL,
-        SERVICE_SHED_TOTAL,
-        SERVICE_DRAINED_TOTAL,
-        SERVICE_UPDATES_TOTAL,
-        SERVICE_UPDATES_SHED_TOTAL,
-        SERVICE_QUEUE_BLOCKS_TOTAL,
-    ] {
-        reg.touch_counter(name, Labels::empty());
-    }
-    reg.set_gauge(SERVICE_QUEUE_DEPTH, Labels::empty(), 0.0);
+/// What a row declares: the registry kind, with a histogram's shape.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// A monotone sum, merged across workers.
+    Counter,
+    /// A supervisor-set absolute value.
+    Gauge,
+    /// Fixed-bucket observations.
+    Histogram(&'static HistogramSpec),
 }
 
-/// The per-tenant campaign accounting counters, in the order the
-/// shed-reconciliation invariant reads them: admitted = completed +
-/// shed + drained (+ still-running, zero once the service has drained).
-pub const SERVICE_CAMPAIGN_COUNTERS: [&str; 4] = [
-    SERVICE_ADMITTED_TOTAL,
-    SERVICE_COMPLETED_TOTAL,
-    SERVICE_SHED_TOTAL,
-    SERVICE_DRAINED_TOTAL,
-];
+/// One row of the schema.
+#[derive(Debug)]
+pub struct Series {
+    /// The exported metric name.
+    pub name: &'static str,
+    /// Counter, gauge, or histogram.
+    pub kind: Kind,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// The label keys the series may carry.
+    pub labels: &'static [&'static str],
+    /// The value every export pre-creates the unlabelled series at (a
+    /// histogram at zero observations); `None` when the series exists
+    /// only once something records it.
+    pub preset: Option<f64>,
+}
+
+/// Expands the rows into the `pub const` names (a `pub static`
+/// [`HistogramSpec`] for a histogram), documented by their help and
+/// labels, and into the [`SERIES`] table.
+macro_rules! schema {
+    ($($kind:ident $id:ident = $name:literal [$($label:ident),*] $(= $pre:literal)? $help:literal
+        $(, buckets $buckets:expr, scale $scale:literal)?;)*) => {
+        $(schema!(@item $kind $id $name $help concat!(
+            $help, ".\n\nLabels: `", stringify!([$($label),*]), "`."
+            $(, " Every export pre-creates the unlabelled series at ", stringify!($pre), ".")?
+        ) $(, $buckets, $scale)?);)*
+
+        /// Every series the pipeline exports, one row each.
+        pub static SERIES: &[Series] = &[$(Series {
+            name: $name,
+            kind: schema!(@kind $kind $id),
+            help: $help,
+            labels: &[$(stringify!($label)),*],
+            preset: schema!(@preset $($pre)?),
+        }),*];
+    };
+    (@item counter $id:ident $name:literal $help:literal $doc:expr) => {
+        #[doc = $doc]
+        pub const $id: &str = $name;
+    };
+    (@item gauge $id:ident $name:literal $help:literal $doc:expr) => {
+        #[doc = $doc]
+        pub const $id: &str = $name;
+    };
+    (@item histogram $id:ident $name:literal $help:literal $doc:expr, $buckets:expr, $scale:literal) => {
+        #[doc = $doc]
+        pub static $id: HistogramSpec = HistogramSpec {
+            name: $name,
+            help: $help,
+            buckets: &$buckets,
+            scale_exp: $scale,
+        };
+    };
+    (@kind counter $id:ident) => { Kind::Counter };
+    (@kind gauge $id:ident) => { Kind::Gauge };
+    (@kind histogram $id:ident) => { Kind::Histogram(&$id) };
+    (@preset) => { None };
+    (@preset $pre:literal) => { Some($pre as f64) };
+}
+
+schema! {
+    // The crawl supervisor, derived from `CrawlStats`.
+    counter VISITS_TOTAL = "visits_total" [crawl, os]
+        "Sites whose crawl reached a terminal verdict";
+    counter SUCCESS_TOTAL = "success_total" [crawl, os]
+        "Visits whose final attempt loaded cleanly";
+    counter RETRIES_TOTAL = "retries_total" [crawl, os]
+        "In-place retry attempts after transient failures";
+    counter RECRAWLED_TOTAL = "recrawled_total" [crawl, os]
+        "Sites queued for the end-of-campaign recrawl pass";
+    counter RECOVERED_TOTAL = "recovered_total" [crawl, os]
+        "Sites that succeeded only on the recrawl pass";
+    counter GAVE_UP_TOTAL = "gave_up_total" [crawl, os]
+        "Sites abandoned after exhausting every attempt";
+    counter CRASHED_TOTAL = "crashed_total" [crawl, os]
+        "Browser panics quarantined by the supervisor";
+    counter STORE_RETRIES_TOTAL = "store_retries_total" [crawl, os]
+        "Store appends retried after injected failures";
+    counter FAILURES_TOTAL = "failures_total" [crawl, os, error]
+        "Final-attempt failures by Chrome net_error";
+    gauge CRAWL_SUCCESS_RATIO = "crawl_success_ratio" [crawl, os]
+        "successful visits / attempted visits";
+
+    // The journal writer. Writer-owned: a resumed process counts only
+    // its own appends.
+    counter JOURNAL_FRAMES_TOTAL = "journal_frames_total" [] = 0
+        "Journal frames appended (all kinds)";
+    counter JOURNAL_VISITS_TOTAL = "journal_visits_total" [] = 0
+        "Visit frames appended to the journal";
+    counter JOURNAL_CHECKPOINTS_TOTAL = "journal_checkpoints_total" [] = 0
+        "Checkpoint frames appended to the journal";
+    counter JOURNAL_BYTES_TOTAL = "journal_bytes_total" [] = 0
+        "Bytes appended to the journal";
+    counter JOURNAL_FSYNCS_TOTAL = "journal_fsyncs_total" [] = 0
+        "fsync calls issued by the journal writer";
+    counter JOURNAL_GROUP_COMMITS_TOTAL = "journal_group_commits_total" [] = 0
+        "Batched group-commit writes draining the journal frame buffer";
+    counter JOURNAL_GROUPED_FRAMES_TOTAL = "journal_grouped_frames_total" [] = 0
+        "Frames whose write syscall was amortized by a group commit";
+    gauge JOURNAL_FRAMES_PER_FSYNC = "journal_frames_per_fsync" []
+        "Frames appended per fsync (group-commit amortization)";
+
+    // Analysis and `persist::save`.
+    counter LOCAL_OBSERVATIONS_TOTAL = "local_observations_total" [crawl]
+        "Local-network observations found by analysis";
+    gauge LOCAL_SITES = "local_sites" [crawl, locality]
+        "Distinct sites with local traffic, by locality";
+    gauge STORE_RECORDS = "store_records" [crawl]
+        "Telemetry records analyzed per campaign";
+    gauge SAVE_RECORDS = "save_records" [] "Records written by the store snapshot";
+    gauge SAVE_BYTES = "save_bytes" [] "Bytes written by the store snapshot";
+    gauge SAVE_FSYNCS = "save_fsyncs" [] "fsyncs issued by the store snapshot";
+    // Recorded in microseconds under the deterministic per-element cost
+    // model (DESIGN.md §13), so the distribution is worker-count
+    // invariant.
+    histogram ANALYSIS_STAGE_SECONDS = "analysis_stage_seconds" [crawl, stage]
+        "Simulated seconds spent per analysis stage (deterministic cost model)",
+        buckets [
+            100,        // 100 µs
+            1_000,      // 1 ms
+            10_000,     // 10 ms
+            100_000,    // 100 ms
+            1_000_000,  // 1 s
+            10_000_000, // 10 s
+            60_000_000, // 1 min
+        ], scale -6;
+
+    // The active scanner and its cross-validation against the passive
+    // window (`reason` is the behaviour class).
+    counter SCAN_KNOCKS_TOTAL = "scan_knocks_total" [] = 0
+        "Knock attempts sent by the active scanner, retries included";
+    counter SCAN_RETRIES_TOTAL = "scan_retries_total" [] = 0
+        "Knock retries after transient probe failures";
+    counter SCAN_TIMEOUTS_TOTAL = "scan_timeouts_total" [] = 0
+        "Knock attempts that hit the per-knock timeout";
+    counter SCAN_BREAKER_TRIPS_TOTAL = "scan_breaker_trips_total" [] = 0
+        "Per-host circuit-breaker trips during a scan";
+    counter SCAN_BREAKER_SKIPS_TOTAL = "scan_breaker_skips_total" [] = 0
+        "Knocks skipped because the target host's breaker was open";
+    counter SCAN_UNPROBED_TOTAL = "scan_unprobed_total" [] = 0
+        "Targets left unprobed when the scan deadline budget ran out";
+    gauge SCAN_OPEN_PORTS = "scan_open_ports" [] = 0
+        "Ports the active scanner confirmed open";
+    counter SCAN_AGREEMENT_BOTH_TOTAL = "scan_agreement_both_total" [reason] = 0
+        "Cross-validation cells where passive and active detection agree";
+    counter SCAN_AGREEMENT_PASSIVE_ONLY_TOTAL = "scan_agreement_passive_only_total" [reason] = 0
+        "Cells only the 20-second passive window detected";
+    counter SCAN_AGREEMENT_ACTIVE_ONLY_TOTAL = "scan_agreement_active_only_total" [reason] = 0
+        "Cells only the active scan detected (passive false negatives)";
+    counter SCAN_AGREEMENT_NEITHER_TOTAL = "scan_agreement_neither_total" [reason] = 0
+        "Cells where neither detection side fired";
+    // Recorded in milliseconds of the latency model, fault delays
+    // included.
+    histogram SCAN_KNOCK_SECONDS = "scan_knock_seconds" [] = 0
+        "Simulated seconds per knock attempt (deterministic latency model)",
+        buckets [
+            1,      // 1 ms (loopback RST)
+            5,      // 5 ms
+            20,     // 20 ms
+            100,    // 100 ms
+            500,    // 500 ms
+            1_000,  // 1 s (typical per-knock timeout)
+            5_000,  // 5 s
+            30_000, // 30 s (fabric connect timeout)
+        ], scale -3;
+
+    // The measurement-bias sweep. Planted truth is profile-invariant by
+    // construction; it is exported per profile so the checker can
+    // assert the invariance.
+    counter BIAS_TRUE_SITES_TOTAL = "bias_true_sites_total" [profile] = 0
+        "Ground-truth locally-active sites planted in the bias population";
+    counter BIAS_OBSERVED_SITES_TOTAL = "bias_observed_sites_total" [profile] = 0
+        "Ground-truth sites the profile's crawl observed as locally active";
+    counter BIAS_SUPPRESSED_SITES_TOTAL = "bias_suppressed_sites_total" [profile] = 0
+        "Ground-truth sites missing from the profile's crawl";
+    counter BIAS_HIDDEN_SITES_TOTAL = "bias_hidden_sites_total" [profile, archetype] = 0
+        "Sensored ground-truth sites invisible to the profile, by archetype";
+    gauge BIAS_OBSERVED_RATIO = "bias_observed_ratio" [profile] = 0
+        "observed sites / true sites for the profile";
+
+    // The longitudinal snapshot engine. Work counters come from the
+    // incremental plans, so they are identical across worker counts and
+    // kill/resume.
+    counter SNAPSHOT_VISITS_TOTAL = "snapshot_visits_total" [] = 0
+        "Visits executed by the longitudinal snapshot engine";
+    counter SNAPSHOT_FULL_VISITS_TOTAL = "snapshot_full_visits_total" [] = 0
+        "Visits a full per-snapshot recrawl would have executed";
+    counter SNAPSHOT_LINKED_TOTAL = "snapshot_linked_total" [] = 0
+        "Manifest rows linked to prior-snapshot chunks by reference";
+    counter SNAPSHOT_CHUNKS_TOTAL = "snapshot_chunks_total" [] = 0
+        "Chunks newly written to the content-addressed snapshot store";
+    gauge SNAPSHOT_DEDUP_RATIO = "snapshot_dedup_ratio" [] = 1
+        "logical bytes / stored bytes of the snapshot store";
+    gauge SNAPSHOT_STORED_BYTES = "snapshot_stored_bytes" [] = 0
+        "Bytes the snapshot store actually holds";
+    gauge SNAPSHOT_LOGICAL_BYTES = "snapshot_logical_bytes" [] = 0
+        "Bytes the snapshots would occupy stored flat";
+    gauge SNAPSHOT_INCREMENTAL_FRACTION = "snapshot_incremental_fraction" [] = 0
+        "executed visits / full-recrawl visits over the snapshot series";
+
+    // The resident campaign service, per tenant. Admitted = completed +
+    // shed + drained once the service has drained.
+    counter SERVICE_ADMITTED_TOTAL = "service_admitted_total" [tenant] = 0
+        "Campaigns accepted by service admission control";
+    counter SERVICE_REJECTED_TOTAL = "service_rejected_total" [tenant, reason] = 0
+        "Campaigns rejected at admission";
+    counter SERVICE_COMPLETED_TOTAL = "service_completed_total" [tenant] = 0
+        "Admitted campaigns that ran to completion";
+    counter SERVICE_SHED_TOTAL = "service_shed_total" [tenant] = 0
+        "Admitted campaigns cancelled by deadline budget";
+    counter SERVICE_DRAINED_TOTAL = "service_drained_total" [tenant] = 0
+        "Admitted campaigns still in flight when the service drained";
+    counter SERVICE_UPDATES_TOTAL = "service_updates_total" [tenant] = 0
+        "Visit-result updates enqueued toward online aggregation";
+    counter SERVICE_UPDATES_SHED_TOTAL = "service_updates_shed_total" [tenant] = 0
+        "Updates shed by the bounded queue's overflow policy";
+    counter SERVICE_QUEUE_BLOCKS_TOTAL = "service_queue_blocks_total" [tenant] = 0
+        "Producer stalls absorbed by the Block overflow policy";
+    // The deterministic single-server queue model, not the physical
+    // channel.
+    gauge SERVICE_QUEUE_DEPTH = "service_queue_depth" [tenant] = 0
+        "Modeled high-water depth of the bounded result queue";
+}
+
+/// Declare help text for every schema series and materialise the
+/// pre-created ones (the journal counters exist even in un-journaled
+/// runs, so dashboards and the CI checker can rely on them).
+pub fn describe_defaults(reg: &mut Registry) {
+    for series in SERIES {
+        match series.kind {
+            Kind::Counter => reg.describe_counter(series.name, series.help),
+            Kind::Gauge => reg.describe_gauge(series.name, series.help),
+            Kind::Histogram(spec) => reg.describe_histogram(spec),
+        }
+        let Some(value) = series.preset else { continue };
+        match series.kind {
+            Kind::Counter => reg.touch_counter(series.name, Labels::empty()),
+            Kind::Gauge => reg.set_gauge(series.name, Labels::empty(), value),
+            Kind::Histogram(spec) => reg.touch_histogram(spec, Labels::empty()),
+        }
+    }
+}
+
+/// The series every export built on [`describe_defaults`] carries.
+pub fn pre_created() -> impl Iterator<Item = &'static str> {
+    SERIES
+        .iter()
+        .filter(|series| series.preset.is_some())
+        .map(|series| series.name)
+}
 
 #[cfg(test)]
 mod tests {
@@ -560,21 +350,47 @@ mod tests {
     }
 
     #[test]
-    fn counter_names_follow_the_total_convention() {
-        for name in CRAWL_COUNTERS {
-            assert!(name.ends_with("_total"), "{name} must end in _total");
-        }
-        for name in SERVICE_CAMPAIGN_COUNTERS {
-            assert!(name.ends_with("_total"), "{name} must end in _total");
-        }
-        for name in SCAN_COUNTERS {
-            assert!(name.ends_with("_total"), "{name} must end in _total");
-        }
-        for name in SNAPSHOT_COUNTERS {
-            assert!(name.ends_with("_total"), "{name} must end in _total");
-        }
-        for name in BIAS_COUNTERS {
-            assert!(name.ends_with("_total"), "{name} must end in _total");
+    fn every_series_row_is_well_formed() {
+        const LABEL_KEYS: [&str; 9] = [
+            "crawl",
+            "os",
+            "error",
+            "stage",
+            "locality",
+            "tenant",
+            "reason",
+            "profile",
+            "archetype",
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        for series in SERIES {
+            let name = series.name;
+            assert!(seen.insert(name), "{name} declared twice");
+            let mut chars = name.chars();
+            assert!(
+                chars
+                    .next()
+                    .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+                    && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+                "{name} is not a valid Prometheus metric name"
+            );
+            let counter = matches!(series.kind, Kind::Counter);
+            assert_eq!(
+                name.ends_with("_total"),
+                counter,
+                "{name}: `_total` belongs on counters and only on counters"
+            );
+            assert!(!series.help.is_empty(), "{name} has no help text");
+            for key in series.labels {
+                assert!(
+                    LABEL_KEYS.contains(key),
+                    "{name}: label {key} is not in the set"
+                );
+            }
+            if !matches!(series.kind, Kind::Gauge) {
+                let preset = series.preset.unwrap_or(0.0);
+                assert_eq!(preset, 0.0, "{name}: only a gauge is pre-created above 0");
+            }
         }
     }
 }
