@@ -1,7 +1,5 @@
 //! Empirical CDFs: the engine behind Figures 3, 5, 6, 7 and 9.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF over f64 samples.
 ///
 /// ```
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(delays.eval(9.0), 0.75);
 /// assert_eq!(delays.max(), Some(12.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

@@ -18,13 +18,12 @@
 
 use kt_netbase::services::{BIGIP_PORTS, THREATMETRIX_PORTS};
 use kt_netbase::Scheme;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 use crate::detect::SiteLocalActivity;
 
 /// The paper's Table 5 reason classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ReasonClass {
     /// ThreatMetrix-style localhost profiling for fraud prevention.
     FraudDetection,

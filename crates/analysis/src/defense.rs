@@ -10,7 +10,6 @@
 use kt_netbase::pna::{self, AddressSpace, PnaVerdict, PreflightResult};
 use kt_netbase::services::is_native_app_port;
 use kt_store::VisitRecord;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::classify::{classify_site, ReasonClass};
@@ -18,7 +17,7 @@ use crate::detect::{aggregate_sites, detect_local_with_page, LocalObservation};
 use crate::report::TextTable;
 
 /// Which local services answer the PNA preflight affirmatively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdoptionScenario {
     /// No local service has been updated yet (the proposal's day one).
     NoOptIn,
@@ -98,7 +97,7 @@ pub fn replay_record(
 
 /// Per-class impact: how many *sites* keep at least one permitted local
 /// request, and how many are fully silenced.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DefenseImpact {
     /// (reason class, scenario) → (sites unaffected-or-partially-working,
     /// sites fully blocked).

@@ -12,11 +12,10 @@ use crate::intern::DomainInterner;
 use kt_netbase::{Host, HostView, Locality, Os, OsSet, Scheme, Url, UrlView};
 use kt_netlog::{FlowSet, FlowSetView};
 use kt_store::{VisitRecord, VisitView};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One locally-destined request observed in telemetry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalObservation {
     /// Visited site.
     pub domain: String,
@@ -275,7 +274,7 @@ pub fn detect_local_with_page_view(view: &VisitView<'_>) -> (Vec<LocalObservatio
 }
 
 /// Per-site aggregation across OS crawls.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteLocalActivity {
     /// The site.
     pub domain: String,
@@ -629,5 +628,50 @@ mod tests {
             vec![(Scheme::Ws, 6463), (Scheme::Ws, 6464)]
         );
         assert_eq!(sites[0].paths(), vec!["/?v=1".to_string()]);
+    }
+
+    #[test]
+    fn request_side_accounting_counts_probes_response_only_misses() {
+        // A ThreatMetrix scan: every loopback probe is refused, so an
+        // account of only the flows that got a response misses what
+        // request-side detection (the paper's accounting) reports.
+        use kt_crawler::{run_crawl, CrawlConfig, CrawlJob};
+        use kt_netbase::DomainName;
+        use kt_netlog::FlowOutcome;
+        use kt_store::TelemetryStore;
+        use kt_webgen::{Behavior, PlantedBehavior, WebSite};
+
+        let mut site = WebSite::plain(DomainName::parse("shop.example").unwrap(), Some(104), 5);
+        site.behaviors.push(PlantedBehavior {
+            behavior: Behavior::ThreatMetrix {
+                vendor: DomainName::parse("shop-metrics.example").unwrap(),
+            },
+            os_set: OsSet::WINDOWS_ONLY,
+            base_delay_ms: 9_000,
+        });
+        let store = TelemetryStore::new();
+        let config = CrawlConfig::paper(CrawlId::top2020(), Os::Windows, 1);
+        run_crawl(&[CrawlJob::plain(&site)], &config, &store);
+        let record = store
+            .get(&CrawlId::top2020(), "shop.example", Os::Windows)
+            .unwrap();
+
+        let request_side = detect_local(&record).len();
+        let view = record.view();
+        let flows = FlowSetView::from_events(view.events.iter().copied());
+        let response_only = flows
+            .page_flows()
+            .filter(|f| matches!(f.outcome(), FlowOutcome::Success(_)))
+            .filter(|f| {
+                f.url()
+                    .and_then(|u| Url::parse(u).ok())
+                    .is_some_and(|u| u.is_local())
+            })
+            .count();
+        assert!(
+            request_side > response_only,
+            "request-side sees probes ({request_side}) the response-only view misses \
+             ({response_only})"
+        );
     }
 }

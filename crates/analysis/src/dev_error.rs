@@ -8,12 +8,10 @@
 //! sub-classes from telemetry, enabling the Appendix-B breakdown of
 //! Table 11.
 
-use serde::{Deserialize, Serialize};
-
 use crate::detect::SiteLocalActivity;
 
 /// The Appendix-B developer-error shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DevErrorKind {
     /// Fetching files (images, CSS, JS) from a local file server,
     /// typically a `wp-content` path.

@@ -9,12 +9,11 @@
 //! resulting fingerprint distribution — the standard measure used by
 //! fingerprinting studies (Panopticlick et al.).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The fingerprint of one machine: for each probed port, whether a
 /// service answered.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortFingerprint(pub Vec<(u16, bool)>);
 
 impl PortFingerprint {
@@ -37,7 +36,7 @@ impl PortFingerprint {
 }
 
 /// Distribution statistics over a set of fingerprints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntropyReport {
     /// Machines sampled.
     pub population: usize,

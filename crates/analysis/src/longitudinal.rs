@@ -6,7 +6,6 @@
 //! earlier list. This module computes the full per-class transition
 //! matrix from the two crawls' site activities.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::classify::{classify_site, ReasonClass};
@@ -14,7 +13,7 @@ use crate::detect::SiteLocalActivity;
 use crate::report::TextTable;
 
 /// One site's transition between the two measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Transition {
     /// Locally active in both crawls, same class.
     Carried,
@@ -39,7 +38,7 @@ impl Transition {
 }
 
 /// The per-class transition matrix.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransitionMatrix {
     /// (class as of the crawl where the site was active, transition)
     /// → count. For `Carried`/`Reclassified` the 2020 class is used.

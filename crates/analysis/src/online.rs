@@ -6,10 +6,10 @@
 //! replays its journal prefix), and wants per-campaign tables *before*
 //! the campaign finishes. [`OnlinePartial`] is the bridge: each
 //! absorbed record is decoded once and fanned out to the same
-//! [`RecordYield`] the batch path computes, keyed by the owned
+//! `RecordYield` the batch path computes, keyed by the owned
 //! `(domain, OS slot)` pair in a `BTreeMap` — so iteration order *is*
 //! the batch sort order, and [`OnlinePartial::assemble`] can reuse the
-//! batch [`assemble`] fold verbatim.
+//! batch `assemble` fold verbatim.
 //!
 //! Determinism contract (proptested below): for any partition of a
 //! crawl's records into partials, any merge order, and any duplicated

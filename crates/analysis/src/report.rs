@@ -8,7 +8,6 @@
 use kt_netbase::{Os, ServiceRegistry};
 use kt_store::VisitRecord;
 use kt_weblists::{Blocklist, MaliciousCategory};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::classify::{classify_site, ReasonClass};
@@ -109,7 +108,7 @@ pub fn condense_ports(ports: &[u16]) -> String {
 }
 
 /// One crawl's Table 1 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Crawl label ("Top 100K: 2020", …).
     pub crawl: String,
@@ -177,7 +176,7 @@ pub fn table1(rows: &[(&str, Os, &CrawlStats)]) -> (String, Vec<Table1Row>) {
 
 /// One campaign × OS resilience summary: how hard the supervisor had
 /// to work to produce its Table 1 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HealthReport {
     /// Crawl label.
     pub crawl: String,
@@ -489,7 +488,7 @@ pub fn table4(registry: &ServiceRegistry) -> String {
 }
 
 /// One row of a localhost table (Tables 5, 7, 8).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalhostRow {
     /// Classified reason.
     pub reason: ReasonClass,
@@ -601,7 +600,7 @@ fn generalise_path(path: &str) -> String {
 }
 
 /// One row of a LAN table (Tables 6, 9, 10).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LanRow {
     /// Rank (if a top-list site).
     pub rank: Option<u32>,
@@ -695,7 +694,7 @@ pub fn reason_counts(sites: &[SiteLocalActivity]) -> BTreeMap<ReasonClass, usize
 
 /// The 2020→2021 site-set diff used by Table 7's framing: which
 /// domains are newly active, which stopped, which carried on.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ActivityDiff {
     /// Active in both crawls.
     pub carried: Vec<String>,

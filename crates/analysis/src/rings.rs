@@ -7,13 +7,12 @@
 //! text.
 
 use kt_netbase::{Os, Scheme};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::detect::LocalObservation;
 
 /// Nested request counts for one OS.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OsRing {
     /// Total localhost requests on this OS.
     pub total: usize,
@@ -22,7 +21,7 @@ pub struct OsRing {
 }
 
 /// Counts for one scheme within one OS.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchemeRing {
     /// Requests over this scheme.
     pub total: usize,
@@ -31,7 +30,7 @@ pub struct SchemeRing {
 }
 
 /// The full figure: one ring set per OS.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PortRings {
     /// OS → nested counts.
     pub by_os: BTreeMap<Os, OsRing>,

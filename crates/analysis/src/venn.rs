@@ -1,10 +1,9 @@
 //! Figure 2 — per-OS overlap of locally-active sites.
 
 use kt_netbase::OsSet;
-use serde::{Deserialize, Serialize};
 
 /// The seven regions of a three-set Venn diagram over {W, L, M}.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OsVenn {
     /// Windows only.
     pub w_only: usize,

@@ -2,13 +2,12 @@
 
 use kt_netbase::Os;
 use kt_webgen::CrawlerProfile;
-use serde::{Deserialize, Serialize};
 
 /// Private Network Access enforcement mode (§5.3). `Off` reproduces
 /// the paper's crawls (Chrome v84 predates the proposal); the other
 /// modes gate local requests on a secure initiating context plus a
 /// preflight opt-in under the given adoption assumption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PnaMode {
     /// No enforcement (Chrome v84 behaviour).
     #[default]
@@ -22,7 +21,7 @@ pub enum PnaMode {
 }
 
 /// Configuration of one browser instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrowserConfig {
     /// Host operating system (decides OS-conditional site behaviour
     /// and the localhost service environment).

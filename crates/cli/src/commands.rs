@@ -14,6 +14,8 @@ use knock_talk::trace::Trace;
 use knock_talk::{RunOpts, SnapshotStudy, SnapshotStudyConfig, Study, StudyConfig};
 
 use crate::args::Options;
+use std::fmt;
+use std::io::{self, Write};
 
 /// The usage text `knocktalk help` prints. Under USAGE every flag a
 /// command reads is listed (the tests hold [`COMMANDS`] to it).
@@ -134,37 +136,89 @@ COMMANDS:
             real time, simulated time, and allocator traffic
 ";
 
-/// Print usage.
-pub fn help() {
-    print!("{HELP}");
+/// Why a command failed.
+#[derive(Debug)]
+pub enum Error {
+    /// A usage or input error, reported to the user.
+    Usage(String),
+    /// Writing the command's output failed (its reader went away, say).
+    Output(io::Error),
 }
 
-/// A command's implementation.
-pub type Run = fn(&Options) -> Result<(), String>;
+impl From<String> for Error {
+    fn from(message: String) -> Error {
+        Error::Usage(message)
+    }
+}
 
-/// Every command (a `snapshot` subcommand by both words), the flags it
-/// reads, and the function that runs it.
-const COMMANDS: &[(&str, &str, Run)] = &[
+impl From<io::Error> for Error {
+    fn from(e: io::Error) -> Error {
+        Error::Output(e)
+    }
+}
+
+impl fmt::Display for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Error::Usage(message) => f.write_str(message),
+            Error::Output(e) => write!(f, "writing output: {e}"),
+        }
+    }
+}
+
+/// A command's implementation: it writes its report to `out`.
+type Run = fn(&Options, &mut dyn Write) -> Result<(), Error>;
+
+/// A command (a `snapshot` subcommand by both words), what its one
+/// positional argument is if it takes one, the flags it reads, and the
+/// function that runs it.
+type Command = (&'static str, Option<&'static str>, &'static str, Run);
+
+/// Every command.
+const COMMANDS: &[Command] = &[
     (
         "repro",
+        None,
         "scale seed workers id journal kill-frames kill-mode flush-every group-frames \
          metrics-out trace-out",
         repro,
     ),
     (
         "crawl",
+        None,
         "os scale seed workers save profile journal kill-frames kill-mode flush-every \
          group-frames metrics-out trace-out",
         crawl,
     ),
-    ("bias", "seed workers out metrics-out", bias),
-    ("resume", "id metrics-out trace-out", resume),
-    ("fsck", "repair", fsck),
-    ("analyze", "", analyze),
-    ("classify", "os loaded-at domain", classify),
-    ("entropy", "machines seed", entropy),
+    ("bias", None, "seed workers out metrics-out", bias),
+    (
+        "resume",
+        Some("a journal file path"),
+        "id metrics-out trace-out",
+        resume,
+    ),
+    (
+        "fsck",
+        Some("a journal or saved-store file or a snapshot store directory"),
+        "repair",
+        fsck,
+    ),
+    (
+        "analyze",
+        Some("a saved store or journal file path"),
+        "",
+        analyze,
+    ),
+    (
+        "classify",
+        Some("a capture file path"),
+        "os loaded-at domain",
+        classify,
+    ),
+    ("entropy", None, "machines seed", entropy),
     (
         "scan",
+        None,
         "os seed ports sequence payload udp ipv6 lan concurrency timeout-ms retries \
          breaker-threshold breaker-cooldown-ms deadline-ms fault-rate agreement sites \
          metrics-out",
@@ -172,47 +226,69 @@ const COMMANDS: &[(&str, &str, Run)] = &[
     ),
     (
         "serve",
-        "tenants campaigns sites seed workers queue-capacity policy max-campaigns max-visits \
-         deadline-ms storm check metrics-out journal-dir flush-every group-frames",
+        None,
+        "tenants campaigns sites seed workers queue-capacity policy max-campaigns \
+         max-visits deadline-ms storm check metrics-out journal-dir flush-every \
+         group-frames",
         serve,
     ),
     (
         "snapshot crawl",
-        "snapshots size churn relist content-churn seed workers full store spill journal \
-         resume kill-frames kill-mode flush-every group-frames metrics-out trace-out",
+        None,
+        "snapshots size churn relist content-churn seed workers full store spill \
+         journal resume kill-frames kill-mode flush-every group-frames metrics-out \
+         trace-out",
         snapshot_crawl,
     ),
     (
         "snapshot diff",
+        None,
         "store mode workers snapshots out metrics-out trace-out",
         snapshot_diff,
     ),
-    ("snapshot gc", "store mode keep", snapshot_gc),
-    ("health", "scale seed workers", health),
+    ("snapshot gc", None, "store mode keep", snapshot_gc),
+    ("health", None, "scale seed workers", health),
     (
         "profile",
+        None,
         "scale seed workers metrics-out trace-out",
         profile,
     ),
 ];
 
-/// Look up `name` (with its subcommand, the first of `rest`, for
-/// `snapshot`): the flags it reads, space-separated, and the function
-/// that runs it.
-pub fn lookup(name: &str, rest: &[String]) -> Result<(&'static str, Run), String> {
-    let key = match (name, rest.first()) {
-        ("snapshot", Some(sub)) => format!("snapshot {sub}"),
-        ("snapshot", None) => return Err("snapshot needs a subcommand: crawl | diff | gc".into()),
-        _ => name.to_string(),
+/// Look up the command `argv` names (`snapshot` by its subcommand
+/// too): its row, and the arguments after the name.
+fn lookup(argv: &[String]) -> Result<(&'static Command, &[String]), String> {
+    let (name, rest) = match argv {
+        [snapshot, sub, rest @ ..] if snapshot == "snapshot" => (format!("snapshot {sub}"), rest),
+        [snapshot] if snapshot == "snapshot" => {
+            return Err("snapshot needs a subcommand: crawl | diff | gc".into())
+        }
+        [name, rest @ ..] => (name.clone(), rest),
+        [] => return Err("no command given; try `knocktalk help`".into()),
     };
-    match COMMANDS.iter().find(|(command, _, _)| *command == key) {
-        Some(&(_, flags, run)) => Ok((flags, run)),
-        None if name == "snapshot" => Err(format!(
-            "unknown snapshot subcommand {:?}; expected crawl | diff | gc",
-            rest[0]
-        )),
-        None => Err(format!("unknown command {name:?}; try `knocktalk help`")),
+    match COMMANDS.iter().find(|(command, ..)| *command == name) {
+        Some(command) => Ok((command, rest)),
+        None => match name.strip_prefix("snapshot ") {
+            Some(sub) => Err(format!(
+                "unknown snapshot subcommand {sub:?}; expected crawl | diff | gc"
+            )),
+            None => Err(format!("unknown command {name:?}; try `knocktalk help`")),
+        },
     }
+}
+
+/// Run the command `argv` names, writing its report to `out`; with
+/// no command, or `help`, write the usage.
+pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Error> {
+    if matches!(
+        argv.first().map(String::as_str),
+        None | Some("help" | "--help" | "-h")
+    ) {
+        return Ok(out.write_all(HELP.as_bytes())?);
+    }
+    let (&(_, operand, flags, run), args) = lookup(argv)?;
+    run(&Options::parse(args, flags, operand)?, out)
 }
 
 fn study_config(opts: &Options) -> Result<StudyConfig, String> {
@@ -332,7 +408,7 @@ fn report_if_killed(journal: &JournalWriter) -> bool {
 }
 
 /// `knocktalk repro`.
-pub fn repro(opts: &Options) -> Result<(), String> {
+pub fn repro(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     let config = study_config(opts)?;
     let journal = journal_from_opts(opts)?;
     let trace = trace_from_opts(opts);
@@ -364,15 +440,15 @@ pub fn repro(opts: &Options) -> Result<(), String> {
             let text = study
                 .experiment(id)
                 .ok_or_else(|| format!("unknown experiment id {id:?}"))?;
-            println!("{text}");
+            writeln!(out, "{text}")?;
         }
         None => {
             for (id, text) in study.all_experiments() {
-                println!("=== [{id}] ===\n{text}");
+                writeln!(out, "=== [{id}] ===\n{text}")?;
             }
             for id in knock_talk::experiments::EXTENDED_IDS {
                 if let Some(text) = study.experiment(id) {
-                    println!("=== [{id}] (extension) ===\n{text}");
+                    writeln!(out, "=== [{id}] (extension) ===\n{text}")?;
                 }
             }
         }
@@ -390,7 +466,7 @@ fn parse_os(s: &str) -> Result<Os, String> {
 }
 
 /// `knocktalk crawl`.
-pub fn crawl(opts: &Options) -> Result<(), String> {
+pub fn crawl(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     use knock_talk::crawler::{CrawlConfig, CrawlJob, CrawlOpts};
     use knock_talk::store::TelemetryStore;
     use knock_talk::webgen::WebPopulation;
@@ -438,16 +514,17 @@ pub fn crawl(opts: &Options) -> Result<(), String> {
             journal.path().display()
         );
     }
-    println!(
+    writeln!(
+        out,
         "crawled {} pages on {}: {} ok ({:.1}%), {} failed",
         stats.attempted,
         os.name(),
         stats.successful,
         stats.success_rate() * 100.0,
         stats.failed()
-    );
+    )?;
     for (name, count) in stats.table1_errors() {
-        println!("  {name:<18} {count}");
+        writeln!(out, "  {name:<18} {count}")?;
     }
     let analysis = knock_talk::analysis::par::analyze_crawl_traced(
         &store,
@@ -455,21 +532,23 @@ pub fn crawl(opts: &Options) -> Result<(), String> {
         crawl_config.workers,
         trace.as_ref(),
     );
-    println!(
+    writeln!(
+        out,
         "locally-active sites: {} localhost, {} LAN",
         analysis.sites.iter().filter(|s| s.has_localhost()).count(),
         analysis.sites.iter().filter(|s| s.has_lan()).count()
-    );
+    )?;
     if let Some(path) = opts.get("save") {
         let report = knock_talk::store::save(&store, std::path::Path::new(path))
             .map_err(|e| e.to_string())?;
         if let Some(t) = trace.as_ref() {
             knock_talk::record_save_report(t, &report);
         }
-        println!(
+        writeln!(
+            out,
             "saved {} visit records ({} bytes, {} fsyncs) to {path}",
             report.records, report.bytes, report.fsyncs
-        );
+        )?;
     }
     write_trace_outputs(opts, trace.as_ref())?;
     Ok(())
@@ -477,7 +556,7 @@ pub fn crawl(opts: &Options) -> Result<(), String> {
 
 /// `knocktalk bias`: crawl the sensor-planted population once per
 /// crawler profile and print the observed-vs-true bias table.
-pub fn bias(opts: &Options) -> Result<(), String> {
+pub fn bias(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     use knock_talk::analysis::{record_bias_metrics, run_bias_sweep, BiasConfig};
     use knock_talk::trace::metrics::Registry;
     use knock_talk::trace::names::describe_defaults;
@@ -491,7 +570,7 @@ pub fn bias(opts: &Options) -> Result<(), String> {
             std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("bias table written to {path}");
         }
-        None => print!("{rendered}"),
+        None => write!(out, "{rendered}")?,
     }
     if let Some(path) = opts.get("metrics-out") {
         let mut reg = Registry::new();
@@ -505,11 +584,8 @@ pub fn bias(opts: &Options) -> Result<(), String> {
 }
 
 /// `knocktalk analyze <store.ktstore>`.
-pub fn analyze(opts: &Options) -> Result<(), String> {
-    let path = opts
-        .positional()
-        .first()
-        .ok_or("analyze needs a saved store or journal file path")?;
+pub fn analyze(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    let path = opts.operand();
     let report =
         knock_talk::store::load_any(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     let summary = &report.summary;
@@ -532,31 +608,30 @@ pub fn analyze(opts: &Options) -> Result<(), String> {
             .iter()
             .filter(|s| s.has_localhost() || s.has_lan())
             .collect();
-        println!(
+        writeln!(
+            out,
             "[{}] {} visits, {} locally-active sites:",
             crawl.as_str(),
             analysis.visits,
             active.len()
-        );
+        )?;
         for site in active {
-            println!(
+            writeln!(
+                out,
                 "  {:<40} {:<20} localhost on {}, LAN on {}",
                 site.domain,
                 classify_site(site).label(),
                 site.localhost_os,
                 site.lan_os
-            );
+            )?;
         }
     }
     Ok(())
 }
 
 /// `knocktalk classify <netlog.json>`.
-pub fn classify(opts: &Options) -> Result<(), String> {
-    let path = opts
-        .positional()
-        .first()
-        .ok_or("classify needs a capture file path")?;
+pub fn classify(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    let path = opts.operand();
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     let text = match std::str::from_utf8(&bytes) {
         Ok(text) => text,
@@ -566,7 +641,7 @@ pub fn classify(opts: &Options) -> Result<(), String> {
         Err(e) if e.error_len().is_none() => {
             std::str::from_utf8(&bytes[..e.valid_up_to()]).expect("valid up to here")
         }
-        Err(e) => return Err(format!("reading {path}: {e}")),
+        Err(e) => return Err(format!("reading {path}: {e}").into()),
     };
     let capture = Capture::parse(text).map_err(|e| format!("parsing {path}: {e}"))?;
     if capture.truncated {
@@ -588,21 +663,23 @@ pub fn classify(opts: &Options) -> Result<(), String> {
     };
     let sites = aggregate_sites(std::slice::from_ref(&record));
     if sites.is_empty() {
-        println!("no locally-destined requests found");
+        writeln!(out, "no locally-destined requests found")?;
         return Ok(());
     }
     for site in &sites {
         let app = native_app_name(site)
             .map(|n| format!(" ({n})"))
             .unwrap_or_default();
-        println!(
+        writeln!(
+            out,
             "{}: {} local request(s), class: {}{app}",
             site.domain,
             site.observations.len(),
             classify_site(site).label()
-        );
+        )?;
         for obs in &site.observations {
-            println!(
+            writeln!(
+                out,
                 "  t={:>6}ms  {:<6} {:<40} [{}{}]",
                 obs.time_ms,
                 obs.scheme.to_string(),
@@ -613,18 +690,15 @@ pub fn classify(opts: &Options) -> Result<(), String> {
                 } else {
                     ""
                 },
-            );
+            )?;
         }
     }
     Ok(())
 }
 
 /// `knocktalk resume <study.ktj>`.
-pub fn resume(opts: &Options) -> Result<(), String> {
-    let path = opts
-        .positional()
-        .first()
-        .ok_or("resume needs a journal file path")?;
+pub fn resume(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    let path = opts.operand();
     let path = std::path::Path::new(path);
     // Damage summary first, so the operator sees what the crash cost
     // before the re-run starts from the same replay.
@@ -647,11 +721,11 @@ pub fn resume(opts: &Options) -> Result<(), String> {
             let text = study
                 .experiment(id)
                 .ok_or_else(|| format!("unknown experiment id {id:?}"))?;
-            println!("{text}");
+            writeln!(out, "{text}")?;
         }
         None => {
             for (id, text) in study.all_experiments() {
-                println!("=== [{id}] ===\n{text}");
+                writeln!(out, "=== [{id}] ===\n{text}")?;
             }
         }
     }
@@ -661,19 +735,17 @@ pub fn resume(opts: &Options) -> Result<(), String> {
 /// `knocktalk fsck <journal.ktj|store.ktstore|DIR> [--repair yes]`: a
 /// directory is a snapshot store, anything else a journal or saved
 /// store.
-pub fn fsck(opts: &Options) -> Result<(), String> {
-    let path = opts
-        .positional()
-        .first()
-        .ok_or("fsck needs a journal or saved-store file or a snapshot store directory")?;
+pub fn fsck(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    let path = opts.operand();
     let repair = parse_switch(opts, "repair", false)?;
     if std::path::Path::new(path).is_dir() {
         if repair {
             return Err(format!(
                 "--repair yes rewrites journals and saved stores; {path} is a snapshot store"
-            ));
+            )
+            .into());
         }
-        return snapshot_fsck(path);
+        return snapshot_fsck(path, out);
     }
     let report = knock_talk::store::fsck(
         std::path::Path::new(path),
@@ -684,77 +756,92 @@ pub fn fsck(opts: &Options) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let summary = &report.summary;
-    println!(
+    writeln!(
+        out,
         "{path}: {} frames ({} visits, {} checkpoints)",
         summary.frames, summary.visits, summary.checkpoints
-    );
+    )?;
     if summary.clean() {
-        println!("  clean: every frame CRC-valid, tail complete, no duplicate or orphan records");
+        writeln!(
+            out,
+            "  clean: every frame CRC-valid, tail complete, no duplicate or orphan records"
+        )?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "  damage: {} corrupt frame(s) / {} byte(s), torn tail: {} ({} tail byte(s))",
         summary.corrupt_frames, summary.corrupt_bytes, summary.truncated_tail, summary.tail_bytes
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  records: {} duplicate final(s), {} orphan(s), {} missing vs checkpoints or the store header",
         summary.duplicate_finals, summary.orphan_records, summary.missing_records
-    );
+    )?;
     if !report.repaired {
-        println!("  run with --repair yes to quarantine damage and rewrite a clean journal");
-        return Err(format!("{path} is damaged and was not repaired"));
+        writeln!(
+            out,
+            "  run with --repair yes to quarantine damage and rewrite a clean journal"
+        )?;
+        return Err(format!("{path} is damaged and was not repaired").into());
     }
     match &report.quarantine_path {
-        Some(quarantine) => println!(
+        Some(quarantine) => writeln!(
+            out,
             "  repaired: clean journal rewritten in place ({path}); {} damaged byte(s) quarantined to {}",
             summary.damaged_bytes(),
             quarantine.display()
-        ),
-        None => println!("  repaired: clean journal rewritten in place ({path})"),
+        )?,
+        None => writeln!(out, "  repaired: clean journal rewritten in place ({path})")?,
     }
     Ok(())
 }
 
 /// `knocktalk fsck DIR`: doctor a snapshot store directory.
-fn snapshot_fsck(dir: &str) -> Result<(), String> {
+fn snapshot_fsck(dir: &str, out: &mut dyn Write) -> Result<(), Error> {
     let report = knock_talk::store::snapshot_fsck(std::path::Path::new(dir))
         .map_err(|e| format!("fsck of snapshot store {dir}: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "{dir}: {} segment(s), {} chunk(s), {} manifest row(s)",
         report.segments, report.chunks, report.manifest_entries
-    );
+    )?;
     if report.clean() {
-        println!(
+        writeln!(
+            out,
             "  clean: every segment frame CRC-valid, every chunk re-hashes, refcounts reconcile, \
              no dangling or duplicate references, no stray segments"
-        );
+        )?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "  segments: {} damaged, {} on disk but not in the manifest",
         report.damaged_segments, report.unlisted_segments
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  damage: {} dangling ref(s), {} duplicate chunk(s), {} hash mismatch(es)",
         report.dangling_refs, report.duplicate_chunks, report.hash_mismatches
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  refcounts: {} mismatch(es), {} orphan chunk(s)",
         report.refcount_mismatches, report.orphan_chunks
-    );
-    Err("snapshot store is not clean".to_string())
+    )?;
+    Err("snapshot store is not clean".to_string().into())
 }
 
 /// `knocktalk health`.
-pub fn health(opts: &Options) -> Result<(), String> {
+pub fn health(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     let study = Study::run(study_config(opts)?);
-    println!("{}", knock_talk::experiments::health_report(&study));
+    writeln!(out, "{}", knock_talk::experiments::health_report(&study))?;
     Ok(())
 }
 
 /// `knocktalk profile`: run the full study under the stage profiler
 /// and print the per-stage time/allocation breakdown.
-pub fn profile(opts: &Options) -> Result<(), String> {
+pub fn profile(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     let config = study_config(opts)?;
     let trace = trace_from_opts(opts);
     let mut profiler = knock_talk::trace::StageProfiler::new();
@@ -767,13 +854,14 @@ pub fn profile(opts: &Options) -> Result<(), String> {
         },
     );
     write_trace_outputs(opts, trace.as_ref())?;
-    println!(
+    writeln!(
+        out,
         "profiled study: seed {}, {} workers, {} visit records",
         study.config.population.seed,
         study.config.workers,
         study.store.len()
-    );
-    print!("{}", profiler.render_table());
+    )?;
+    write!(out, "{}", profiler.render_table())?;
     Ok(())
 }
 
@@ -791,7 +879,7 @@ pub fn profile(opts: &Options) -> Result<(), String> {
 /// `--check tables` replays every completed campaign through the batch
 /// pipeline and fails unless the service's online-aggregated tables
 /// match. `--check invariants,tables` does both.
-pub fn serve(opts: &Options) -> Result<(), String> {
+pub fn serve(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     use knock_talk::analysis::analyze_crawl_par;
     use knock_talk::crawler::{run_crawl, CrawlConfig, CrawlJob};
     use knock_talk::faults::{Fault, FaultPlan};
@@ -814,7 +902,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     let policy = match opts.get("policy").unwrap_or("shed") {
         "block" => OverflowPolicy::Block,
         "shed" => OverflowPolicy::Shed,
-        other => return Err(format!("unknown --policy {other:?} (block|shed)")),
+        other => return Err(format!("unknown --policy {other:?} (block|shed)").into()),
     };
     let storm = parse_switch(opts, "storm", false)?;
     let journal_dir = opts.get("journal-dir").map(std::path::PathBuf::from);
@@ -925,14 +1013,16 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     };
 
     let (service, handles) = run_fleet(workers);
-    println!(
+    writeln!(
+        out,
         "fleet: {tenants} tenants x {campaigns} campaigns x {sites_per} sites, \
          {workers} executors, queue {queue_capacity}, policy {policy:?}, storm {storm}"
-    );
+    )?;
     let mut violations = Vec::new();
     for acc in service.accounting() {
         let rejected: u64 = acc.rejected.values().sum();
-        println!(
+        writeln!(
+            out,
             "  {:<10} admitted {:>3}  completed {:>3}  deadline-shed {:>2}  drained {:>2}  \
              rejected {:>2}  updates {:>4} (-{} shed)  blocks {:>3}  depth<= {}",
             acc.tenant,
@@ -945,7 +1035,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
             acc.updates_shed,
             acc.queue_blocks,
             acc.queue_high_water
-        );
+        )?;
         if !acc.reconciles() {
             violations.push(format!(
                 "{}: admitted {} != completed {} + shed {} + drained {} + in-flight {}",
@@ -984,9 +1074,10 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                          {replay_workers} executors"
                     ));
                 } else {
-                    println!(
+                    writeln!(
+                        out,
                         "check invariants: ok ({workers} vs {replay_workers} executors byte-equal)"
-                    );
+                    )?;
                 }
             }
             "tables" => {
@@ -1022,19 +1113,22 @@ pub fn serve(opts: &Options) -> Result<(), String> {
                         compared += 1;
                     }
                 }
-                println!("check tables: {compared} completed campaigns vs batch pipeline");
+                writeln!(
+                    out,
+                    "check tables: {compared} completed campaigns vs batch pipeline"
+                )?;
             }
-            other => return Err(format!("unknown --check {other:?} (invariants|tables)")),
+            other => return Err(format!("unknown --check {other:?} (invariants|tables)").into()),
         }
     }
     if violations.is_empty() {
-        println!("service degraded cleanly: all tenants reconcile");
+        writeln!(out, "service degraded cleanly: all tenants reconcile")?;
         Ok(())
     } else {
         for v in &violations {
             eprintln!("violation: {v}");
         }
-        Err(format!("{} invariant violation(s)", violations.len()))
+        Err(format!("{} invariant violation(s)", violations.len()).into())
     }
 }
 
@@ -1066,7 +1160,7 @@ fn parse_switch(opts: &Options, key: &str, default: bool) -> Result<bool, String
 }
 
 /// `knocktalk scan`.
-pub fn scan(opts: &Options) -> Result<(), String> {
+pub fn scan(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     use knock_talk::analysis::{
         crossval_population, record_agreement_metrics, run_cross_validation,
     };
@@ -1124,13 +1218,13 @@ pub fn scan(opts: &Options) -> Result<(), String> {
         let sites = opts.get_u64("sites", 24)?.max(1) as usize;
         let population = crossval_population(seed, sites);
         let cv = run_cross_validation(&env, &net, &population, &cfg);
-        print!("{}", cv.scan.render());
-        print!("{}", cv.render());
+        write!(out, "{}", cv.scan.render())?;
+        write!(out, "{}", cv.render())?;
         record_scan_metrics(&cv.scan, &mut reg);
         record_agreement_metrics(&cv, &mut reg);
     } else {
         let report = run_scan(&env, &net, &cfg);
-        print!("{}", report.render());
+        write!(out, "{}", report.render())?;
         record_scan_metrics(&report, &mut reg);
     }
 
@@ -1143,22 +1237,26 @@ pub fn scan(opts: &Options) -> Result<(), String> {
 }
 
 /// `knocktalk entropy`.
-pub fn entropy(opts: &Options) -> Result<(), String> {
+pub fn entropy(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     let machines = opts.get_u64("machines", 1_000)? as usize;
     let seed = opts.get_u64("seed", 0xF1)?;
-    println!("fingerprinting entropy over {machines} simulated machines:");
+    writeln!(
+        out,
+        "fingerprinting entropy over {machines} simulated machines:"
+    )?;
     for (label, ports) in [
         ("ThreatMetrix", THREATMETRIX_PORTS.as_slice()),
         ("BIG-IP ASM", BIGIP_PORTS.as_slice()),
     ] {
         for os in Os::ALL {
             let r = scan_entropy(os, ports, machines, seed);
-            println!(
+            writeln!(
+                out,
                 "  {label:<14} {:<8} {:.2} bits, {} distinct profiles",
                 os.name(),
                 r.shannon_bits,
                 r.distinct
-            );
+            )?;
         }
     }
     Ok(())
@@ -1196,13 +1294,13 @@ fn snapshot_study_config(opts: &Options) -> Result<SnapshotStudyConfig, String> 
 }
 
 /// `knocktalk snapshot crawl`.
-fn snapshot_crawl(opts: &Options) -> Result<(), String> {
+fn snapshot_crawl(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     let config = snapshot_study_config(opts)?;
     let trace = trace_from_opts(opts);
     let study = if parse_switch(opts, "resume", false)? {
         let path = opts
             .get("journal")
-            .ok_or("--resume yes needs --journal FILE")?;
+            .ok_or_else(|| "--resume yes needs --journal FILE".to_string())?;
         let run_opts = RunOpts {
             trace: trace.as_ref(),
             ..RunOpts::default()
@@ -1225,37 +1323,41 @@ fn snapshot_crawl(opts: &Options) -> Result<(), String> {
         }
         study
     };
-    println!(
+    writeln!(
+        out,
         "longitudinal series: {} snapshots x {} sites ({}% churn)",
         study.series.len(),
         study.config.series.size,
         (study.config.series.churn * 100.0).round()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  visit work: {} executed / {} full-recrawl ({:.1}% incremental fraction)",
         study.work.executed_visits,
         study.work.full_visits,
         study.work.incremental_fraction() * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  store: {} chunks, {} linked rows, {} stored bytes vs {} logical ({:.2}x dedup)",
         study.snapshots.chunk_count(),
         study.work.linked_rows,
         study.snapshots.stored_bytes(),
         study.snapshots.logical_bytes(),
         study.snapshots.dedup_ratio()
-    );
+    )?;
     if let Some(dir) = opts.get("store") {
         let report = study
             .snapshots
             .save(std::path::Path::new(dir))
             .map_err(|e| format!("saving snapshot store to {dir}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "  saved: {} segment file(s), {} chunk(s), {} manifest row(s) -> {dir}",
             report.segments, report.chunks, report.manifest_entries
-        );
+        )?;
     }
-    write_trace_outputs(opts, trace.as_ref())
+    Ok(write_trace_outputs(opts, trace.as_ref())?)
 }
 
 /// Open an on-disk snapshot store for `snapshot diff|gc`.
@@ -1273,7 +1375,7 @@ fn open_snapshot_store(opts: &Options) -> Result<(String, SnapshotStore), String
 }
 
 /// `knocktalk snapshot diff`.
-fn snapshot_diff(opts: &Options) -> Result<(), String> {
+fn snapshot_diff(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     let (_, store) = open_snapshot_store(opts)?;
     let workers = opts.get_u64("workers", 4)?.max(1) as usize;
     let labels: Vec<String> = match opts.get("snapshots") {
@@ -1282,7 +1384,7 @@ fn snapshot_diff(opts: &Options) -> Result<(), String> {
     };
     for label in &labels {
         if store.manifest(label).is_none() {
-            return Err(format!("snapshot {label:?} not in store"));
+            return Err(format!("snapshot {label:?} not in store").into());
         }
     }
     let trace = trace_from_opts(opts);
@@ -1294,35 +1396,36 @@ fn snapshot_diff(opts: &Options) -> Result<(), String> {
             std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("diff tables written to {path}");
         }
-        None => print!("{rendered}"),
+        None => write!(out, "{rendered}")?,
     }
-    write_trace_outputs(opts, trace.as_ref())
+    Ok(write_trace_outputs(opts, trace.as_ref())?)
 }
 
 /// `knocktalk snapshot gc`.
-fn snapshot_gc(opts: &Options) -> Result<(), String> {
+fn snapshot_gc(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     let (dir, mut store) = open_snapshot_store(opts)?;
     let keep = opts.get_u64("keep", u64::MAX)? as usize;
     if keep == 0 {
-        return Err("--keep must be at least 1".to_string());
+        return Err("--keep must be at least 1".to_string().into());
     }
     let labels: Vec<String> = store.labels().iter().map(|l| l.to_string()).collect();
     let drop_count = labels.len().saturating_sub(keep);
     for label in &labels[..drop_count] {
         store.remove_snapshot(label);
-        println!("dropped snapshot {label}");
+        writeln!(out, "dropped snapshot {label}")?;
     }
     let report = store.gc();
-    println!(
+    writeln!(
+        out,
         "gc: {} chunk(s) reclaimed, {} byte(s); {} snapshot(s) remain",
         report.chunks_dropped,
         report.bytes_reclaimed,
         store.snapshot_count()
-    );
+    )?;
     store
         .save(std::path::Path::new(&dir))
         .map_err(|e| format!("rewriting snapshot store {dir}: {e}"))?;
-    println!("store rewritten compacted -> {dir}");
+    writeln!(out, "store rewritten compacted -> {dir}")?;
     Ok(())
 }
 
@@ -1335,7 +1438,21 @@ mod tests {
     }
 
     fn classify_file(path: &std::path::Path) -> Result<(), String> {
-        classify(&Options::parse(&[path.display().to_string()], "").unwrap())
+        let opts = Options::parse(&[path.display().to_string()], "", Some("a capture")).unwrap();
+        classify(&opts, &mut io::sink()).map_err(|e| e.to_string())
+    }
+
+    /// The write end of a pipe whose reader has gone.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 
     /// The USAGE block: every line up to the first blank one.
@@ -1389,7 +1506,7 @@ mod tests {
         listed.remove("help");
         let read: BTreeMap<String, BTreeSet<String>> = COMMANDS
             .iter()
-            .map(|(command, flags, _)| {
+            .map(|(command, _, flags, _)| {
                 let flags = flags.split_whitespace().map(str::to_string).collect();
                 (command.to_string(), flags)
             })
@@ -1401,8 +1518,8 @@ mod tests {
     fn lookup_parses_with_the_command_flags() {
         let parse = |line: &str| -> Result<Options, String> {
             let argv = argv(line);
-            let (flags, _) = lookup(&argv[0], &argv[1..])?;
-            Options::parse(&argv[1..], flags)
+            let (&(_, operand, flags, _), args) = lookup(&argv)?;
+            Options::parse(args, flags, operand)
         };
         assert!(parse("entropy --machines 5 --seed 3").is_ok());
         let err = parse("entropy --machnes 5 --sed 3").unwrap_err();
@@ -1416,16 +1533,65 @@ mod tests {
 
     #[test]
     fn yes_no_switches_refuse_other_spellings() {
-        let opts = Options::parse(&argv("missing.ktj --repair maybe"), "repair").unwrap();
+        let refusal = |line: &str| run(&argv(line), &mut io::sink()).unwrap_err().to_string();
         assert_eq!(
-            fsck(&opts),
-            Err("flag --repair expects yes|no, got \"maybe\"".to_string())
+            refusal("fsck missing.ktj --repair maybe"),
+            "flag --repair expects yes|no, got \"maybe\""
         );
-        let opts = Options::parse(&argv("--storm on"), "storm").unwrap();
         assert_eq!(
-            serve(&opts),
-            Err("flag --storm expects yes|no, got \"on\"".to_string())
+            refusal("serve --storm on"),
+            "flag --storm expects yes|no, got \"on\""
         );
+    }
+
+    #[test]
+    fn help_shows_an_operand_exactly_where_a_command_takes_one() {
+        for &(command, operand, _, _) in COMMANDS {
+            let line = usage()
+                .into_iter()
+                .find(|line| {
+                    line.trim_start()
+                        .strip_prefix("knocktalk ")
+                        .is_some_and(|rest| rest.starts_with(&format!("{command} ")))
+                })
+                .expect("every command has a usage line");
+            assert_eq!(line.contains('<'), operand.is_some(), "{command}: {line:?}");
+        }
+    }
+
+    #[test]
+    fn stray_positional_arguments_are_refused_by_name() {
+        let mut out = Vec::new();
+        let refusal =
+            |line: &str, out: &mut Vec<u8>| run(&argv(line), out).unwrap_err().to_string();
+        assert_eq!(
+            refusal("entropy 5 --machines 3", &mut out),
+            "unexpected argument \"5\"; this command takes no positional arguments"
+        );
+        let err = refusal("analyze a.ktstore b.ktstore", &mut out);
+        assert!(
+            err.starts_with("unexpected argument \"b.ktstore\""),
+            "{err}"
+        );
+        let err = refusal("snapshot gc --store s extra", &mut out);
+        assert!(err.starts_with("unexpected argument \"extra\""), "{err}");
+        assert_eq!(
+            refusal("resume", &mut out),
+            "this command needs a journal file path"
+        );
+        assert!(out.is_empty(), "a refused command ran");
+        run(&argv("entropy --machines 3"), &mut out).unwrap();
+        assert!(out.starts_with(b"fingerprinting entropy over 3 simulated machines"));
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_a_command_with_its_write_error() {
+        for line in ["entropy --machines 3", "help"] {
+            match run(&argv(line), &mut ClosedPipe) {
+                Err(Error::Output(e)) => assert_eq!(e.kind(), io::ErrorKind::BrokenPipe),
+                other => panic!("{line}: {other:?}"),
+            }
+        }
     }
 
     #[test]

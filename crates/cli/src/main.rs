@@ -8,6 +8,7 @@
 //! time. Argument parsing is hand-rolled (the workspace's dependency
 //! policy keeps the tree small).
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 mod args;
@@ -20,18 +21,15 @@ static GLOBAL: knock_talk::trace::CountingAllocator = knock_talk::trace::Countin
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let result = match argv.split_first() {
-        Some((command, rest)) if !matches!(command.as_str(), "help" | "--help" | "-h") => {
-            commands::lookup(command, rest)
-                .and_then(|(flags, run)| run(&args::Options::parse(rest, flags)?))
-        }
-        _ => {
-            commands::help();
-            Ok(())
-        }
-    };
+    let mut out = io::stdout().lock();
+    let result = commands::run(&argv, &mut out).and_then(|()| Ok(out.flush()?));
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader stopped reading (`knocktalk ... | head`): there is
+        // no one left to report to.
+        Err(commands::Error::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -4,10 +4,9 @@ use std::collections::BTreeMap;
 
 use kt_netlog::NetError;
 use kt_store::journal::VisitDelta;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated load outcomes for one crawl.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrawlStats {
     /// Sites attempted (each site counts once, however many retries
     /// its visits needed).
@@ -153,9 +152,8 @@ impl CrawlStats {
         }
     }
 
-    /// Compact binary encoding for checkpoint frames. The vendored
-    /// serde shim cannot round-trip the enum-keyed failure map through
-    /// JSON, and the journal should not depend on it anyway: fixed
+    /// Compact binary encoding for checkpoint frames, so the journal
+    /// needs no JSON form of the enum-keyed failure map: fixed
     /// little-endian u64 fields in declaration order, then
     /// `(i64 code, u64 count)` failure pairs.
     pub fn to_bytes(&self) -> Vec<u8> {

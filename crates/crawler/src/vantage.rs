@@ -1,10 +1,9 @@
 //! Crawl vantage points (Figure 1 of the paper).
 
 use kt_netbase::Os;
-use serde::{Deserialize, Serialize};
 
 /// The network a crawl runs from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkVantage {
     /// Georgia Tech's academic ISP (the Windows and Linux VMs).
     AcademicIsp,
@@ -23,7 +22,7 @@ impl NetworkVantage {
 }
 
 /// One (OS, network) crawl configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CrawlVantage {
     /// The crawling OS.
     pub os: Os,

@@ -4,8 +4,6 @@ use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ParseError;
 
 /// A validated DNS name, stored lower-cased.
@@ -15,7 +13,7 @@ use crate::error::ParseError;
 /// letters/digits/hyphen/underscore, labels neither starting nor ending
 /// with a hyphen. (Underscores appear in real hostnames such as
 /// service-discovery records, so we accept them like Chrome does.)
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainName(String);
 
 impl DomainName {
@@ -109,7 +107,7 @@ impl FromStr for DomainName {
 }
 
 /// The host component of a URL.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Host {
     /// A DNS name.
     Domain(DomainName),

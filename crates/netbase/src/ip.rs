@@ -22,8 +22,6 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use serde::{Deserialize, Serialize};
-
 use crate::host::{Host, HostView};
 
 /// Locality of a network destination, from the point of view of the
@@ -36,7 +34,7 @@ use crate::host::{Host, HostView};
 /// assert!(Locality::of_ipv4("127.0.0.1".parse().unwrap()).is_loopback());
 /// assert_eq!(Locality::of_ipv4("8.8.8.8".parse().unwrap()), Locality::Public);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Locality {
     /// Loopback: `127.0.0.0/8`, `::1`, or the `localhost` name.
     Loopback,

@@ -13,14 +13,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::host::Host;
 use crate::scheme::Scheme;
 use crate::url::Url;
 
 /// A web origin: the (scheme, host, port) triple.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Origin {
     scheme: Scheme,
     host: Host,
@@ -72,7 +70,7 @@ impl fmt::Display for Origin {
 }
 
 /// What a page is allowed to learn from a request it initiated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SopVerdict {
     /// Same origin, or a SOP-exempt channel: the response body and
     /// headers are fully readable.

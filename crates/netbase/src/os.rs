@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The three desktop OSes of the paper's crawl.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Os {
     /// Windows 10 (VMWare VM, Georgia Tech network).
     Windows,
@@ -70,9 +68,7 @@ impl fmt::Display for Os {
 }
 
 /// A subset of the three OSes — the ✓ pattern of a table row.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct OsSet {
     /// Active on Windows.
     pub windows: bool,

@@ -14,13 +14,11 @@
 //! browser can enforce it and the analysis can answer the paper's
 //! implicit question: *which of the observed traffic would PNA block?*
 
-use serde::{Deserialize, Serialize};
-
 use crate::ip::Locality;
 use crate::url::Url;
 
 /// IP address space in the PNA sense, ordered public < private < local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AddressSpace {
     /// Globally routable.
     Public,
@@ -53,7 +51,7 @@ impl AddressSpace {
 }
 
 /// Outcome of a simulated PNA preflight: does the local service opt in?
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreflightResult {
     /// The service answered `Access-Control-Allow-Private-Network: true`.
     Approved,
@@ -62,7 +60,7 @@ pub enum PreflightResult {
 }
 
 /// The PNA verdict for one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PnaVerdict {
     /// Not a private-network request: PNA does not apply.
     NotApplicable,

@@ -11,10 +11,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Why an anti-abuse script probes a port (Table 4's "Use Case").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum UseCase {
     /// Probed by the ThreatMetrix fraud-detection script.
     FraudDetection,
@@ -33,7 +31,7 @@ impl UseCase {
 }
 
 /// One row of the port registry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortService {
     /// TCP port number.
     pub port: u16,

@@ -17,8 +17,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ParseError;
 use crate::host::{Host, HostView};
 use crate::ip::Locality;
@@ -35,7 +33,7 @@ use crate::scheme::Scheme;
 /// assert_eq!(url.locality(), Locality::Loopback);
 /// assert!(url.is_local());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Url {
     scheme: Scheme,
     host: Host,

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap};
 use serde::{Deserialize, Serialize};
 
 /// NetLog event types (a curated subset of Chrome's `logEventTypes`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EventType {
     /// A URL request object exists; brackets the whole request.
     RequestAlive,
@@ -116,7 +116,7 @@ impl EventType {
 /// NetLog source types — the entity that generated an event. The paper
 /// filters out browser-generated traffic "based on the network event
 /// source" (§3.1); source types are how that filter works.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SourceType {
     /// A URL request initiated by renderer (page) activity.
     UrlRequest,
@@ -189,7 +189,7 @@ impl SourceType {
 }
 
 /// Event phase: `BEGIN`/`END` bracket an interval, `NONE` is a point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventPhase {
     /// Point event.
     None,
@@ -236,7 +236,7 @@ impl EventPhase {
 ///
 /// Table 1 of the paper breaks crawl failures down by exactly these
 /// errors (plus an "Others" bucket).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NetError {
     /// `net::OK` — no error.
     Ok,

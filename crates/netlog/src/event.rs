@@ -5,7 +5,6 @@
 //! type-specific `params`. On the wire, `params` is a JSON object with
 //! Chrome's key names (`url`, `method`, `net_error`, `address`, …).
 
-use serde::{Deserialize, Serialize};
 use serde_json::{json, Map, Value};
 
 use crate::constants::{EventPhase, EventType, NetError, SourceType, WireCodes};
@@ -18,17 +17,16 @@ pub type TimeMs = u64;
 /// Chrome assigns source IDs serially as requests are created;
 /// dependent events share the ID, which is what lets the analysis group
 /// a flow together and attribute it to the page or the browser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SourceRef {
     /// Serial source ID.
     pub id: u64,
     /// What kind of entity this source is.
-    #[serde(rename = "type")]
     pub kind: SourceType,
 }
 
 /// Typed parameters for each event type we model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum EventParams {
     /// No parameters.
     #[default]
@@ -181,7 +179,7 @@ impl EventParams {
 }
 
 /// A single NetLog event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetLogEvent {
     /// Timestamp on the capture clock, in milliseconds.
     pub time: TimeMs,

@@ -11,13 +11,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::constants::{EventPhase, EventType, NetError, SourceType};
 use crate::event::{EventParams, NetLogEvent, SourceRef, TimeMs};
 
 /// Terminal state of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowOutcome {
     /// An HTTP response (status) was read, or a WebSocket handshake
     /// completed.
@@ -36,7 +34,7 @@ impl FlowOutcome {
 }
 
 /// A reconstructed network flow: all events sharing one source ID.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
     /// The shared source reference.
     pub source: SourceRef,

@@ -218,8 +218,8 @@ impl NetLogEvent {
 /// One reconstructed flow, borrowing its events from a [`FlowSetView`].
 #[derive(Debug, Clone, Copy)]
 pub struct FlowView<'s, 'a> {
-    /// The shared source reference: as in the owned [`Flow`]
-    /// (crate::flow::Flow), the source of the first event *appended*
+    /// The shared source reference: as in the owned
+    /// [`Flow`](crate::Flow), the source of the first event *appended*
     /// to the flow.
     pub source: SourceRef,
     entries: &'s [(EventView<'a>, u32)],

@@ -22,10 +22,8 @@
 //! All times are simulated milliseconds from the scan's virtual clock,
 //! so breaker behaviour is deterministic and worker-count-invariant.
 
-use serde::{Deserialize, Serialize};
-
 /// Breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Consecutive hard failures (exhausted knocks) that trip the
     /// breaker. 0 disables tripping entirely.
@@ -44,7 +42,7 @@ impl Default for BreakerConfig {
 }
 
 /// Observable breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Probes flow; failures are being counted.
     Closed,
@@ -58,7 +56,7 @@ pub enum BreakerState {
 }
 
 /// One host's breaker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircuitBreaker {
     config: BreakerConfig,
     state: BreakerState,

@@ -3,10 +3,8 @@
 
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
-
 /// Transport protocol of a knock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Protocol {
     /// TCP connect scan (SYN, await SYN-ACK or RST).
     Tcp,
@@ -28,7 +26,7 @@ impl Protocol {
 /// targets by host first so the serial fold sees each host's ports
 /// consecutively — that is what lets a tripped breaker actually skip
 /// the host's remaining ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProbeTarget {
     /// Destination address (loopback or RFC 1918 in practice).
     pub addr: IpAddr,
@@ -68,7 +66,7 @@ impl ProbeTarget {
 
 /// A hex-encoded probe payload (the knock-rs idiom: UDP knocks carry a
 /// recognisable datagram, TCP knocks may send a banner-elicit string).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Payload(Vec<u8>);
 
 impl Payload {
@@ -114,7 +112,7 @@ impl Payload {
 }
 
 /// Final state of a probed port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortState {
     /// A listener answered (TCP accept / UDP reply).
     Open,
@@ -144,7 +142,7 @@ impl PortState {
 }
 
 /// A transient per-attempt failure, worth retrying under the policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransientKind {
     /// No answer within the per-knock timeout (black hole, or an
     /// injected `ProbeDrop` / excessive `ProbeDelay`).
@@ -171,7 +169,7 @@ impl TransientKind {
 }
 
 /// What one knock attempt concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttemptOutcome {
     /// A definitive answer: the packet demonstrably reached the host.
     Definitive(PortState),
@@ -187,7 +185,7 @@ impl AttemptOutcome {
 }
 
 /// One knock attempt: its conclusion plus the simulated time it cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttemptRecord {
     /// Definitive state or transient failure.
     pub outcome: AttemptOutcome,
@@ -197,7 +195,7 @@ pub struct AttemptRecord {
 
 /// The full per-target knock record: every attempt, the final state,
 /// and the total simulated cost (attempts plus backoff waits).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KnockReport {
     /// What was knocked.
     pub target: ProbeTarget,

@@ -12,12 +12,11 @@ use std::fmt::Write as _;
 use kt_simnet::Os;
 use kt_trace::metrics::{Labels, Registry};
 use kt_trace::names;
-use serde::{Deserialize, Serialize};
 
 use crate::probe::{KnockReport, PortState};
 
 /// Outcome of one knock sequence (ordered port list).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequenceResult {
     /// The configured ports, in knock order.
     pub ports: Vec<u16>,
@@ -31,7 +30,7 @@ pub struct SequenceResult {
 }
 
 /// The full, deterministic result of one scan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanReport {
     /// Campaign seed the scan ran under.
     pub seed: u64,

@@ -10,12 +10,10 @@
 use std::collections::HashMap;
 use std::net::IpAddr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::SimTime;
 
 /// Outcome configured for a DNS name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DnsRecord {
     /// The name resolves to this address.
     A(IpAddr),
@@ -29,7 +27,7 @@ pub enum DnsRecord {
 }
 
 /// Resolution errors, mapped by the browser onto Chrome net errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DnsError {
     /// NXDOMAIN or an unregistered name.
     NxDomain,

@@ -12,13 +12,12 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 pub use kt_netbase::Os;
-use serde::{Deserialize, Serialize};
 
 use crate::rng;
 use crate::server::{Endpoint, HttpResponse, ServerBehavior};
 
 /// A service listening on the visitor's loopback interface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalService {
     /// Listening TCP port.
     pub port: u16,
@@ -29,7 +28,7 @@ pub struct LocalService {
 }
 
 /// A device on the visitor's LAN exposing an HTTP interface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LanDevice {
     /// RFC 1918 address.
     pub address: Ipv4Addr,

@@ -6,12 +6,10 @@
 //! connection attempt observes — the error taxonomy of Table 1 lives
 //! here for the connection-level failures (refused / reset / TLS cert).
 
-use serde::{Deserialize, Serialize};
-
 use crate::tls::Certificate;
 
 /// A canned HTTP response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpResponse {
     /// HTTP status code.
     pub status: u16,
@@ -58,7 +56,7 @@ impl HttpResponse {
 }
 
 /// What a connection to an endpoint experiences.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerBehavior {
     /// Accepts TCP and answers HTTP with the given response.
     Http(HttpResponse),
@@ -79,7 +77,7 @@ pub enum ServerBehavior {
 }
 
 /// A listener bound at an address and port.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Endpoint {
     /// Connection behaviour.
     pub behavior: ServerBehavior,

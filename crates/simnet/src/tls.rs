@@ -6,10 +6,8 @@
 //! has a subject common name, optional subject-alternative names with
 //! wildcard support, a validity flag, and an issuer-trust flag.
 
-use serde::{Deserialize, Serialize};
-
 /// A simulated server certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Subject common name, possibly a wildcard (`*.example.com`).
     pub common_name: String,
@@ -22,7 +20,7 @@ pub struct Certificate {
 }
 
 /// Result of verifying a certificate against a requested host name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CertVerdict {
     /// The handshake may proceed.
     Ok,

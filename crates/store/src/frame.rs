@@ -19,7 +19,7 @@
 //! [`scan`] is the single reader: it checks every CRC, resyncs past
 //! damage to the next valid frame, tells a torn tail from interior
 //! corruption, and hands back borrowed payload spans; each caller
-//! decodes its own kinds. [`write_atomic`] is the single writer of
+//! decodes its own kinds. `write_atomic` is the single writer of
 //! whole files: temp file, fsync, rename, parent-directory fsync.
 
 use std::fs::File;

@@ -11,8 +11,7 @@
 //!   with its load outcome and events;
 //! * [`store`] — [`TelemetryStore`]: append-only segments plus an
 //!   in-memory index by crawl/domain/OS, safe for concurrent append
-//!   from crawl workers, with full-scan and indexed query paths (the
-//!   ablation benches compare the two);
+//!   from crawl workers, with full-scan and indexed query paths;
 //! * [`frame`] — the one on-disk format: a `KTSTORE2` magic, then
 //!   CRC-32 frames (`sync kind len payload crc`); one scanner that
 //!   checks every CRC and resyncs past damage, and one atomic writer

@@ -46,7 +46,7 @@ pub struct SaveReport {
 pub type PersistError = JournalError;
 
 /// Write every record of the store to `path` as a STORE header plus
-/// final visit frames, atomically ([`frame::write_atomic`]): a power
+/// final visit frames, atomically (`frame::write_atomic`): a power
 /// loss leaves either the old file or the complete new one. The
 /// records' encoded bytes go out as stored, never decoded and
 /// re-encoded.

@@ -2,11 +2,10 @@
 
 use kt_netbase::Os;
 use kt_netlog::{NetError, NetLogEvent};
-use serde::{Deserialize, Serialize};
 
 /// Identifies one crawl campaign (e.g. `top2020`, `top2021`,
 /// `malicious`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CrawlId(pub String);
 
 impl CrawlId {
@@ -32,7 +31,7 @@ impl CrawlId {
 }
 
 /// Landing-page load outcome (drives Table 1 / Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadOutcome {
     /// The page loaded.
     Success,
@@ -81,7 +80,7 @@ pub fn slot_os(slot: u8) -> Option<Os> {
 }
 
 /// One page visit: the paper's unit of telemetry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VisitRecord {
     /// Which crawl campaign this visit belongs to.
     pub crawl: CrawlId,

@@ -3,7 +3,7 @@
 //! A longitudinal study crawls the "same" web many times; most visit
 //! records repeat byte-for-byte between snapshots (the site didn't
 //! change, the simulation is deterministic). Storing N snapshots as N
-//! full [`TelemetryStore`] dumps costs N× the bytes; the
+//! full [`TelemetryStore`](crate::TelemetryStore) dumps costs N× the bytes; the
 //! [`SnapshotStore`] instead keys every record by a 128-bit hash of
 //! its *canonicalised* encoding and stores each distinct chunk once:
 //!
@@ -460,7 +460,7 @@ impl SnapshotStore {
     /// Write the store to `dir`: sealed chunk segments plus the JSON
     /// manifest. Unreferenced chunks are not written (save compacts).
     /// Segments go out under names no file in `dir` has, the manifest
-    /// is swapped in last with [`frame::write_atomic`], and only then
+    /// is swapped in last with `frame::write_atomic`, and only then
     /// are the segments it no longer lists removed — so a crash at any
     /// point leaves either the old store or the new one, even when
     /// saving into the directory the store was opened from.
@@ -764,7 +764,7 @@ impl SnapshotFsckReport {
     }
 }
 
-/// Check an on-disk snapshot store: [`read`] it (every listed segment
+/// Check an on-disk snapshot store: `read` it (every listed segment
 /// through the frame scanner, stray segment files, duplicated chunks,
 /// the reference audit), then re-hash every chunk. Never panics on
 /// damage; an unreadable manifest is an error.

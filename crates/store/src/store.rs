@@ -387,7 +387,7 @@ impl TelemetryStore {
     /// shard's active segment first, so every returned `Bytes` is a
     /// zero-copy slice of shared segment memory that outlives the
     /// shard lock; the caller decodes with
-    /// [`decode_view`](crate::codec::decode_view) and borrows straight
+    /// [`decode_view`] and borrows straight
     /// from the segment.
     pub fn shard_raw_on(&self, crawl: &CrawlId, shard: usize, os: Option<Os>) -> Vec<Bytes> {
         let Some(crawl) = self.lookup(crawl.as_str()) else {
@@ -477,11 +477,6 @@ impl TelemetryStore {
     /// errors — it is the persistence layer's integrity pass.
     pub fn scan_all(&self) -> Result<Vec<VisitRecord>, CodecError> {
         self.raw_all().into_iter().map(decode).collect()
-    }
-
-    /// Export every record of a crawl as a JSON array string.
-    pub fn export_json(&self, crawl: &CrawlId) -> String {
-        serde_json::to_string(&self.crawl_records(crawl)).expect("records serialise")
     }
 }
 
@@ -749,16 +744,6 @@ mod tests {
         }
         assert_eq!(store.crawl_ids().len(), 2);
         assert_eq!(store.len(), 200);
-    }
-
-    #[test]
-    fn json_export() {
-        let store = TelemetryStore::new();
-        store.append(&rec(CrawlId::top2020(), "j.example", Os::Windows));
-        let json = store.export_json(&CrawlId::top2020());
-        assert!(json.contains("j.example"));
-        let parsed: Vec<VisitRecord> = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed.len(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`par_indexed`] is the one "atomic ticket → scoped threads → merge
 //! at join" driver in the workspace. Workers claim indices `0..n` off a
-//! shared [`JobTicket`], so a slow item only slows the worker holding
+//! shared `JobTicket`, so a slow item only slows the worker holding
 //! it; each result lands in slot `i` of the output, so the output is a
 //! pure function of `f` whatever the claim interleaving. Callers fold
 //! the slots (and the per-worker states) serially afterwards, which is

@@ -14,11 +14,10 @@ use kt_netbase::services::{
     THREATMETRIX_PORTS, THUNDER_PORTS,
 };
 use kt_netbase::{DomainName, Host, Os, OsSet, Scheme, Url};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// How a request is issued by the page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Channel {
     /// A subresource fetch (img/script/XHR/fetch). Subject to SOP.
     Fetch,
@@ -31,7 +30,7 @@ pub enum Channel {
 }
 
 /// One request the page plans to issue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedRequest {
     /// Destination.
     pub url: Url,
@@ -42,7 +41,7 @@ pub struct PlannedRequest {
 }
 
 /// The native applications of §4.3.3 / Appendix A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NativeApp {
     /// Discord local RPC: ws 6463–6472, `/?v=1` (cponline, runeline).
     Discord,
@@ -92,7 +91,7 @@ impl NativeApp {
 }
 
 /// The developer-error shapes of §4.3.4 / Appendix B.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DevError {
     /// Fetching files from a development file server left in the page
     /// (`/wp-content/uploads/...` and friends).
@@ -153,7 +152,7 @@ pub enum DevError {
 }
 
 /// The unexplained behaviours of Appendix C.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum UnknownKind {
     /// `http://127.0.0.1:6880–6889/*.json` (hola.org, svd-cdn.com).
     HolaJson,
@@ -173,7 +172,7 @@ pub const WIDE_SWEEP_PORTS: [u16; 25] = [
 ];
 
 /// A behaviour a website exhibits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Behavior {
     /// ThreatMetrix fraud detection: WSS scan of 14 remote-desktop
     /// ports, Windows only, results uploaded to a vendor domain.

@@ -21,14 +21,13 @@
 //! rounding separates the reconstructions).
 
 use kt_netbase::{OsSet, Scheme};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 use crate::behavior::{Behavior, DevError, NativeApp, UnknownKind};
 use crate::site::SiteCategory;
 
 /// Where a spec's behaviour fires in time (drives Figures 5–7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayWindow {
     /// Minimum base delay, ms.
     pub min_ms: u64,
@@ -70,7 +69,7 @@ impl DelayWindow {
 }
 
 /// One behaviour to plant on one (to-be-chosen) domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlantSpec {
     /// The behaviour.
     pub behavior: Behavior,

@@ -19,7 +19,6 @@
 
 use kt_netbase::{DomainName, Os};
 use kt_weblists::{Blocklist, MaliciousCategory, NameForge, TrancoSnapshot};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::behavior::Behavior;
@@ -50,7 +49,7 @@ pub(crate) fn unit(seed: u64, label: &str) -> f64 {
 }
 
 /// Configuration for population generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationConfig {
     /// Run seed; every sampled quantity derives from it.
     pub seed: u64,

@@ -17,15 +17,11 @@
 //! the `stealth` profile observes a superset of the `naive` profile's
 //! local observations on any seeded population.
 
-use serde::{Deserialize, Serialize};
-
 use crate::population::{hash_str, unit};
 
 /// How the crawler presents itself to the page — the knob the bias
 /// experiment sweeps. Ordered by evasion power.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum CrawlerProfile {
     /// Stock headless automation: `navigator.webdriver` set, headless
     /// UA string, no plugin/codec surface. Every sensor fires.
@@ -84,7 +80,7 @@ impl CrawlerProfile {
 
 /// Which anti-bot deployment a site runs, and therefore what it does to
 /// its local behaviour when the sensor fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensorArchetype {
     /// `navigator.webdriver` / UA fingerprint check: a detected crawler
     /// simply never receives the local-probing script.
@@ -126,7 +122,7 @@ impl SensorArchetype {
 
 /// What the page does with its local behaviour after consulting the
 /// sensor — the browser's gating instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensorGate {
     /// Behaviour runs unmodified.
     Pass,
@@ -158,7 +154,7 @@ impl SensorGate {
 }
 
 /// An anti-bot sensor as deployed on one site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BotSensor {
     /// Which deployment this site runs.
     pub archetype: SensorArchetype,

@@ -7,14 +7,13 @@
 //! local-traffic [`Behavior`]s it exhibits on which OSes.
 
 use kt_netbase::{DomainName, Os, OsSet};
-use serde::{Deserialize, Serialize};
 
 use crate::behavior::{Behavior, PlannedRequest};
 use crate::sensor::BotSensor;
 
 /// Rough site genre — drives which behaviours are plausible (the paper
 /// found ThreatMetrix on e-commerce, BIG-IP on government sites, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SiteCategory {
     /// Online shops, payment, banking.
     Ecommerce,
@@ -33,7 +32,7 @@ pub enum SiteCategory {
 }
 
 /// How the landing page answers the crawler — the Table 1 taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Availability {
     /// Loads successfully.
     Up,
@@ -59,7 +58,7 @@ impl Availability {
 /// A behaviour as planted on a specific site: the behaviour itself,
 /// the OS pattern for *this* site, and the firing delay that anchors
 /// the Figure 5–7 timing distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlantedBehavior {
     /// The behaviour.
     pub behavior: Behavior,
@@ -86,7 +85,7 @@ impl PlantedBehavior {
 }
 
 /// One website in the synthetic population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebSite {
     /// The site's registrable domain.
     pub domain: DomainName,

@@ -14,12 +14,11 @@
 //! [`Blocklist::dedup_by_domain`] enforces it for arbitrary inputs.
 
 use kt_netbase::DomainName;
-use serde::{Deserialize, Serialize};
 
 use crate::names::NameForge;
 
 /// Which blocklist supplied an entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BlocklistSource {
     /// SURBL URI reputation data (abuse, malware, phishing).
     Surbl,
@@ -41,7 +40,7 @@ impl BlocklistSource {
 }
 
 /// Malicious site category (Table 2 rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MaliciousCategory {
     /// Malware-distribution sites.
     Malware,
@@ -94,7 +93,7 @@ impl MaliciousCategory {
 }
 
 /// One blocklisted URL.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlocklistEntry {
     /// The registrable domain (one entry per domain).
     pub domain: DomainName,
@@ -107,7 +106,7 @@ pub struct BlocklistEntry {
 }
 
 /// A deduplicated malicious-URL list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Blocklist {
     /// Entries, one per domain.
     pub entries: Vec<BlocklistEntry>,

@@ -9,12 +9,11 @@
 //! active / 21 sites newly listed" dynamics.
 
 use kt_netbase::DomainName;
-use serde::{Deserialize, Serialize};
 
 use crate::names::NameForge;
 
 /// One list entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankedDomain {
     /// 1-based Tranco rank.
     pub rank: u32,
@@ -23,7 +22,7 @@ pub struct RankedDomain {
 }
 
 /// A ranked snapshot of the top `n` domains.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrancoSnapshot {
     /// Label, e.g. `"2020-06-03"`.
     pub label: String,

@@ -284,10 +284,19 @@ fn kill_sweep_with_aggressive_group_commit_matches_unbatched() {
 fn study_kills_at_meta_and_checkpoint_boundaries() {
     let config = StudyConfig::quick(13);
     let baseline = Study::run(config);
+    // FLUSH markers off: a marker lands wherever 512 KiB of visit
+    // frames have piled up, which depends on the order the study's
+    // workers finish in, so the probe's frame indices would not name
+    // the same frames in a later run. Without them every run lays out
+    // the same frames.
+    let unflushed = JournalConfig {
+        flush_every_bytes: u64::MAX,
+        ..JournalConfig::default()
+    };
 
     // Probe the frame layout of an uninterrupted study journal.
     let probe = tmp("study-probe");
-    let journal = JournalWriter::create(&probe).unwrap();
+    let journal = JournalWriter::create_with(&probe, unflushed).unwrap();
     Study::run_journaled(config, Some(&journal));
     drop(journal);
     let data = std::fs::read(&probe).unwrap();
@@ -303,7 +312,7 @@ fn study_kills_at_meta_and_checkpoint_boundaries() {
     // resume from: the doctor can salvage bytes, but `resume` must
     // refuse rather than guess a population.
     let path = tmp("study-meta-kill");
-    let journal = JournalWriter::create(&path).unwrap();
+    let journal = JournalWriter::create_with(&path, unflushed).unwrap();
     journal.set_kill(Some(KillSpec {
         at_frame: 0,
         mode: KillMode::MidFrame,
@@ -326,7 +335,7 @@ fn study_kills_at_meta_and_checkpoint_boundaries() {
     ];
     for (at_frame, mode) in boundaries {
         let path = tmp(&format!("study-kill-{at_frame}-{mode:?}"));
-        let journal = JournalWriter::create(&path).unwrap();
+        let journal = JournalWriter::create_with(&path, unflushed).unwrap();
         journal.set_kill(Some(KillSpec { at_frame, mode }));
         Study::run_journaled(config, Some(&journal));
         assert!(journal.killed(), "study must die at frame {at_frame}");
