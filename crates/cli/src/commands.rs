@@ -7,8 +7,8 @@ use knock_talk::netbase::services::{BIGIP_PORTS, THREATMETRIX_PORTS};
 use knock_talk::netbase::Os;
 use knock_talk::netlog::Capture;
 use knock_talk::store::{
-    CrawlId, FsckOptions, JournalConfig, JournalWriter, KillMode, KillSpec, LoadOutcome,
-    SegmentMode, SnapshotStore, SpillConfig, VisitRecord,
+    CrawlId, FsckOptions, JournalWriter, KillMode, KillSpec, LoadOutcome, SegmentMode,
+    SnapshotStore, SpillConfig, VisitRecord,
 };
 use knock_talk::trace::Trace;
 use knock_talk::{RunOpts, SnapshotStudy, SnapshotStudyConfig, Study, StudyConfig};
@@ -25,11 +25,9 @@ knocktalk — reproduce 'Knock and Talk' (IMC 2021)
 USAGE:
   knocktalk repro    [--scale quick|standard|paper] [--seed N] [--id T5]
                      [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]
-                     [--flush-every BYTES] [--group-frames N]
   knocktalk crawl    [--os windows|linux|mac] [--scale ...] [--seed N] [--save FILE]
                      [--profile naive|headless-patched|stealth|human-replay]
                      [--journal FILE] [--kill-frames N] [--kill-mode mid-frame|post-frame]
-                     [--flush-every BYTES] [--group-frames N]
   knocktalk bias     [--seed N] [--workers N] [--out FILE] [--metrics-out FILE]
   knocktalk resume   <study.ktj> [--id T5] [--metrics-out FILE] [--trace-out FILE]
   knocktalk fsck     <journal.ktj|store.ktstore|DIR> [--repair yes]
@@ -47,12 +45,11 @@ USAGE:
                      [--workers N] [--queue-capacity N] [--policy block|shed]
                      [--max-campaigns N] [--max-visits N] [--deadline-ms N]
                      [--storm yes] [--check invariants,tables] [--metrics-out FILE]
-                     [--journal-dir DIR] [--flush-every BYTES] [--group-frames N]
+                     [--journal-dir DIR]
   knocktalk snapshot crawl [--snapshots N] [--size N] [--churn R] [--relist R]
                      [--content-churn R] [--seed N] [--workers N] [--full yes]
                      [--store DIR] [--spill DIR] [--journal FILE] [--resume yes]
                      [--kill-frames N] [--kill-mode mid-frame|post-frame]
-                     [--flush-every BYTES] [--group-frames N]
                      [--metrics-out FILE] [--trace-out FILE]
   knocktalk snapshot diff --store DIR [--mode mmap|resident] [--workers N]
                      [--snapshots L1,L2,...] [--out FILE] [--metrics-out FILE]
@@ -65,8 +62,6 @@ USAGE:
 
 repro and crawl also accept:
   --workers N        override the worker-thread count
-  --flush-every B    bytes of visit payload between journal FLUSH fsyncs
-  --group-frames N   journal frames per group-commit write (1 = unbatched)
   --metrics-out FILE write the campaign's metrics registry in Prometheus
                      text exposition format (worker-count-invariant)
   --trace-out FILE   write the span/event trace (simulated clock) as JSONL
@@ -88,7 +83,10 @@ COMMANDS:
             suffers; the table is byte-identical for any --workers
   resume    replay a study journal, re-run only what the crash lost, and
             print the tables — byte-identical to a run that never crashed;
-            the worker count and journal cadence come from the journal
+            the seed, list sizes and worker count come from the journal's
+            META frame, and the journal is appended at the default cadence.
+            A journal from before the binary CHECKPOINT/META payloads is
+            refused as the retired JSON format (by fsck and analyze too)
   fsck      store doctor: scan a journal or a saved store (both KTSTORE2
             frames) for torn tails, bad CRCs, duplicate, orphan and missing
             records; --repair yes quarantines the damage and rewrites a
@@ -116,7 +114,9 @@ COMMANDS:
   snapshot  the longitudinal engine. `crawl` runs an N-snapshot series over a
             churning top list: snapshot 0 is crawled in full, later snapshots
             recrawl only changed or newly-listed sites and link unchanged rows
-            by content reference (--full yes forces full recrawls). --store DIR
+            by content reference (--full yes forces full recrawls);
+            --journal FILE --resume yes continues a killed series' journal
+            (it takes no --kill-frames/--kill-mode). --store DIR
             persists the content-addressed dedup store: sealed chunks-NNNN.ktc
             segment files (KTSTORE2 CRC frames: hash, refcount, canonical
             record bytes) plus a MANIFEST.json listing the segments and
@@ -179,15 +179,14 @@ const COMMANDS: &[Command] = &[
     (
         "repro",
         None,
-        "scale seed workers id journal kill-frames kill-mode flush-every group-frames \
-         metrics-out trace-out",
+        "scale seed workers id journal kill-frames kill-mode metrics-out trace-out",
         repro,
     ),
     (
         "crawl",
         None,
-        "os scale seed workers save profile journal kill-frames kill-mode flush-every \
-         group-frames metrics-out trace-out",
+        "os scale seed workers save profile journal kill-frames kill-mode metrics-out \
+         trace-out",
         crawl,
     ),
     ("bias", None, "seed workers out metrics-out", bias),
@@ -228,16 +227,14 @@ const COMMANDS: &[Command] = &[
         "serve",
         None,
         "tenants campaigns sites seed workers queue-capacity policy max-campaigns \
-         max-visits deadline-ms storm check metrics-out journal-dir flush-every \
-         group-frames",
+         max-visits deadline-ms storm check metrics-out journal-dir",
         serve,
     ),
     (
         "snapshot crawl",
         None,
         "snapshots size churn relist content-churn seed workers full store spill \
-         journal resume kill-frames kill-mode flush-every group-frames metrics-out \
-         trace-out",
+         journal resume kill-frames kill-mode metrics-out trace-out",
         snapshot_crawl,
     ),
     (
@@ -333,58 +330,29 @@ fn write_trace_outputs(opts: &Options, trace: Option<&Trace>) -> Result<(), Stri
     Ok(())
 }
 
-/// Build a [`JournalConfig`] from `--flush-every` (bytes of visit
-/// payload between FLUSH-marker fsyncs) and `--group-frames` (buffered
-/// frames per batched write; 1 disables group commit). Defaults leave
-/// the writer's stock cadence untouched.
-fn journal_config_from_opts(opts: &Options) -> Result<JournalConfig, String> {
-    let mut config = JournalConfig::default();
-    if let Some(bytes) = opts.get("flush-every") {
-        let bytes: u64 = bytes
-            .parse()
-            .map_err(|_| format!("flag --flush-every expects bytes, got {bytes:?}"))?;
-        if bytes == 0 {
-            return Err("--flush-every must be positive".to_string());
-        }
-        config.flush_every_bytes = bytes;
-    }
-    if let Some(frames) = opts.get("group-frames") {
-        let frames: u64 = frames
-            .parse()
-            .map_err(|_| format!("flag --group-frames expects an integer, got {frames:?}"))?;
-        if frames == 0 {
-            return Err("--group-frames must be positive (1 disables batching)".to_string());
-        }
-        config.group_max_frames = frames;
-    }
-    Ok(config)
-}
-
 /// Build a journal writer from `--journal`, arming `--kill-frames` /
 /// `--kill-mode` when given. `Ok(None)` when no journal was requested.
+/// The flags are checked before the file is created, so a refused
+/// flag leaves an existing journal as it was.
 fn journal_from_opts(opts: &Options) -> Result<Option<JournalWriter>, String> {
-    let config = journal_config_from_opts(opts)?;
+    let armed = opts.get("kill-frames").is_some();
     let Some(path) = opts.get("journal") else {
-        if opts.get("kill-frames").is_some() || opts.get("kill-mode").is_some() {
+        if armed || opts.get("kill-mode").is_some() {
             return Err("--kill-frames/--kill-mode need --journal".to_string());
         }
         return Ok(None);
     };
-    let journal = JournalWriter::create_with(std::path::Path::new(path), config)
-        .map_err(|e| e.to_string())?;
-    if let Some(at) = opts.get("kill-frames") {
-        let at_frame: u64 = at
-            .parse()
-            .map_err(|_| format!("flag --kill-frames expects an integer, got {at:?}"))?;
-        let mode = match opts.get("kill-mode").unwrap_or("mid-frame") {
-            "mid-frame" => KillMode::MidFrame,
-            "post-frame" => KillMode::PostFrame,
-            other => return Err(format!("unknown --kill-mode {other:?}")),
-        };
-        journal.set_kill(Some(KillSpec { at_frame, mode }));
-    } else if opts.get("kill-mode").is_some() {
+    if !armed && opts.get("kill-mode").is_some() {
         return Err("--kill-mode needs --kill-frames".to_string());
     }
+    let at_frame = opts.get_u64("kill-frames", 0)?;
+    let mode = match opts.get("kill-mode").unwrap_or("mid-frame") {
+        "mid-frame" => KillMode::MidFrame,
+        "post-frame" => KillMode::PostFrame,
+        other => return Err(format!("unknown --kill-mode {other:?}")),
+    };
+    let journal = JournalWriter::create(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    journal.set_kill(armed.then_some(KillSpec { at_frame, mode }));
     Ok(Some(journal))
 }
 
@@ -435,22 +403,25 @@ pub fn repro(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
             journal.path().display()
         );
     }
-    match opts.get("id") {
-        Some(id) => {
-            let text = study
-                .experiment(id)
-                .ok_or_else(|| format!("unknown experiment id {id:?}"))?;
-            writeln!(out, "{text}")?;
-        }
-        None => {
-            for (id, text) in study.all_experiments() {
-                writeln!(out, "=== [{id}] ===\n{text}")?;
-            }
-            for id in knock_talk::experiments::EXTENDED_IDS {
-                if let Some(text) = study.experiment(id) {
-                    writeln!(out, "=== [{id}] (extension) ===\n{text}")?;
-                }
-            }
+    write_experiments(&study, opts, out)
+}
+
+/// Write the study's `--id` experiment, or every table and figure and
+/// then the extensions: `repro` and `resume` print the same report.
+fn write_experiments(study: &Study, opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    if let Some(id) = opts.get("id") {
+        let text = study
+            .experiment(id)
+            .ok_or_else(|| format!("unknown experiment id {id:?}"))?;
+        writeln!(out, "{text}")?;
+        return Ok(());
+    }
+    for (id, text) in study.all_experiments() {
+        writeln!(out, "=== [{id}] ===\n{text}")?;
+    }
+    for id in knock_talk::experiments::EXTENDED_IDS {
+        if let Some(text) = study.experiment(id) {
+            writeln!(out, "=== [{id}] (extension) ===\n{text}")?;
         }
     }
     Ok(())
@@ -716,20 +687,7 @@ pub fn resume(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     )
     .map_err(|e| e.to_string())?;
     write_trace_outputs(opts, trace.as_ref())?;
-    match opts.get("id") {
-        Some(id) => {
-            let text = study
-                .experiment(id)
-                .ok_or_else(|| format!("unknown experiment id {id:?}"))?;
-            writeln!(out, "{text}")?;
-        }
-        None => {
-            for (id, text) in study.all_experiments() {
-                writeln!(out, "=== [{id}] ===\n{text}")?;
-            }
-        }
-    }
-    Ok(())
+    write_experiments(&study, opts, out)
 }
 
 /// `knocktalk fsck <journal.ktj|store.ktstore|DIR> [--repair yes]`: a
@@ -906,7 +864,6 @@ pub fn serve(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     };
     let storm = parse_switch(opts, "storm", false)?;
     let journal_dir = opts.get("journal-dir").map(std::path::PathBuf::from);
-    let journal_config = journal_config_from_opts(opts)?;
     let quota = TenantQuota {
         max_campaigns: if max_campaigns == 0 {
             usize::MAX
@@ -964,7 +921,6 @@ pub fn serve(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
         config.slow_consumer_stall_ms = 120_000;
         config.faults = faults.clone();
         config.journal_dir = journal_dir.clone();
-        config.journal_config = journal_config;
         let mut service = CampaignService::new(config);
         for t in 0..tenants {
             service.register_tenant(&format!("tenant-{t}"), quota, policy);
@@ -1301,6 +1257,9 @@ fn snapshot_crawl(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
         let path = opts
             .get("journal")
             .ok_or_else(|| "--resume yes needs --journal FILE".to_string())?;
+        if opts.get("kill-frames").is_some() || opts.get("kill-mode").is_some() {
+            Err("--resume takes no --kill-frames/--kill-mode".to_string())?;
+        }
         let run_opts = RunOpts {
             trace: trace.as_ref(),
             ..RunOpts::default()
@@ -1582,6 +1541,62 @@ mod tests {
         assert!(out.is_empty(), "a refused command ran");
         run(&argv("entropy --machines 3"), &mut out).unwrap();
         assert!(out.starts_with(b"fingerprinting entropy over 3 simulated machines"));
+    }
+
+    #[test]
+    fn refused_kill_flags_leave_the_journal_alone() {
+        let path = std::env::temp_dir().join(format!("kt-cli-keep-{}.ktj", std::process::id()));
+        std::fs::write(&path, b"KTSTORE2 left alone").unwrap();
+        let p = path.display();
+        for (line, why) in [
+            (
+                format!("repro --journal {p} --kill-frames x"),
+                "--kill-frames",
+            ),
+            (
+                format!("crawl --journal {p} --kill-frames 3 --kill-mode sideways"),
+                "--kill-mode",
+            ),
+            (
+                format!("repro --journal {p} --kill-mode post-frame"),
+                "needs --kill-frames",
+            ),
+            (
+                format!("snapshot crawl --journal {p} --resume yes --kill-frames 3"),
+                "--resume",
+            ),
+            (
+                format!("snapshot crawl --journal {p} --resume yes --kill-mode mid-frame"),
+                "--resume",
+            ),
+        ] {
+            let err = run(&argv(&line), &mut io::sink()).unwrap_err().to_string();
+            assert!(err.contains(why), "{line}: {err}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), b"KTSTORE2 left alone");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_json_era_journal_is_refused_by_every_reader() {
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/data/json-meta.ktj"
+        );
+        let before = std::fs::read(fixture).unwrap();
+        for line in [
+            format!("resume {fixture}"),
+            format!("fsck {fixture}"),
+            format!("analyze {fixture}"),
+            format!("snapshot crawl --journal {fixture} --resume yes"),
+        ] {
+            let err = run(&argv(&line), &mut io::sink()).unwrap_err().to_string();
+            assert!(
+                err.starts_with("retired JSON journal format"),
+                "{line}: {err}"
+            );
+        }
+        assert_eq!(std::fs::read(fixture).unwrap(), before);
     }
 
     #[test]

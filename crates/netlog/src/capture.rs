@@ -88,13 +88,16 @@ impl Capture {
         }
     }
 
-    /// Serialise to the `chrome://net-export` JSON document.
+    /// Serialise to the `chrome://net-export` JSON document, one event
+    /// at a time: no tree of the whole document is built.
     pub fn to_json(&self) -> String {
-        let doc = serde_json::json!({
-            "constants": ConstantTables::standard(),
-            "events": self.events.iter().map(NetLogEvent::to_wire).collect::<Vec<_>>(),
-        });
-        serde_json::to_string(&doc).expect("capture serialisation cannot fail")
+        let tables = serde_json::to_value(&ConstantTables::standard());
+        let mut out = format!("{{\"constants\":{tables},\"events\":[");
+        for (i, event) in self.events.iter().enumerate() {
+            out.push_str(if i == 0 { "" } else { "," });
+            out.push_str(&event.to_wire().to_string());
+        }
+        out + "]}"
     }
 
     /// Parse a capture document in one pass, keeping every event that
@@ -370,6 +373,26 @@ mod tests {
         let parsed = Capture::parse(&doc.to_string()).unwrap();
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed.skipped, 1);
+    }
+
+    #[test]
+    fn the_streaming_writer_matches_the_whole_tree_rendering() {
+        let mut escaped = ev(2, 20, "https://h.exämple/\u{1F600}?q=\"x\"\\y\tz");
+        escaped.phase = EventPhase::End;
+        let mut bare = ev(3, 30, "");
+        bare.params = EventParams::None;
+        for events in [
+            Vec::new(),
+            vec![ev(1, 10, "wss://localhost:3389/")],
+            vec![ev(1, 10, "https://example.com/"), escaped, bare],
+        ] {
+            let capture = Capture::from_events(events);
+            let tree = serde_json::json!({
+                "constants": ConstantTables::standard(),
+                "events": capture.events.iter().map(NetLogEvent::to_wire).collect::<Vec<_>>(),
+            });
+            assert_eq!(capture.to_json(), tree.to_string());
+        }
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! The capture reader holds one event's JSON tree at a time, so its
 //! peak heap is the result plus one event, whole or truncated; a
 //! reader that builds the whole document's tree first peaks at several
-//! times the input.
+//! times the input. The writer renders one event at a time into its
+//! output, so its peak is the output's buffer plus one event; a writer
+//! that builds the whole document's tree first peaks near 9x the
+//! output.
 
 use kt_netlog::{Capture, EventParams, EventPhase, EventType, NetLogEvent, SourceRef, SourceType};
 
@@ -45,8 +48,18 @@ fn multi_megabyte_capture_parses_and_round_trips() {
             },
         })
         .collect();
-    let json = Capture::from_events(events.clone()).to_json();
+    let capture = Capture::from_events(events.clone());
+    let before = kt_trace::live_bytes();
+    kt_trace::reset_peak_bytes();
+    let json = capture.to_json();
+    let written_peak = kt_trace::peak_bytes() - before;
+    drop(capture);
     assert!(json.len() > 4 << 20, "capture is {} bytes", json.len());
+    assert!(
+        written_peak <= 3 * json.len() as u64,
+        "writer peak heap {written_peak} for {} output bytes",
+        json.len()
+    );
     let (parsed, peak) = parse_with_peak(&json);
     assert!(!parsed.truncated && parsed.skipped == 0);
     assert_eq!(parsed.events, events);

@@ -52,7 +52,7 @@ use kt_crawler::CrawlStats;
 use kt_faults::{Fault, FaultPlan};
 use kt_netbase::Os;
 use kt_simnet::connectivity::ConnectivityChecker;
-use kt_store::journal::{JournalConfig, JournalWriter};
+use kt_store::journal::JournalWriter;
 use kt_store::{CheckpointFrame, CrawlId, TelemetryStore, VisitRecord};
 use kt_trace::{names, par_indexed, Labels, Trace};
 use kt_webgen::WebSite;
@@ -80,9 +80,6 @@ pub struct ServiceConfig {
     /// `<dir>/<tenant>/<crawl>-<os>.ktj` — drained campaigns resume
     /// from there to byte-identical tables.
     pub journal_dir: Option<PathBuf>,
-    /// Flush cadence and group-commit thresholds for campaign
-    /// journals. The default matches the standalone writer.
-    pub journal_config: JournalConfig,
 }
 
 impl ServiceConfig {
@@ -96,7 +93,6 @@ impl ServiceConfig {
             slow_consumer_stall_ms: 30_000,
             faults: FaultPlan::none(seed),
             journal_dir: None,
-            journal_config: JournalConfig::default(),
         }
     }
 }
@@ -386,10 +382,7 @@ impl CampaignService {
                 let dir = dir.join(tenant);
                 std::fs::create_dir_all(&dir).expect("journal dir");
                 let path = dir.join(format!("{}-{}.ktj", spec.crawl.as_str(), spec.os.name()));
-                Some(
-                    JournalWriter::create_with(&path, self.config.journal_config)
-                        .expect("campaign journal"),
-                )
+                Some(JournalWriter::create(&path).expect("campaign journal"))
             }
             None => None,
         };

@@ -104,11 +104,6 @@ impl SimNet {
         self.endpoints.insert((addr, port), endpoint);
     }
 
-    /// Number of bound public endpoints.
-    pub fn endpoint_count(&self) -> usize {
-        self.endpoints.len()
-    }
-
     /// Resolve a DNS name at the given time.
     pub fn resolve(&mut self, name: &str, now: SimTime) -> Result<IpAddr, crate::dns::DnsError> {
         self.dns.resolve(name, now)

@@ -87,7 +87,7 @@ pub(crate) fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
     put_varint(buf, s.len() as u64);
     buf.put_slice(s.as_bytes());
 }
@@ -429,13 +429,12 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Validating string read: the byte-at-a-time reference that the
-    /// batched path is property-pinned against.
-    #[cfg(test)]
-    fn get_str(&mut self) -> Result<&'a str, CodecError> {
-        let raw = self.get_str_raw()?;
-        self.spans.pop();
-        std::str::from_utf8(raw).map_err(|_| CodecError::BadUtf8)
+    /// Validating string read, for the journal's payloads; also the
+    /// byte-at-a-time reference the batched path is property-pinned
+    /// against.
+    pub(crate) fn get_str(&mut self) -> Result<&'a str, CodecError> {
+        let len = self.get_varint()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::BadUtf8)
     }
 
     /// The next `len` bytes, unvalidated.

@@ -9,11 +9,12 @@
 //! frame = sync(2B = F5 4B) kind(u8) len(u32 LE) payload[len] crc(u32 LE)
 //!         crc = CRC-32/IEEE over kind ‖ len ‖ payload
 //! kinds : 1 VISIT       flags, stats delta, codec-encoded VisitRecord
-//!         2 CHECKPOINT  (crawl, os) done: completed domains + stats blob
 //!         3 FLUSH       durability marker: fsync happened right after
-//!         4 META        campaign parameters (seed, sizes) for resume
 //!         5 CHUNK       content hash, refcount, canonical record bytes
 //!         6 STORE       saved-store header: visit frames that follow
+//!         7 CHECKPOINT  (crawl, os) done: completed domains + stats blob
+//!         8 META        campaign parameters (seed, sizes) for resume
+//!         2, 4          retired: CHECKPOINT and META with JSON payloads
 //! ```
 //!
 //! [`scan`] is the single reader: it checks every CRC, resyncs past
@@ -44,17 +45,20 @@ const HEADER_LEN: usize = 7;
 pub mod kind {
     /// One finished visit: flags + stats delta + encoded record.
     pub const VISIT: u8 = 1;
-    /// One finished `(crawl, os)` campaign.
-    pub const CHECKPOINT: u8 = 2;
     /// Durability marker: the writer fsynced right after this frame.
     pub const FLUSH: u8 = 3;
-    /// Campaign parameters, written once at journal start.
-    pub const META: u8 = 4;
     /// One snapshot-store chunk: hash, refcount, canonical bytes.
     pub const CHUNK: u8 = 5;
     /// A saved store's header: the count of visit frames that follow
     /// (u64 LE), so a cut at a frame boundary is still detected.
     pub const STORE: u8 = 6;
+    /// One finished `(crawl, os)` campaign, in the codec's varints.
+    pub const CHECKPOINT: u8 = 7;
+    /// Campaign parameters, written once at journal start: 4 varints.
+    pub const META: u8 = 8;
+    /// The CHECKPOINT and META kinds of journals with JSON payloads;
+    /// the journal reader refuses a file that holds one.
+    pub const RETIRED_JSON: [u8; 2] = [2, 4];
 }
 
 // ---------------------------------------------------------------- CRC

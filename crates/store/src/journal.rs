@@ -7,9 +7,9 @@
 //! appends a checkpoint frame per completed `(crawl, os)` campaign, and
 //! a killed run resumes by replaying the journal and crawling only what
 //! is missing. The file is the shared [`crate::frame`] format with the
-//! VISIT, CHECKPOINT, FLUSH and META kinds; a saved store
-//! ([`crate::persist::save`]) is the same file holding a STORE header
-//! and final visit frames, so [`replay`] and [`fsck`] read both.
+//! VISIT, CHECKPOINT, FLUSH and META kinds, all in the codec's varints;
+//! a saved store ([`crate::persist::save`]) is the same file holding a
+//! STORE header and final visit frames, so [`replay`] and [`fsck`] read both.
 //!
 //! Recovery properties, in decreasing order of strength:
 //!
@@ -39,7 +39,6 @@ use std::sync::Mutex;
 
 use bytes::{BufMut, BytesMut};
 use kt_netbase::Os;
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{self, decode_view, encode, Cursor};
 use crate::frame::{self, kind, Frame, MAGIC};
@@ -169,7 +168,7 @@ impl ReplayedVisit {
 /// One finished `(crawl, os)` campaign: enough to skip it wholesale on
 /// resume. `stats` is the merged `CrawlStats` in the crawler's compact
 /// binary encoding (kt-store stays ignorant of the enum-keyed map).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointFrame {
     /// Crawl id, e.g. `top2020`.
     pub crawl: String,
@@ -184,7 +183,7 @@ pub struct CheckpointFrame {
 
 /// Campaign parameters written once at journal start; `resume`
 /// regenerates the identical deterministic population from these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalMeta {
     /// Master RNG seed (drives population, faults, latencies).
     pub seed: u64,
@@ -241,6 +240,60 @@ fn get_delta(c: &mut Cursor<'_>) -> Result<VisitDelta, codec::CodecError> {
     Ok(d)
 }
 
+/// A CHECKPOINT payload: crawl, OS, the completed domains (count, then
+/// each string), and the stats blob as one length-prefixed byte string.
+fn checkpoint_payload(cp: &CheckpointFrame) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    codec::put_str(&mut buf, &cp.crawl);
+    codec::put_str(&mut buf, &cp.os);
+    codec::put_varint(&mut buf, cp.completed.len() as u64);
+    for domain in &cp.completed {
+        codec::put_str(&mut buf, domain);
+    }
+    codec::put_varint(&mut buf, cp.stats.len() as u64);
+    buf.put_slice(&cp.stats);
+    buf.freeze().to_vec()
+}
+
+fn get_checkpoint(c: &mut Cursor<'_>) -> Result<CheckpointFrame, codec::CodecError> {
+    let (crawl, os) = (c.get_str()?.into(), c.get_str()?.into());
+    let n = c.get_varint()? as usize;
+    if n > c.remaining() {
+        // Each domain is at least its 1-byte length; a count beyond
+        // the remaining bytes is corrupt, not an allocation request.
+        return Err(codec::CodecError::Truncated);
+    }
+    let completed = (0..n)
+        .map(|_| c.get_str().map(String::from))
+        .collect::<Result<_, _>>()?;
+    let len = c.get_varint()? as usize;
+    let stats = c.take(len)?.to_vec();
+    Ok(CheckpointFrame {
+        crawl,
+        os,
+        completed,
+        stats,
+    })
+}
+
+/// A META payload: four varints.
+fn meta_payload(meta: &JournalMeta) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    for v in [meta.seed, meta.top_size, meta.malicious_size, meta.workers] {
+        codec::put_varint(&mut buf, v);
+    }
+    buf.freeze().to_vec()
+}
+
+fn get_meta(c: &mut Cursor<'_>) -> Result<JournalMeta, codec::CodecError> {
+    Ok(JournalMeta {
+        seed: c.get_varint()?,
+        top_size: c.get_varint()?,
+        malicious_size: c.get_varint()?,
+        workers: c.get_varint()?,
+    })
+}
+
 /// Serialize a visit frame payload around already-encoded record bytes.
 pub(crate) fn visit_payload(record: &[u8], delta: &VisitDelta, flags: u8) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(record.len() + 64);
@@ -283,6 +336,9 @@ pub enum JournalError {
     Io(io::Error),
     /// The file does not start with the journal magic.
     BadMagic,
+    /// A CRC-valid frame of this retired kind: the file is a journal
+    /// whose CHECKPOINT or META payloads are JSON, refused whole.
+    RetiredJson(u8),
 }
 
 impl std::fmt::Display for JournalError {
@@ -290,6 +346,11 @@ impl std::fmt::Display for JournalError {
         match self {
             JournalError::Io(e) => write!(f, "journal i/o error: {e}"),
             JournalError::BadMagic => write!(f, "not a knock-talk store or journal file"),
+            JournalError::RetiredJson(kind) => write!(
+                f,
+                "retired JSON journal format: its frames of kind {kind} hold JSON checkpoint or \
+                 meta payloads, which this version neither reads nor repairs"
+            ),
         }
     }
 }
@@ -536,35 +597,25 @@ impl JournalWriter {
         };
         if due {
             self.append_frame(kind::FLUSH, &[], false);
-            self.fsync();
+            self.sync();
         }
     }
 
     /// Append a campaign checkpoint and fsync: a completed `(crawl,
     /// os)` must survive any crash that happens after this returns.
     pub fn append_checkpoint(&self, cp: &CheckpointFrame) {
-        let payload = serde_json::to_string(cp)
-            .expect("checkpoint serialises")
-            .into_bytes();
-        self.append_frame(kind::CHECKPOINT, &payload, false);
-        self.fsync();
+        self.append_frame(kind::CHECKPOINT, &checkpoint_payload(cp), false);
+        self.sync();
     }
 
     /// Append the campaign-parameters frame and fsync.
     pub fn append_meta(&self, meta: &JournalMeta) {
-        let payload = serde_json::to_string(meta)
-            .expect("meta serialises")
-            .into_bytes();
-        self.append_frame(kind::META, &payload, false);
-        self.fsync();
+        self.append_frame(kind::META, &meta_payload(meta), false);
+        self.sync();
     }
 
     /// Force everything written so far to disk.
     pub fn sync(&self) {
-        self.fsync();
-    }
-
-    fn fsync(&self) {
         if self.killed() {
             return;
         }
@@ -728,13 +779,9 @@ fn parse_frame(kind_byte: u8, payload: &[u8]) -> Option<FrameBody<'_>> {
             let (visit, record) = decode_visit_payload(payload).ok()?;
             FrameBody::Visit { visit, record }
         }
-        kind::CHECKPOINT => {
-            FrameBody::Checkpoint(serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()?)
-        }
+        kind::CHECKPOINT => FrameBody::Checkpoint(get_checkpoint(&mut Cursor::new(payload)).ok()?),
         kind::FLUSH => FrameBody::Flush,
-        kind::META => {
-            FrameBody::Meta(serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()?)
-        }
+        kind::META => FrameBody::Meta(get_meta(&mut Cursor::new(payload)).ok()?),
         kind::STORE => FrameBody::Store(u64::from_le_bytes(payload.try_into().ok()?)),
         _ => FrameBody::Unknown,
     })
@@ -743,9 +790,18 @@ fn parse_frame(kind_byte: u8, payload: &[u8]) -> Option<FrameBody<'_>> {
 /// Scan raw journal bytes into the maximal clean subset of frames. A
 /// CRC-valid frame whose payload does not decode (a visit record that
 /// fails [`decode_view`], say) is damage like a CRC mismatch. Never
-/// panics, never errors on frame damage — only on a missing magic.
+/// panics, never errors on frame damage — only on a missing magic, or
+/// on a CRC-valid frame of a retired JSON kind, which no damage makes.
 pub fn scan(data: &[u8]) -> Result<ScanReport<'_>, JournalError> {
-    frame::scan(data, parse_frame).ok_or(JournalError::BadMagic)
+    let scan = frame::scan(data, parse_frame).ok_or(JournalError::BadMagic)?;
+    match scan
+        .frames
+        .iter()
+        .find(|f| kind::RETIRED_JSON.contains(&f.kind))
+    {
+        Some(f) => Err(JournalError::RetiredJson(f.kind)),
+        None => Ok(scan),
+    }
 }
 
 /// Everything one read of a journal or saved-store file finds: frame
@@ -779,7 +835,8 @@ pub struct JournalSummary {
     pub corrupt_frames: usize,
     /// Bytes in those spans.
     pub corrupt_bytes: u64,
-    /// True when the file ends mid-frame.
+    /// True when the file ends mid-frame, or at its magic: every writer
+    /// appends a frame (STORE or META) first, so only a cut file has none.
     pub truncated_tail: bool,
     /// Bytes in the torn tail.
     pub tail_bytes: u64,
@@ -827,7 +884,7 @@ fn read(
         frames: scan.frames.len(),
         corrupt_frames: scan.corrupt_spans.len(),
         corrupt_bytes: scan.corrupt_bytes(),
-        truncated_tail: scan.truncated_tail,
+        truncated_tail: scan.truncated_tail || scan.file_len == MAGIC.len() as u64,
         tail_bytes: scan.tail_bytes(),
         valid_end: scan.valid_end,
         ..JournalSummary::default()
@@ -1531,11 +1588,14 @@ mod tests {
 
     #[test]
     fn empty_journal_is_valid() {
+        // A study that journaled its parameters and no visit yet.
         let path = tmp("empty");
         let w = JournalWriter::create(&path).unwrap();
+        w.append_meta(&sample_meta());
         drop(w);
         let report = replay(&path).unwrap();
         assert!(report.visits.is_empty());
+        assert_eq!(report.meta, Some(sample_meta()));
         assert!(!report.summary.truncated_tail);
         assert!(fsck(&path, FsckOptions::default()).unwrap().summary.clean());
         std::fs::remove_file(&path).ok();
@@ -1550,9 +1610,239 @@ mod tests {
             fsck(&path, FsckOptions::default()),
             Err(JournalError::BadMagic)
         ));
+        // The magic alone: every writer appends a frame before it can
+        // finish, so this file was cut, and reads as truncated.
         std::fs::write(&path, MAGIC).unwrap();
         let report = replay(&path).unwrap();
         assert!(report.visits.is_empty() && report.summary.frames == 0);
+        assert!(report.summary.truncated() && !report.summary.clean());
+        let doctor = fsck(&path, FsckOptions::default()).unwrap();
+        assert_eq!(doctor.summary, report.summary);
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn sample_meta() -> JournalMeta {
+        JournalMeta {
+            seed: 7,
+            top_size: 100,
+            malicious_size: 40,
+            workers: 4,
+        }
+    }
+
+    #[test]
+    fn checkpoint_and_meta_payloads_round_trip() {
+        let checkpoints = [
+            CheckpointFrame {
+                crawl: "top2020".into(),
+                os: "Windows".into(),
+                completed: vec![
+                    "bücher.example".into(),
+                    "例え.テスト".into(),
+                    "\u{1F600}.example".into(),
+                    String::new(),
+                ],
+                stats: (0..=255).collect(),
+            },
+            CheckpointFrame {
+                crawl: "malicious".into(),
+                os: "Mac".into(),
+                completed: Vec::new(),
+                stats: Vec::new(),
+            },
+        ];
+        for cp in &checkpoints {
+            let payload = checkpoint_payload(cp);
+            let mut c = Cursor::new(&payload);
+            assert_eq!(&get_checkpoint(&mut c).unwrap(), cp);
+            assert!(!c.has_remaining(), "the decoder reads the whole payload");
+        }
+        for meta in [
+            sample_meta(),
+            JournalMeta {
+                seed: u64::MAX,
+                top_size: 0,
+                malicious_size: 1 << 40,
+                workers: 1,
+            },
+        ] {
+            let payload = meta_payload(&meta);
+            assert!(payload.len() <= 4 * 10, "four varints");
+            let mut c = Cursor::new(&payload);
+            assert_eq!(get_meta(&mut c).unwrap(), meta);
+            assert!(!c.has_remaining());
+        }
+        // Through a journal file too.
+        let path = tmp("payloads");
+        let w = JournalWriter::create(&path).unwrap();
+        w.append_meta(&sample_meta());
+        for cp in &checkpoints {
+            w.append_checkpoint(cp);
+        }
+        drop(w);
+        let report = replay(&path).unwrap();
+        assert_eq!(report.meta, Some(sample_meta()));
+        assert_eq!(report.checkpoints, checkpoints);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_completed_count_beyond_the_payload_is_truncated_not_an_allocation() {
+        let mut buf = BytesMut::new();
+        codec::put_str(&mut buf, "top2020");
+        codec::put_str(&mut buf, "Linux");
+        codec::put_varint(&mut buf, u64::MAX >> 1);
+        codec::put_str(&mut buf, "site0.example");
+        assert_eq!(
+            get_checkpoint(&mut Cursor::new(&buf.freeze().to_vec())),
+            Err(codec::CodecError::Truncated)
+        );
+        // Every proper prefix of a good payload fails; none panics.
+        let payload = checkpoint_payload(&CheckpointFrame {
+            crawl: "top2020".into(),
+            os: "Linux".into(),
+            completed: vec!["site0.example".into(), "site1.example".into()],
+            stats: vec![1, 2, 3],
+        });
+        for cut in 0..payload.len() {
+            assert!(get_checkpoint(&mut Cursor::new(&payload[..cut])).is_err());
+        }
+        let meta = meta_payload(&sample_meta());
+        for cut in 0..meta.len() {
+            assert!(get_meta(&mut Cursor::new(&meta[..cut])).is_err());
+        }
+    }
+
+    /// A journal whose CHECKPOINT or META frame holds JSON, as journals
+    /// did before those payloads moved to the codec.
+    fn refused_as_retired_json(path: &Path) {
+        let before = std::fs::read(path).unwrap();
+        let retired = |r: Result<(), JournalError>| match r {
+            Err(e @ JournalError::RetiredJson(_)) => {
+                assert!(
+                    e.to_string().starts_with("retired JSON journal format"),
+                    "{e}"
+                );
+            }
+            other => panic!("expected the retired-format refusal, got {other:?}"),
+        };
+        retired(replay(path).map(drop));
+        retired(crate::persist::load_any(path).map(drop));
+        retired(scan(&before).map(drop));
+        for repair in [false, true] {
+            retired(
+                fsck(
+                    path,
+                    FsckOptions {
+                        repair,
+                        ..FsckOptions::default()
+                    },
+                )
+                .map(drop),
+            );
+        }
+        assert_eq!(std::fs::read(path).unwrap(), before, "left byte-identical");
+        assert!(!frame::tmp_path(path).exists());
+        assert!(!frame::sibling(path, "quarantine").exists());
+    }
+
+    #[test]
+    fn json_era_journals_are_refused_by_name() {
+        // A JSON-era study journal killed right after its META frame
+        // (`repro --journal F --kill-frames 0 --kill-mode post-frame`):
+        // `{"seed":..}` in a frame of kind 4.
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/json-meta.ktj");
+        let bytes = std::fs::read(&fixture).unwrap();
+        let scanned = frame::scan(&bytes, |_, p| Some(p)).unwrap();
+        assert!(scanned.clean() && scanned.frames.len() == 1);
+        assert_eq!(scanned.frames[0].kind, 4);
+        assert!(scanned.frames[0].payload.starts_with(b"{\"seed\":"));
+        let path = tmp("json-meta");
+        std::fs::write(&path, &bytes).unwrap();
+        refused_as_retired_json(&path);
+
+        // A hand-built JSON CHECKPOINT (kind 2) after codec frames.
+        let w = JournalWriter::create(&path).unwrap();
+        w.append_meta(&sample_meta());
+        append_final(&w, 0, Os::Linux);
+        drop(w);
+        let mut data = std::fs::read(&path).unwrap();
+        frame::put(
+            &mut data,
+            2,
+            br#"{"crawl":"top2020","os":"Linux","completed":["site0.example"],"stats":[1,2]}"#,
+        );
+        std::fs::write(&path, &data).unwrap();
+        refused_as_retired_json(&path);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn journal_damage_is_detected_or_harmless() {
+        // META, visits, a FLUSH marker after each visit, a checkpoint.
+        let path = tmp("sweep");
+        let w = JournalWriter::create_with(
+            &path,
+            JournalConfig {
+                flush_every_bytes: 1,
+                ..JournalConfig::default()
+            },
+        )
+        .unwrap();
+        w.append_meta(&sample_meta());
+        for i in 0..2 {
+            append_final(&w, i, Os::Linux);
+        }
+        w.append_checkpoint(&CheckpointFrame {
+            crawl: "top2020".into(),
+            os: "Linux".into(),
+            completed: vec!["site0.example".into(), "site1.example".into()],
+            stats: vec![7, 0, 255],
+        });
+        drop(w);
+        let clean = std::fs::read(&path).unwrap();
+        let frames = scan(&clean).unwrap().frames;
+        let kinds: BTreeSet<u8> = frames.iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            BTreeSet::from([kind::VISIT, kind::FLUSH, kind::CHECKPOINT, kind::META])
+        );
+        let boundaries: BTreeSet<usize> = frames.iter().map(|f| f.end as usize).collect();
+        let whole = replay(&path).unwrap();
+        for (what, bytes) in frame::tests::damaged(&clean) {
+            std::fs::write(&path, &bytes).unwrap();
+            let doctor = fsck(&path, FsckOptions::default());
+            let Ok(report) = replay(&path) else {
+                assert!(doctor.is_err(), "{what}: fsck reads what replay refuses");
+                continue;
+            };
+            let doctor = doctor.unwrap();
+            assert_eq!(
+                doctor.summary, report.summary,
+                "{what}: fsck and replay report different damage"
+            );
+            if !report.summary.clean() {
+                continue;
+            }
+            // A journal declares no frame count, so a cut at a frame
+            // boundary is what a post-frame kill leaves: it must read
+            // back as exactly the frames before the cut.
+            let cut_at_boundary = bytes.len() < clean.len()
+                && clean.starts_with(&bytes)
+                && boundaries.contains(&bytes.len());
+            let agrees = if cut_at_boundary {
+                whole.visits.starts_with(&report.visits)
+                    && whole.checkpoints.starts_with(&report.checkpoints)
+                    && report.meta == whole.meta
+                    && report.store.len() == report.visits.len()
+            } else {
+                report.visits == whole.visits
+                    && report.checkpoints == whole.checkpoints
+                    && report.meta == whole.meta
+                    && report.store.scan_all() == whole.store.scan_all()
+            };
+            assert!(agrees, "{what}: silent divergence");
+        }
         std::fs::remove_file(&path).ok();
     }
 

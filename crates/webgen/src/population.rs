@@ -634,16 +634,6 @@ impl WebPopulation {
             malicious_sites,
         }
     }
-
-    /// Look up a 2020 site by domain.
-    pub fn site2020(&self, domain: &str) -> Option<&WebSite> {
-        self.sites2020.iter().find(|s| s.domain.as_str() == domain)
-    }
-
-    /// Sites of the 2020 population that issue local traffic anywhere.
-    pub fn locally_active_2020(&self) -> impl Iterator<Item = &WebSite> {
-        self.sites2020.iter().filter(|s| !s.behaviors.is_empty())
-    }
 }
 
 #[cfg(test)]
