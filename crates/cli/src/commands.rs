@@ -357,12 +357,22 @@ fn journal_from_opts(opts: &Options) -> Result<Option<JournalWriter>, String> {
 }
 
 /// Report a simulated crash and how to recover from it. Returns true
-/// when the journal was killed (the caller should stop printing).
-fn report_if_killed(journal: &JournalWriter) -> bool {
+/// when the journal was killed (the caller should stop printing), and
+/// an error naming the I/O failure when a real write or fsync killed
+/// it, so the command exits non-zero.
+fn report_if_killed(journal: &JournalWriter) -> Result<bool, Error> {
     if !journal.killed() {
-        return false;
+        return Ok(false);
     }
     let stats = journal.stats();
+    if let Some(e) = journal.error() {
+        return Err(format!(
+            "journal {} failed after {} frames: {e}",
+            journal.path().display(),
+            stats.frames
+        )
+        .into());
+    }
     eprintln!(
         "simulated crash: process died while journaling (frame {}, {} bytes on disk)",
         stats.frames, stats.bytes
@@ -372,7 +382,7 @@ fn report_if_killed(journal: &JournalWriter) -> bool {
         journal.path().display(),
         journal.path().display()
     );
-    true
+    Ok(true)
 }
 
 /// `knocktalk repro`.
@@ -390,7 +400,7 @@ pub fn repro(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     );
     write_trace_outputs(opts, trace.as_ref())?;
     if let Some(journal) = &journal {
-        if report_if_killed(journal) {
+        if report_if_killed(journal)? {
             return Ok(());
         }
         let stats = journal.stats();
@@ -472,7 +482,7 @@ pub fn crawl(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
         if let Some(t) = trace.as_ref() {
             knock_talk::record_journal_stats(t, &journal.stats());
         }
-        if report_if_killed(journal) {
+        if report_if_killed(journal)? {
             write_trace_outputs(opts, trace.as_ref())?;
             return Ok(());
         }
@@ -1275,7 +1285,7 @@ fn snapshot_crawl(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
         };
         let study = SnapshotStudy::run_with(config, run_opts).map_err(|e| e.to_string())?;
         if let Some(j) = &journal {
-            if report_if_killed(j) {
+            if report_if_killed(j)? {
                 write_trace_outputs(opts, trace.as_ref())?;
                 return Ok(());
             }

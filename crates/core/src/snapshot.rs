@@ -43,7 +43,7 @@ use kt_trace::{names, Labels, Trace};
 use kt_webgen::{Availability, Behavior, DevError, NativeApp, PlantedBehavior, WebSite};
 use kt_weblists::{SeriesConfig, SnapshotSeries};
 
-use crate::study::{study_meta, RunOpts};
+use crate::study::{journal_intact, study_meta, RunOpts};
 
 /// The OSes each snapshot is crawled on. Two, like the paper's 2021
 /// campaign — Windows carries the fraud/bot-detection signal, Linux
@@ -323,12 +323,8 @@ impl SnapshotStudy {
             ..opts
         };
         let replayed = split_campaigns(&report.visits, &report.checkpoints);
-        Ok(SnapshotStudy::run_campaigns(
-            config,
-            report.store,
-            &replayed,
-            &mut opts,
-        ))
+        let study = SnapshotStudy::run_campaigns(config, report.store, &replayed, &mut opts);
+        journal_intact(&opened).map(|()| study)
     }
 
     fn run_campaigns(

@@ -258,6 +258,15 @@ pub(crate) fn study_meta(report: &ReplayReport, kind: &str) -> Result<JournalMet
     })
 }
 
+/// The I/O error that killed a resumed run's `journal`, if one did:
+/// the run stopped early and its results are partial.
+pub(crate) fn journal_intact(journal: &JournalWriter) -> Result<(), JournalError> {
+    match journal.error() {
+        Some(e) => Err(JournalError::Io(io::Error::other(e))),
+        None => Ok(()),
+    }
+}
+
 /// Record a snapshot save's [`kt_store::SaveReport`] as gauges.
 pub fn record_save_report(trace: &Trace, report: &kt_store::SaveReport) {
     let none = Labels::new(&[]);
@@ -308,7 +317,8 @@ impl Study {
     /// batch analyzer. Produces a `Study` whose stats, store, and
     /// analyses are identical to [`Study::run`] — the equivalence the
     /// service tests pin.
-    pub fn run_service(config: StudyConfig) -> Study {
+    #[cfg(test)]
+    fn run_service(config: StudyConfig) -> Study {
         use kt_service::{CampaignService, CampaignSpec, OverflowPolicy, ServiceJob, TenantQuota};
 
         let population = WebPopulation::generate(config.population);
@@ -415,7 +425,8 @@ impl Study {
         // Frame-rebuilt resume plans per campaign; checkpointed
         // campaigns restore their exact stats instead.
         let replayed = split_campaigns(&report.visits, &report.checkpoints);
-        Ok(Study::execute(config, report.store, &replayed, opts))
+        let study = Study::execute(config, report.store, &replayed, opts);
+        journal_intact(&opened).map(|()| study)
     }
 
     /// Generate the population, run (or resume) every campaign into

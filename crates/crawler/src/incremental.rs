@@ -92,12 +92,6 @@ impl IncrementalPlan {
         self.changed.len() + self.fresh.len()
     }
 
-    /// Link-work size: carried rows that reuse the prior snapshot's
-    /// chunks by reference.
-    pub fn link_count(&self) -> usize {
-        self.carried.len()
-    }
-
     /// Fraction of full-recrawl visit work this plan avoids
     /// (`carried / next list size`); 0 for a full plan.
     pub fn savings(&self) -> f64 {
@@ -122,7 +116,7 @@ mod tests {
         let s = snap("snap00", 200, 5);
         let plan = IncrementalPlan::full(&s);
         assert_eq!(plan.visit_count(), 200);
-        assert_eq!(plan.link_count(), 0);
+        assert!(plan.carried.is_empty());
         assert_eq!(plan.savings(), 0.0);
         assert!(plan.dropped.is_empty());
     }

@@ -100,11 +100,6 @@ impl SopVerdict {
             SopVerdict::OpaqueTimingOnly
         }
     }
-
-    /// True if the initiating page can read response data.
-    pub fn can_read_body(self) -> bool {
-        self == SopVerdict::Readable
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +142,6 @@ mod tests {
         let target = Url::parse("http://localhost:4444/").unwrap();
         let v = SopVerdict::decide(&page, &target, false);
         assert_eq!(v, SopVerdict::OpaqueTimingOnly);
-        assert!(!v.can_read_body());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! depends on — and collects events into a capture.
 
 use crate::capture::Capture;
-use crate::constants::{EventPhase, EventType, NetError, SourceType};
+use crate::constants::{EventPhase, EventType, SourceType};
 use crate::event::{EventParams, NetLogEvent, SourceRef, TimeMs};
 
 /// Collects NetLog events during one page visit.
@@ -79,7 +79,8 @@ impl NetLogger {
     }
 
     /// Convenience: log a terminal failure and close the request.
-    pub fn log_failure(&mut self, time: TimeMs, source: SourceRef, error: NetError) {
+    #[cfg(test)]
+    fn log_failure(&mut self, time: TimeMs, source: SourceRef, error: crate::constants::NetError) {
         self.log(
             time,
             source,
@@ -140,6 +141,7 @@ impl NetLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constants::NetError;
     use crate::flow::{FlowOutcome, FlowSet};
 
     #[test]

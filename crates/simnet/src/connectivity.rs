@@ -32,11 +32,6 @@ pub struct ConnectivityChecker {
 }
 
 impl ConnectivityChecker {
-    /// A checker with no outages (the paper's crawls observed none).
-    pub fn always_online() -> ConnectivityChecker {
-        ConnectivityChecker::default()
-    }
-
     /// A checker with the given outage schedule.
     pub fn with_outages(mut outages: Vec<Outage>) -> ConnectivityChecker {
         outages.sort_by_key(|o| o.start);
@@ -75,7 +70,7 @@ mod tests {
 
     #[test]
     fn always_online_never_fails() {
-        let mut c = ConnectivityChecker::always_online();
+        let mut c = ConnectivityChecker::default();
         for t in [0, 1_000, 1_000_000] {
             assert!(c.ping(t));
         }

@@ -147,11 +147,6 @@ impl DnsResolver {
         );
         result
     }
-
-    /// Drop all cached entries (a new browser profile).
-    pub fn flush_cache(&mut self) {
-        self.cache.clear();
-    }
 }
 
 #[cfg(test)]
@@ -254,8 +249,7 @@ mod tests {
         r.insert("moving.example", DnsRecord::A(ip("2.2.2.2")));
         // Cached answer persists…
         assert_eq!(r.resolve("moving.example", 1_000), Ok(ip("1.1.1.1")));
-        // …until flushed or expired.
-        r.flush_cache();
-        assert_eq!(r.resolve("moving.example", 1_000), Ok(ip("2.2.2.2")));
+        // …until it expires.
+        assert_eq!(r.resolve("moving.example", 61_000), Ok(ip("2.2.2.2")));
     }
 }

@@ -34,16 +34,6 @@ impl HttpResponse {
         }
     }
 
-    /// A 404 (missing resource: the developer-error fetches).
-    pub fn not_found() -> HttpResponse {
-        HttpResponse {
-            status: 404,
-            body_len: 0,
-            cors_allow_any: false,
-            redirect_to: None,
-        }
-    }
-
     /// A redirect to another URL.
     pub fn redirect(to: &str) -> HttpResponse {
         HttpResponse {
@@ -129,7 +119,6 @@ mod tests {
     #[test]
     fn response_constructors() {
         assert_eq!(HttpResponse::ok(10).status, 200);
-        assert_eq!(HttpResponse::not_found().status, 404);
         let r = HttpResponse::redirect("http://127.0.0.1/");
         assert_eq!(r.status, 302);
         assert_eq!(r.redirect_to.as_deref(), Some("http://127.0.0.1/"));

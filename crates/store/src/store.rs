@@ -325,9 +325,9 @@ impl TelemetryStore {
             .sum()
     }
 
-    /// Number of byte segments across all shards (sealed + active),
-    /// an observability hook for benches and tests.
-    pub fn segment_count(&self) -> usize {
+    /// Number of byte segments across all shards (sealed + active).
+    #[cfg(test)]
+    fn segment_count(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {

@@ -38,7 +38,7 @@ pub use metrics::{
 pub use par::par_indexed;
 pub use profile::{
     alloc_counts, count_allocs, live_bytes, peak_bytes, reset_peak_bytes, CountingAllocator,
-    StageProfiler, StageRecord,
+    StageProfiler, StageRecord, LIVE_DRIFT_BYTES,
 };
 pub use span::{EventRecord, SpanRecord, SpanRing, TraceLog};
 

@@ -94,7 +94,8 @@ impl NameForge {
 
     /// A phishing domain impersonating `target` — the paper observed
     /// shapes like `customer-ebay.com` and `signin01.kauf-eday.de`.
-    pub fn phishing_of(&self, target: &DomainName, i: u64) -> DomainName {
+    #[cfg(test)]
+    fn phishing_of(&self, target: &DomainName, i: u64) -> DomainName {
         let h = self.h(0x03, i);
         let brand = target.labels().next().unwrap_or("site");
         let name = match h % 4 {
