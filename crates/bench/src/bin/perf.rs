@@ -35,9 +35,10 @@
 //! makespan over the stealing makespan at 8 workers.
 //!
 //! A service-mode section runs the same simulation through the
-//! resident [`CampaignService`] scheduler — a multi-campaign fleet
-//! over the bounded update queue — and reports events/sec plus the
-//! p99 campaign completion time on the simulated clock.
+//! resident [`CampaignService`] scheduler — a multi-campaign fleet,
+//! each campaign folding its own updates into its online tables — and
+//! reports events/sec plus the p99 campaign completion time on the
+//! simulated clock.
 //!
 //! Results land in `BENCH_pipeline.json`. Every stage also records a
 //! `relative` score — elements/sec multiplied by the run's calibration
@@ -500,8 +501,9 @@ fn bench_scaling(
 /// Service-mode benchmark: a multi-tenant fleet of campaigns through
 /// the resident [`CampaignService`] scheduler instead of one batch
 /// `run_crawl`. Reports two numbers the batch stages cannot: visit
-/// *events per second* through the bounded update queue (real clock,
-/// machine-normalized the same way as the other stages), and the p99
+/// *events per second* through visit, queue verdict and online
+/// aggregation (real clock, machine-normalized the same way as the
+/// other stages), and the p99
 /// campaign completion time on the *simulated* clock — the tail a
 /// tenant would actually wait, and a deterministic function of the
 /// seed, so regressions in scheduler fairness show up as exact-value

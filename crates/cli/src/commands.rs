@@ -364,15 +364,10 @@ fn report_if_killed(journal: &JournalWriter) -> Result<bool, Error> {
     if !journal.killed() {
         return Ok(false);
     }
-    let stats = journal.stats();
-    if let Some(e) = journal.error() {
-        return Err(format!(
-            "journal {} failed after {} frames: {e}",
-            journal.path().display(),
-            stats.frames
-        )
-        .into());
+    if let Some(failure) = journal.failure() {
+        return Err(failure.into());
     }
+    let stats = journal.stats();
     eprintln!(
         "simulated crash: process died while journaling (frame {}, {} bytes on disk)",
         stats.frames, stats.bytes
@@ -852,8 +847,8 @@ pub fn serve(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     use knock_talk::crawler::{run_crawl, CrawlConfig, CrawlJob};
     use knock_talk::faults::{Fault, FaultPlan};
     use knock_talk::service::{
-        CampaignHandle, CampaignService, CampaignSpec, CampaignStatus, OverflowPolicy,
-        ServiceConfig, ServiceJob, TenantQuota,
+        AdmissionError, CampaignHandle, CampaignService, CampaignSpec, CampaignStatus,
+        OverflowPolicy, ServiceConfig, ServiceJob, TenantQuota,
     };
     use knock_talk::store::TelemetryStore;
     use knock_talk::webgen::{PopulationConfig, WebPopulation, WebSite};
@@ -922,8 +917,11 @@ pub fn serve(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
         }
     };
     // The whole fleet, parameterised on executor width so `--check
-    // invariants` can replay it single-threaded and byte-compare.
-    let run_fleet = |executors: usize| -> (CampaignService, Vec<(String, CampaignHandle)>) {
+    // invariants` can replay it single-threaded and byte-compare. A
+    // journal that cannot be created or written fails the command:
+    // that is the host failing, not load the service may shed.
+    type Fleet = (CampaignService, Vec<(String, CampaignHandle)>);
+    let run_fleet = |executors: usize| -> Result<Fleet, Error> {
         let mut config = ServiceConfig::new(seed);
         config.workers = executors;
         config.queue_capacity = queue_capacity;
@@ -939,24 +937,28 @@ pub fn serve(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
         for t in 0..tenants {
             let tenant = format!("tenant-{t}");
             for c in 0..campaigns {
-                let spec = spec_for(t, c, false);
-                let name = spec.crawl.as_str().to_string();
-                if let Ok(handle) = service.submit(&tenant, spec) {
-                    handles.push((name, handle));
-                }
                 // A bursting tenant double-submits this slot — keyed
                 // on (tenant identity, slot), not on timing.
-                if faults.injects(Fault::TenantBurst, &tenant, c as u32) {
-                    let spec = spec_for(t, c, true);
+                let bursting = faults.injects(Fault::TenantBurst, &tenant, c as u32);
+                let submissions: &[bool] = if bursting { &[false, true] } else { &[false] };
+                for &burst in submissions {
+                    let spec = spec_for(t, c, burst);
                     let name = spec.crawl.as_str().to_string();
-                    if let Ok(handle) = service.submit(&tenant, spec) {
-                        handles.push((name, handle));
+                    match service.submit(&tenant, spec) {
+                        Ok(handle) => handles.push((name, handle)),
+                        Err(e @ AdmissionError::JournalUnavailable { .. }) => {
+                            return Err(e.to_string().into())
+                        }
+                        Err(_) => {}
                     }
                 }
             }
         }
         service.run();
-        (service, handles)
+        if let Some(failure) = service.journal_failure() {
+            return Err(failure.into());
+        }
+        Ok((service, handles))
     };
     let fingerprint = |service: &CampaignService, handles: &[(String, CampaignHandle)]| -> String {
         let trace = Trace::new();
@@ -978,7 +980,7 @@ pub fn serve(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
         )
     };
 
-    let (service, handles) = run_fleet(workers);
+    let (service, handles) = run_fleet(workers)?;
     writeln!(
         out,
         "fleet: {tenants} tenants x {campaigns} campaigns x {sites_per} sites, \
@@ -1033,7 +1035,7 @@ pub fn serve(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
             "invariants" => {
                 let baseline = fingerprint(&service, &handles);
                 let replay_workers = if workers == 1 { 2 } else { 1 };
-                let (replayed, replayed_handles) = run_fleet(replay_workers);
+                let (replayed, replayed_handles) = run_fleet(replay_workers)?;
                 if fingerprint(&replayed, &replayed_handles) != baseline {
                     violations.push(format!(
                         "shed set / accounting / metrics differ between {workers} and \

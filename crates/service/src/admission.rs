@@ -6,9 +6,11 @@
 //! the service's drain state. No clocks, no queue races: the same
 //! submissions in the same order admit and reject identically whatever
 //! the worker count, which is what lets a fault-storm test assert the
-//! exact rejection set.
+//! exact rejection set. The one refusal the file system decides is a
+//! campaign journal that cannot be created.
 
 use std::fmt;
+use std::path::PathBuf;
 
 /// Per-tenant admission quotas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,8 +32,9 @@ impl TenantQuota {
     }
 }
 
-/// Why a submission was refused. Every variant is deterministic: the
-/// same submission sequence produces the same errors on every run.
+/// Why a submission was refused. Every variant but
+/// [`AdmissionError::JournalUnavailable`] is deterministic: the same
+/// submission sequence produces the same errors on every run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionError {
     /// The tenant was never registered.
@@ -58,6 +61,13 @@ pub enum AdmissionError {
     EmptyCampaign,
     /// The service is draining and admits nothing new.
     Draining,
+    /// The campaign's journal file could not be created.
+    JournalUnavailable {
+        /// The journal the campaign would have written.
+        path: PathBuf,
+        /// The I/O error, as the OS reported it.
+        error: String,
+    },
 }
 
 impl AdmissionError {
@@ -70,6 +80,7 @@ impl AdmissionError {
             AdmissionError::DuplicateCampaign(_) => "duplicate",
             AdmissionError::EmptyCampaign => "empty",
             AdmissionError::Draining => "draining",
+            AdmissionError::JournalUnavailable { .. } => "journal",
         }
     }
 }
@@ -94,6 +105,13 @@ impl fmt::Display for AdmissionError {
             }
             AdmissionError::EmptyCampaign => write!(f, "campaign has no jobs"),
             AdmissionError::Draining => write!(f, "service is draining"),
+            AdmissionError::JournalUnavailable { path, error } => {
+                write!(
+                    f,
+                    "cannot create campaign journal {}: {error}",
+                    path.display()
+                )
+            }
         }
     }
 }
@@ -117,6 +135,10 @@ mod tests {
             AdmissionError::DuplicateCampaign("c".into()),
             AdmissionError::EmptyCampaign,
             AdmissionError::Draining,
+            AdmissionError::JournalUnavailable {
+                path: PathBuf::from("j/t/c-Linux.ktj"),
+                error: "Not a directory (os error 20)".into(),
+            },
         ];
         let mut reasons: Vec<&str> = errors.iter().map(|e| e.reason()).collect();
         assert!(reasons.iter().all(|r| !r.contains(' ')));

@@ -3,9 +3,9 @@
 //! The batch pipeline (`kt-crawler::run_crawl`) owns one campaign from
 //! start to finish. This crate turns that into a *resident service*: a
 //! [`CampaignService`] that multiplexes many concurrent campaigns —
-//! across tenants — over one scheduler, streaming visit results
-//! through a bounded queue into online incremental aggregation, so any
-//! campaign's tables are queryable mid-flight.
+//! across tenants — over one scheduler, folding each visit result into
+//! its campaign's online incremental aggregate, so any campaign's
+//! tables are queryable mid-flight.
 //!
 //! The robustness contract, in one line: **under overload the service
 //! degrades predictably — it rejects, blocks, or sheds by policy, it
@@ -14,14 +14,14 @@
 //!
 //! - [`admission`]: per-tenant quotas decide up front, with a typed
 //!   [`AdmissionError`] per refusal;
-//! - [`queue`]: a physical [`BoundedQueue`] bounds memory and blocks
-//!   producers (real backpressure), while a deterministic
-//!   [`QueueModel`] decides overflow shedding as a pure function of
-//!   the update sequence — never of thread timing;
-//! - [`service`]: batch-synchronous rounds run one job per campaign,
-//!   making every campaign's history serial and therefore identical
-//!   across worker counts; deadline budgets cancel cooperatively;
-//!   `drain` stops the world with journals synced and resumable.
+//! - [`queue`]: a deterministic [`QueueModel`] per campaign decides
+//!   every block and shed as a pure function of the update sequence —
+//!   never of thread timing;
+//! - [`service`]: batch-synchronous rounds run one job per campaign
+//!   and apply its result to that campaign alone, making every
+//!   campaign's history serial and therefore identical across worker
+//!   counts; deadline budgets cancel cooperatively; `drain` stops the
+//!   world with journals synced and resumable.
 //!
 //! Campaigns run with the same visit/recrawl machinery as the batch
 //! path ([`kt_crawler::crawl::run_pool_job`] /
@@ -38,8 +38,8 @@ pub mod queue;
 pub mod service;
 
 pub use admission::{AdmissionError, TenantQuota};
-pub use queue::{BoundedQueue, OverflowPolicy, QueueModel, QueueVerdict};
+pub use queue::{OverflowPolicy, QueueModel, QueueVerdict};
 pub use service::{
-    deadline_for, CampaignHandle, CampaignService, CampaignSpec, CampaignStatus, ServiceConfig,
-    ServiceJob, TenantAccounting,
+    CampaignHandle, CampaignService, CampaignSpec, CampaignStatus, ServiceConfig, ServiceJob,
+    TenantAccounting,
 };

@@ -1,33 +1,24 @@
-//! The bounded result queue: a physical channel with real
-//! backpressure, plus the deterministic overflow model that decides
-//! shedding.
+//! The result queue of a campaign: a deterministic overflow model that
+//! decides every block and shed.
 //!
-//! Two layers, deliberately separate:
-//!
-//! - [`BoundedQueue`] is the *physical* channel between campaign
-//!   executors and the online-aggregation consumer: a
-//!   `Mutex<VecDeque>` + two condvars, with a hard capacity. A full
-//!   queue blocks the producer — real memory-bounded backpressure. It
-//!   never drops an element, because anything timing-dependent (how
-//!   fast the consumer thread happens to run) must not influence
-//!   results;
-//! - [`QueueModel`] is the *deterministic* single-server queue that
-//!   decides overflow: arrivals are stamped with the campaign's
-//!   simulated clock (a pure function of the visit sequence), service
-//!   time is a fixed per-update drain cost plus any injected
-//!   slow-consumer stall, and the configured [`OverflowPolicy`]
-//!   resolves a full queue into a counted block or a counted shed.
-//!   Every verdict is a function of the update sequence, so the shed
-//!   set is identical across worker counts — the acceptance criterion
-//!   the overload tests pin.
+//! [`QueueModel`] is a single-server queue between a campaign's visits
+//! and its online aggregate. Arrivals are stamped with the campaign's
+//! simulated clock (a pure function of the visit sequence), service
+//! time is a fixed per-update drain cost plus any injected
+//! slow-consumer stall, and the configured [`OverflowPolicy`] resolves
+//! a full queue into a counted block or a counted shed. Every verdict
+//! is a function of the update sequence, so the shed set is identical
+//! across worker counts — the acceptance criterion the overload tests
+//! pin. A delivered update is folded into the campaign's aggregate by
+//! the executor that produced it, so nothing but the model queues.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
 
 /// What a full queue does to the arriving update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverflowPolicy {
-    /// The producer waits for the consumer: latency, not loss.
+    /// The update waits in the model until the head departs, and the
+    /// wait is counted as a block: latency, not loss.
     Block,
     /// The update is dropped and counted: loss, not latency.
     Shed,
@@ -38,7 +29,7 @@ pub enum OverflowPolicy {
 pub enum QueueVerdict {
     /// Enqueued without waiting.
     Delivered,
-    /// The producer had to wait (Block policy) before the update fit.
+    /// The update had to wait (Block policy) before it fit.
     DeliveredAfterBlock,
     /// The update was shed (Shed policy, queue full).
     Shed,
@@ -101,7 +92,7 @@ impl QueueModel {
                 }
                 OverflowPolicy::Block => {
                     self.blocks += 1;
-                    // The producer waits until the head departs (or,
+                    // The update waits until the head departs (or,
                     // for a forced overflow on a shallow queue, one
                     // drain slot).
                     let unblocked = self
@@ -132,104 +123,9 @@ impl QueueModel {
     }
 }
 
-/// A bounded MPSC channel: `push` blocks while full, `pop` blocks
-/// while empty, `close` wakes everyone. The physical backpressure
-/// layer under the deterministic [`QueueModel`].
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-#[derive(Debug)]
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    closed: bool,
-    /// Pushes that had to wait for space (observability only — never
-    /// part of any byte-compared export).
-    blocked_pushes: u64,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` in-flight elements.
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                capacity: capacity.max(1),
-                closed: false,
-                blocked_pushes: 0,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Push, waiting for space while the queue is full. Returns false
-    /// if the queue closed before the element could be enqueued.
-    pub fn push(&self, item: T) -> bool {
-        let mut inner = self.inner.lock().expect("queue lock");
-        if inner.items.len() >= inner.capacity && !inner.closed {
-            inner.blocked_pushes += 1;
-            while inner.items.len() >= inner.capacity && !inner.closed {
-                inner = self.not_full.wait(inner).expect("queue lock");
-            }
-        }
-        if inner.closed {
-            return false;
-        }
-        inner.items.push_back(item);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Pop, waiting while the queue is empty. Returns `None` once the
-    /// queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("queue lock");
-        }
-    }
-
-    /// Close the queue: pending pops drain what's left, new pushes
-    /// fail, all waiters wake.
-    pub fn close(&self) {
-        let mut inner = self.inner.lock().expect("queue lock");
-        inner.closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-
-    /// Elements currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue lock").items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many pushes had to wait for space so far.
-    pub fn blocked_pushes(&self) -> u64 {
-        self.inner.lock().expect("queue lock").blocked_pushes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn model_sheds_only_past_capacity() {
@@ -292,36 +188,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn physical_queue_blocks_producer_and_delivers_in_order() {
-        let queue = Arc::new(BoundedQueue::new(2));
-        let producer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || {
-                for i in 0..100 {
-                    assert!(queue.push(i));
-                }
-                queue.close();
-            })
-        };
-        let mut seen = Vec::new();
-        while let Some(item) = queue.pop() {
-            seen.push(item);
-        }
-        producer.join().unwrap();
-        assert_eq!(seen, (0..100).collect::<Vec<_>>());
-        assert!(queue.blocked_pushes() > 0, "capacity 2 must backpressure");
-    }
-
-    #[test]
-    fn closed_queue_rejects_pushes_and_drains_pops() {
-        let queue = BoundedQueue::new(4);
-        assert!(queue.push(1));
-        queue.close();
-        assert!(!queue.push(2));
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), None);
     }
 }

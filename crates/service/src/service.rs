@@ -6,15 +6,17 @@
 //! The service multiplexes admitted campaigns over a pool of executor
 //! slots in *batch-synchronous rounds*: each round picks up to
 //! `workers` distinct runnable campaigns (least-progressed first,
-//! admission order breaking ties), runs **one job per campaign** in
-//! parallel scoped threads, then applies the results serially in
-//! selection order. The campaign is the determinism boundary — within
-//! a campaign every visit, cost, and journal frame lands in the same
-//! serial order whatever the worker count; parallelism comes from
-//! multiplexing *across* campaigns, whose states are disjoint. That is
-//! why the shed set, the stats, the journals, and the Prometheus
-//! export are all byte-identical across 1/2/4/8 workers — the
-//! acceptance criterion the overload tests pin.
+//! admission order breaking ties) and runs **one job per campaign** in
+//! parallel on `par_indexed`. The same executor body then applies the
+//! round to its own campaign: queue verdict, online aggregation,
+//! deadline check, phase transition. The campaign is the determinism
+//! boundary — within a campaign every visit, cost, journal frame and
+//! aggregated update lands in the same serial order whatever the
+//! worker count; parallelism comes from multiplexing *across*
+//! campaigns, whose states are disjoint. That is why the shed set, the
+//! stats, the tables, the journals, and the Prometheus export are all
+//! byte-identical across 1/2/4/8 workers — the acceptance criterion
+//! the overload tests pin.
 //!
 //! # Degradation
 //!
@@ -29,36 +31,32 @@
 //!   resumable;
 //! - **queue overflow** follows the tenant's [`OverflowPolicy`]
 //!   through the per-campaign [`QueueModel`] — block (latency) or
-//!   shed (counted loss). The *physical* [`BoundedQueue`] under it
-//!   never drops: it bounds memory and exerts real backpressure, while
-//!   the model makes the shed set schedule-invariant.
+//!   shed (counted loss). A delivered update is folded into the
+//!   campaign's own [`OnlinePartial`]; a shed one never reaches it.
 //!
 //! Visit records always reach the store (the pool job appends before
-//! the update is enqueued), so even a campaign with shed updates can
+//! the queue verdict), so even a campaign with shed updates can
 //! reconcile its final tables from the store at drain.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard};
 
 use kt_analysis::online::{OnlinePartial, UpdatePass};
 use kt_analysis::par::CrawlAnalysis;
 use kt_browser::World;
-use kt_crawler::crawl::{
-    run_pool_job, run_recrawl_job, simulated_makespan, CrawlConfig, CrawlJob, VISIT_WALL_MS,
-};
+use kt_crawler::crawl::{run_pool_job, run_recrawl_job, simulated_makespan, CrawlConfig, CrawlJob};
 use kt_crawler::CrawlStats;
 use kt_faults::{Fault, FaultPlan};
 use kt_netbase::Os;
 use kt_simnet::connectivity::ConnectivityChecker;
-use kt_store::journal::JournalWriter;
+use kt_store::journal::{JournalError, JournalWriter};
 use kt_store::{CheckpointFrame, CrawlId, TelemetryStore, VisitRecord};
 use kt_trace::{names, par_indexed, Labels, Trace};
 use kt_webgen::WebSite;
 
 use crate::admission::{AdmissionError, TenantQuota};
-use crate::queue::{BoundedQueue, OverflowPolicy, QueueModel, QueueVerdict};
+use crate::queue::{OverflowPolicy, QueueModel, QueueVerdict};
 
 /// Service-wide configuration.
 #[derive(Debug, Clone)]
@@ -68,7 +66,7 @@ pub struct ServiceConfig {
     /// Executor slots per scheduling round — real parallelism across
     /// campaigns. Never changes any result, only wall time.
     pub workers: usize,
-    /// Physical and modeled result-queue capacity.
+    /// Capacity of each campaign's modeled result queue.
     pub queue_capacity: usize,
     /// Modeled consumer cost per update, simulated ms.
     pub drain_ms_per_update: u64,
@@ -152,7 +150,7 @@ enum Phase {
     Done,
 }
 
-/// One round's executor output, applied serially by the coordinator.
+/// One job's output, applied to its campaign by the same executor.
 struct RoundOutcome {
     record: VisitRecord,
     pass: UpdatePass,
@@ -160,7 +158,6 @@ struct RoundOutcome {
 }
 
 struct Campaign {
-    id: u64,
     tenant: String,
     spec: CampaignSpec,
     cfg: CrawlConfig,
@@ -191,7 +188,8 @@ struct Campaign {
     journal: Option<JournalWriter>,
     updates: u64,
     updates_shed: u64,
-    round: Option<RoundOutcome>,
+    /// Every delivered update folded in; `None` until the first one.
+    partial: Option<OnlinePartial>,
 }
 
 impl Campaign {
@@ -261,84 +259,23 @@ impl TenantAccounting {
     }
 }
 
-enum Update {
-    Visit {
-        campaign: u64,
-        record: VisitRecord,
-        pass: UpdatePass,
-    },
-    Flush(Arc<FlushGate>),
-}
-
-#[derive(Default)]
-struct FlushGate {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl FlushGate {
-    fn open(&self) {
-        *self.done.lock().expect("gate lock") = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock().expect("gate lock");
-        while !*done {
-            done = self.cv.wait(done).expect("gate lock");
-        }
-    }
-}
-
 /// The resident multi-tenant campaign service.
 pub struct CampaignService {
     config: ServiceConfig,
     store: TelemetryStore,
     tenants: BTreeMap<String, Tenant>,
     campaigns: Vec<Mutex<Campaign>>,
-    aggregators: Arc<Mutex<BTreeMap<u64, OnlinePartial>>>,
-    queue: Arc<BoundedQueue<Update>>,
-    consumer: Option<JoinHandle<()>>,
     draining: bool,
 }
 
 impl CampaignService {
-    /// Start a service: spawns the online-aggregation consumer behind
-    /// the bounded result queue.
+    /// Start a service with no tenants and no campaigns.
     pub fn new(config: ServiceConfig) -> CampaignService {
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let aggregators: Arc<Mutex<BTreeMap<u64, OnlinePartial>>> = Arc::default();
-        let consumer = {
-            let queue = Arc::clone(&queue);
-            let aggregators = Arc::clone(&aggregators);
-            std::thread::spawn(move || {
-                while let Some(update) = queue.pop() {
-                    match update {
-                        Update::Visit {
-                            campaign,
-                            record,
-                            pass,
-                        } => {
-                            aggregators
-                                .lock()
-                                .expect("aggregator lock")
-                                .entry(campaign)
-                                .or_default()
-                                .absorb(&record, pass);
-                        }
-                        Update::Flush(gate) => gate.open(),
-                    }
-                }
-            })
-        };
         CampaignService {
             config,
             store: TelemetryStore::new(),
             tenants: BTreeMap::new(),
             campaigns: Vec::new(),
-            aggregators,
-            queue,
-            consumer: Some(consumer),
             draining: false,
         }
     }
@@ -358,38 +295,32 @@ impl CampaignService {
 
     /// Submit a campaign. Admission is a pure function of the
     /// submission sequence: quotas count admitted-but-unfinished work,
-    /// never timing.
+    /// never timing. With a journal directory configured, a campaign
+    /// whose journal cannot be created is refused with
+    /// [`AdmissionError::JournalUnavailable`].
     pub fn submit(
         &mut self,
         tenant: &str,
         spec: CampaignSpec,
     ) -> Result<CampaignHandle, AdmissionError> {
-        let verdict = self.admit(tenant, &spec);
+        let verdict = self
+            .admit(tenant, &spec)
+            .and_then(|()| self.open_journal(tenant, &spec));
         if let Some(t) = self.tenants.get_mut(tenant) {
             match &verdict {
-                Ok(()) => t.admitted += 1,
+                Ok(_) => t.admitted += 1,
                 Err(e) => *t.rejected.entry(e.reason()).or_insert(0) += 1,
             }
         }
-        verdict?;
+        let journal = verdict?;
         let id = self.campaigns.len() as u64;
         let tenant_state = self.tenants.get(tenant).expect("admitted tenant exists");
         let mut cfg = CrawlConfig::paper(spec.crawl.clone(), spec.os, self.config.seed);
         cfg.workers = spec.nominal_workers;
         cfg.faults = self.config.faults.clone();
-        let journal = match &self.config.journal_dir {
-            Some(dir) => {
-                let dir = dir.join(tenant);
-                std::fs::create_dir_all(&dir).expect("journal dir");
-                let path = dir.join(format!("{}-{}.ktj", spec.crawl.as_str(), spec.os.name()));
-                Some(JournalWriter::create(&path).expect("campaign journal"))
-            }
-            None => None,
-        };
         let jobs = spec.jobs.len();
         let outages = cfg.outages.clone();
         self.campaigns.push(Mutex::new(Campaign {
-            id,
             tenant: tenant.to_string(),
             cfg,
             status: CampaignStatus::Queued,
@@ -416,10 +347,32 @@ impl CampaignService {
             journal,
             updates: 0,
             updates_shed: 0,
-            round: None,
+            partial: None,
             spec,
         }));
         Ok(CampaignHandle(id))
+    }
+
+    /// Create `<journal_dir>/<tenant>/<crawl>-<os>.ktj`, or `None`
+    /// when the service journals nothing.
+    fn open_journal(
+        &self,
+        tenant: &str,
+        spec: &CampaignSpec,
+    ) -> Result<Option<JournalWriter>, AdmissionError> {
+        let Some(dir) = &self.config.journal_dir else {
+            return Ok(None);
+        };
+        let dir = dir.join(tenant);
+        let path = dir.join(format!("{}-{}.ktj", spec.crawl.as_str(), spec.os.name()));
+        std::fs::create_dir_all(&dir)
+            .map_err(JournalError::from)
+            .and_then(|()| JournalWriter::create(&path))
+            .map(Some)
+            .map_err(|e| AdmissionError::JournalUnavailable {
+                path,
+                error: e.to_string(),
+            })
     }
 
     fn admit(&self, tenant: &str, spec: &CampaignSpec) -> Result<(), AdmissionError> {
@@ -465,161 +418,48 @@ impl CampaignService {
 
     /// One scheduling round: run one job for each of up to `workers`
     /// runnable campaigns (least progressed first, admission order
-    /// breaking ties) in parallel, then apply results serially in
-    /// selection order. Returns false when nothing was runnable.
+    /// breaking ties) in parallel, each executor applying its job's
+    /// result to its own campaign. Returns false when nothing was
+    /// runnable.
     pub fn step(&mut self) -> bool {
-        let mut runnable: Vec<(u64, u64)> = Vec::new();
-        for campaign in &self.campaigns {
+        let mut runnable: Vec<(u64, usize)> = Vec::new();
+        for (id, campaign) in self.campaigns.iter().enumerate() {
             let c = campaign.lock().expect("campaign lock");
             if c.runnable() {
-                runnable.push((c.rounds, c.id));
+                runnable.push((c.rounds, id));
             }
         }
         if runnable.is_empty() {
             return false;
         }
         runnable.sort_unstable();
-        let selected: Vec<u64> = runnable
+        let selected: Vec<usize> = runnable
             .into_iter()
             .take(self.config.workers.max(1))
             .map(|(_, id)| id)
             .collect();
-        // Execute: one job per selected campaign, in parallel. Each
-        // job locks a distinct campaign, so campaign state stays
-        // serial per campaign — the determinism boundary.
-        let (campaigns, store) = (&self.campaigns, &self.store);
+        // One job per selected campaign, in parallel. Each executor
+        // locks a distinct campaign and applies the round to it alone
+        // (queue verdict, aggregation, deadline, phase), so campaign
+        // state stays serial per campaign: the determinism boundary.
+        let (config, campaigns, store) = (&self.config, &self.campaigns, &self.store);
         par_indexed(
             selected.len(),
             selected.len(),
             |_| (),
             |_, i| {
-                let mut c = campaigns[selected[i] as usize]
-                    .lock()
-                    .expect("campaign lock");
-                run_campaign_job(&mut c, store);
+                let mut c = campaigns[selected[i]].lock().expect("campaign lock");
+                if let Some(round) = run_campaign_job(&mut c, store) {
+                    apply_round(config, &mut c, round);
+                }
             },
         );
-        // Apply serially, in selection order: queue verdicts, deadline
-        // checks, phase transitions. Selection order is deterministic
-        // (sorted above), so every counter below is too.
-        for &id in &selected {
-            self.apply_round(id);
-        }
         true
-    }
-
-    fn apply_round(&mut self, id: u64) {
-        let mut c = self.campaigns[id as usize].lock().expect("campaign lock");
-        let Some(round) = c.round.take() else {
-            return;
-        };
-        c.status = CampaignStatus::Running;
-        c.rounds += 1;
-        c.consumed_ms += round.cost_ms;
-        c.updates += 1;
-        // Service-path fault draws are keyed by the update's identity
-        // (domain + pass), never by schedule.
-        let pass_attempt = match round.pass {
-            UpdatePass::Pool => 0,
-            UpdatePass::Recrawl => 1,
-        };
-        let stall =
-            if self
-                .config
-                .faults
-                .injects(Fault::SlowConsumer, &round.record.domain, pass_attempt)
-            {
-                self.config.slow_consumer_stall_ms
-            } else {
-                0
-            };
-        let forced =
-            self.config
-                .faults
-                .injects(Fault::QueueOverflow, &round.record.domain, pass_attempt);
-        let arrival = c.consumed_ms;
-        let verdict = c.model.on_arrival(arrival, stall, forced);
-        if verdict == QueueVerdict::Shed {
-            c.updates_shed += 1;
-        } else {
-            // The physical push may block — that is the backpressure
-            // working, and it never changes what gets aggregated.
-            self.queue.push(Update::Visit {
-                campaign: c.id,
-                record: round.record,
-                pass: round.pass,
-            });
-        }
-        // Deadline budget: cooperative cancellation after the
-        // in-flight job drains.
-        if let Some(deadline) = c.spec.deadline_ms {
-            if c.consumed_ms > deadline {
-                c.shed_jobs = c.remaining_jobs();
-                c.status = CampaignStatus::DeadlineExceeded;
-                c.phase = Phase::Done;
-                if let Some(journal) = &c.journal {
-                    // No checkpoint: the journal stays a resumable
-                    // partial campaign.
-                    journal.sync();
-                }
-                return;
-            }
-        }
-        // Phase transitions.
-        if c.phase == Phase::Pool && c.next_job == c.spec.jobs.len() {
-            let mut queue = std::mem::take(&mut c.parked);
-            queue.sort_by(|a, b| {
-                c.spec.jobs[*a]
-                    .site
-                    .domain
-                    .as_str()
-                    .cmp(c.spec.jobs[*b].site.domain.as_str())
-            });
-            if queue.is_empty() {
-                self.complete(&mut c);
-            } else {
-                // The batch recrawl pass builds one world over its
-                // whole queue; mirror that exactly.
-                let sites: Vec<WebSite> =
-                    queue.iter().map(|&i| c.spec.jobs[i].site.clone()).collect();
-                c.recrawl_world = Some(World::build(&sites, c.spec.os, self.config.seed));
-                c.recrawl_queue = queue;
-                c.phase = Phase::Recrawl;
-            }
-        } else if c.phase == Phase::Recrawl && c.recrawl_pos == c.recrawl_queue.len() {
-            self.complete(&mut c);
-        }
-    }
-
-    fn complete(&self, c: &mut Campaign) {
-        // Identical to the batch path: greedy schedule replay over the
-        // pool costs at the campaign's nominal worker count, plus the
-        // serial recrawl coda.
-        let sched_workers = c.spec.nominal_workers.max(1).min(c.spec.jobs.len().max(1)) as u64;
-        c.stats.makespan_ms = simulated_makespan(&c.costs, sched_workers) + c.recrawl_wall_ms;
-        c.status = CampaignStatus::Completed;
-        c.phase = Phase::Done;
-        c.recrawl_world = None;
-        if let Some(journal) = &c.journal {
-            journal.append_checkpoint(&CheckpointFrame {
-                crawl: c.spec.crawl.as_str().to_string(),
-                os: c.spec.os.name().to_string(),
-                completed: c
-                    .spec
-                    .jobs
-                    .iter()
-                    .map(|job| job.site.domain.as_str().to_string())
-                    .collect(),
-                stats: c.stats.to_bytes(),
-            });
-            journal.sync();
-        }
     }
 
     /// Run every admitted campaign to completion (or deadline).
     pub fn run(&mut self) {
         while self.step() {}
-        self.flush();
     }
 
     /// Stop admitting, finish nothing more, and mark every unfinished
@@ -639,48 +479,35 @@ impl CampaignService {
                 }
             }
         }
-        self.flush();
     }
 
-    /// Wait until the consumer has absorbed everything enqueued so
-    /// far — the barrier behind mid-flight snapshots.
-    pub fn flush(&self) {
-        let gate = Arc::new(FlushGate::default());
-        if self.queue.push(Update::Flush(Arc::clone(&gate))) {
-            gate.wait();
-        }
+    /// A campaign's state, locked.
+    fn campaign(&self, handle: CampaignHandle) -> Option<MutexGuard<'_, Campaign>> {
+        let campaign = self.campaigns.get(handle.0 as usize)?;
+        Some(campaign.lock().expect("campaign lock"))
     }
 
     /// A campaign's current status.
     pub fn status(&self, handle: CampaignHandle) -> Option<CampaignStatus> {
-        self.campaigns
-            .get(handle.0 as usize)
-            .map(|c| c.lock().expect("campaign lock").status)
+        self.campaign(handle).map(|c| c.status)
     }
 
     /// A campaign's crawl stats (makespan is set at completion).
     pub fn campaign_stats(&self, handle: CampaignHandle) -> Option<CrawlStats> {
-        self.campaigns
-            .get(handle.0 as usize)
-            .map(|c| c.lock().expect("campaign lock").stats.clone())
+        self.campaign(handle).map(|c| c.stats.clone())
     }
 
     /// Updates shed for one campaign so far.
     pub fn campaign_updates_shed(&self, handle: CampaignHandle) -> u64 {
-        self.campaigns
-            .get(handle.0 as usize)
-            .map(|c| c.lock().expect("campaign lock").updates_shed)
-            .unwrap_or(0)
+        self.campaign(handle).map_or(0, |c| c.updates_shed)
     }
 
-    /// Mid-flight tables: flush the queue and assemble the campaign's
-    /// online partial over everything aggregated so far.
+    /// Mid-flight tables: the campaign's online partial assembled over
+    /// every update delivered so far. `None` before the first one.
     pub fn snapshot(&self, handle: CampaignHandle) -> Option<CrawlAnalysis> {
-        self.flush();
-        self.aggregators
-            .lock()
-            .expect("aggregator lock")
-            .get(&handle.0)
+        self.campaign(handle)?
+            .partial
+            .as_ref()
             .map(OnlinePartial::assemble)
     }
 
@@ -689,18 +516,14 @@ impl CampaignService {
     /// (every record reached the store regardless of shedding), so the
     /// answer is byte-identical to the batch analyzer either way.
     pub fn final_analysis(&self, handle: CampaignHandle) -> Option<CrawlAnalysis> {
-        let c = self.campaigns.get(handle.0 as usize)?;
-        let (crawl, os, shed) = {
-            let c = c.lock().expect("campaign lock");
-            (c.spec.crawl.clone(), c.spec.os, c.updates_shed)
-        };
-        if shed == 0 {
-            if let Some(analysis) = self.snapshot(handle) {
-                return Some(analysis);
+        let c = self.campaign(handle)?;
+        match &c.partial {
+            Some(partial) if c.updates_shed == 0 => Some(partial.assemble()),
+            _ => {
+                let records = self.store.crawl_records_on(&c.spec.crawl, c.spec.os);
+                Some(OnlinePartial::from_records(&records).assemble())
             }
         }
-        let records = self.store.crawl_records_on(&crawl, os);
-        Some(OnlinePartial::from_records(&records).assemble())
     }
 
     /// The shared telemetry store (all campaigns, all tenants).
@@ -708,22 +531,27 @@ impl CampaignService {
         &self.store
     }
 
-    /// A campaign's online partial as aggregated so far (flushes the
-    /// queue first). Partials from different campaigns merge — the
-    /// study driver merges one crawl's per-OS campaigns into the
-    /// whole-crawl analysis.
+    /// A campaign's online partial as aggregated so far. Partials from
+    /// different campaigns merge — the study driver merges one crawl's
+    /// per-OS campaigns into the whole-crawl analysis.
     pub fn partial(&self, handle: CampaignHandle) -> Option<OnlinePartial> {
-        self.flush();
-        self.aggregators
-            .lock()
-            .expect("aggregator lock")
-            .get(&handle.0)
-            .cloned()
+        self.campaign(handle)?.partial.clone()
     }
 
     /// Shut the service down and take the telemetry store out of it.
-    pub fn into_store(mut self) -> TelemetryStore {
-        std::mem::replace(&mut self.store, TelemetryStore::new())
+    pub fn into_store(self) -> TelemetryStore {
+        self.store
+    }
+
+    /// The first campaign journal, in admission order, whose write or
+    /// fsync failed, as [`JournalWriter::failure`] words it. A failed
+    /// journal stops recording while its campaign runs on, so the
+    /// journal is no longer a resumable record of the campaign.
+    pub fn journal_failure(&self) -> Option<String> {
+        self.campaigns.iter().find_map(|c| {
+            let c = c.lock().expect("campaign lock");
+            c.journal.as_ref().and_then(JournalWriter::failure)
+        })
     }
 
     /// Deterministic per-tenant accounting, in tenant-name order.
@@ -765,9 +593,8 @@ impl CampaignService {
     }
 
     /// Export the service counters and gauges into a [`Trace`]. All
-    /// values derive from the deterministic accounting state — never
-    /// from the physical queue — so the rendered exposition text is
-    /// byte-identical across worker counts.
+    /// values derive from the deterministic accounting state, so the
+    /// rendered exposition text is byte-identical across worker counts.
     pub fn record_metrics(&self, trace: &Trace) {
         for acc in self.accounting() {
             let tenant = Labels::new(&[("tenant", &acc.tenant)]);
@@ -806,18 +633,10 @@ impl CampaignService {
     }
 }
 
-impl Drop for CampaignService {
-    fn drop(&mut self) {
-        self.queue.close();
-        if let Some(consumer) = self.consumer.take() {
-            let _ = consumer.join();
-        }
-    }
-}
-
 /// Run one job of one campaign — the executor body. Campaign state is
-/// locked by the caller; everything here is campaign-serial.
-fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) {
+/// locked by the caller; everything here is campaign-serial. `None`
+/// when the campaign has nothing left to run.
+fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) -> Option<RoundOutcome> {
     match c.phase {
         Phase::Pool => {
             let index = c.next_job;
@@ -852,11 +671,11 @@ fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) {
                 parked.push(index);
             }
             c.next_job += 1;
-            c.round = Some(RoundOutcome {
+            Some(RoundOutcome {
                 record: end.record,
                 pass: UpdatePass::Pool,
                 cost_ms: end.cost_ms,
-            });
+            })
         }
         Phase::Recrawl => {
             let index = c.recrawl_queue[c.recrawl_pos];
@@ -888,22 +707,110 @@ fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) {
             );
             let cost_ms = c.recrawl_wall_ms - before_wall;
             c.recrawl_pos += 1;
-            c.round = Some(RoundOutcome {
+            Some(RoundOutcome {
                 record,
                 pass: UpdatePass::Recrawl,
                 cost_ms,
-            });
+            })
         }
-        Phase::Done => {}
+        Phase::Done => None,
     }
 }
 
-/// Suggested deadline for a campaign of `jobs` visits at `workers`
-/// nominal workers, with `slack` extra visit slots of headroom —
-/// convenience for tests and the CLI's overload sweeps.
-pub fn deadline_for(jobs: usize, workers: usize, slack: u64) -> u64 {
-    // Campaign-serial consumption: every visit costs at least one wall
-    // slot regardless of nominal parallelism.
-    let _ = workers;
-    (jobs as u64 + slack) * VISIT_WALL_MS
+/// Apply one job's result to its campaign: clock, queue verdict,
+/// aggregation, deadline budget, phase transition.
+fn apply_round(config: &ServiceConfig, c: &mut Campaign, round: RoundOutcome) {
+    c.status = CampaignStatus::Running;
+    c.rounds += 1;
+    c.consumed_ms += round.cost_ms;
+    c.updates += 1;
+    // Service-path fault draws are keyed by the update's identity
+    // (domain + pass), never by schedule.
+    let pass_attempt = match round.pass {
+        UpdatePass::Pool => 0,
+        UpdatePass::Recrawl => 1,
+    };
+    let injects = |fault| {
+        config
+            .faults
+            .injects(fault, &round.record.domain, pass_attempt)
+    };
+    let stall = if injects(Fault::SlowConsumer) {
+        config.slow_consumer_stall_ms
+    } else {
+        0
+    };
+    let verdict = c
+        .model
+        .on_arrival(c.consumed_ms, stall, injects(Fault::QueueOverflow));
+    if verdict == QueueVerdict::Shed {
+        c.updates_shed += 1;
+    } else {
+        c.partial
+            .get_or_insert_with(OnlinePartial::new)
+            .absorb(&round.record, round.pass);
+    }
+    // Deadline budget: cooperative cancellation after the
+    // in-flight job drains.
+    if let Some(deadline) = c.spec.deadline_ms {
+        if c.consumed_ms > deadline {
+            c.shed_jobs = c.remaining_jobs();
+            c.status = CampaignStatus::DeadlineExceeded;
+            c.phase = Phase::Done;
+            if let Some(journal) = &c.journal {
+                // No checkpoint: the journal stays a resumable
+                // partial campaign.
+                journal.sync();
+            }
+            return;
+        }
+    }
+    // Phase transitions.
+    if c.phase == Phase::Pool && c.next_job == c.spec.jobs.len() {
+        let mut queue = std::mem::take(&mut c.parked);
+        queue.sort_by(|a, b| {
+            c.spec.jobs[*a]
+                .site
+                .domain
+                .as_str()
+                .cmp(c.spec.jobs[*b].site.domain.as_str())
+        });
+        if queue.is_empty() {
+            complete(c);
+        } else {
+            // The batch recrawl pass builds one world over its
+            // whole queue; mirror that exactly.
+            let sites: Vec<WebSite> = queue.iter().map(|&i| c.spec.jobs[i].site.clone()).collect();
+            c.recrawl_world = Some(World::build(&sites, c.spec.os, config.seed));
+            c.recrawl_queue = queue;
+            c.phase = Phase::Recrawl;
+        }
+    } else if c.phase == Phase::Recrawl && c.recrawl_pos == c.recrawl_queue.len() {
+        complete(c);
+    }
+}
+
+fn complete(c: &mut Campaign) {
+    // Identical to the batch path: greedy schedule replay over the
+    // pool costs at the campaign's nominal worker count, plus the
+    // serial recrawl coda.
+    let sched_workers = c.spec.nominal_workers.max(1).min(c.spec.jobs.len().max(1)) as u64;
+    c.stats.makespan_ms = simulated_makespan(&c.costs, sched_workers) + c.recrawl_wall_ms;
+    c.status = CampaignStatus::Completed;
+    c.phase = Phase::Done;
+    c.recrawl_world = None;
+    if let Some(journal) = &c.journal {
+        journal.append_checkpoint(&CheckpointFrame {
+            crawl: c.spec.crawl.as_str().to_string(),
+            os: c.spec.os.name().to_string(),
+            completed: c
+                .spec
+                .jobs
+                .iter()
+                .map(|job| job.site.domain.as_str().to_string())
+                .collect(),
+            stats: c.stats.to_bytes(),
+        });
+        journal.sync();
+    }
 }

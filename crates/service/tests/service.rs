@@ -2,7 +2,7 @@
 //! invariance of the shed set under a fault storm, typed admission,
 //! deadline budgets, accounting reconciliation, and drain/resume.
 
-use kt_analysis::{analyze_crawl_par, OnlinePartial};
+use kt_analysis::{analyze_crawl_par, CrawlAnalysis, OnlinePartial};
 use kt_crawler::crawl::{
     run_crawl, run_crawl_with, CrawlConfig, CrawlJob, CrawlOpts, VISIT_WALL_MS,
 };
@@ -194,23 +194,26 @@ fn storm_service(workers: usize) -> (CampaignService, Vec<CampaignHandle>) {
     (service, handles)
 }
 
-/// Per-campaign slice of the fingerprint: status, updates shed, and
-/// the serialized stats.
-type CampaignFingerprint = (CampaignStatus, u64, Vec<u8>);
+/// Per-campaign slice of the fingerprint: status, updates shed, the
+/// serialized stats, and a completed campaign's final tables.
+type CampaignFingerprint = (CampaignStatus, u64, Vec<u8>, Option<CrawlAnalysis>);
 
 /// Everything the acceptance criterion byte-compares across worker
-/// counts: statuses, shed counts, stats, accounting, and the rendered
-/// Prometheus exposition.
+/// counts: statuses, shed counts, stats, completed campaigns' tables,
+/// accounting, and the rendered Prometheus exposition.
 fn storm_fingerprint(workers: usize) -> (Vec<CampaignFingerprint>, String, String) {
     let (mut service, handles) = storm_service(workers);
     service.run();
     let campaigns = handles
         .iter()
         .map(|&h| {
+            let status = service.status(h).expect("status");
             (
-                service.status(h).expect("status"),
+                status,
                 service.campaign_updates_shed(h),
                 service.campaign_stats(h).expect("stats").to_bytes(),
+                (status == CampaignStatus::Completed)
+                    .then(|| service.final_analysis(h).expect("analysis")),
             )
         })
         .collect();
@@ -225,14 +228,14 @@ fn fault_storm_degrades_identically_across_worker_counts() {
     let baseline = storm_fingerprint(1);
     // The storm actually stormed: something shed, the deadline fired,
     // nothing panicked (we got here), and the books balance.
-    let total_shed: u64 = baseline.0.iter().map(|(_, shed, _)| *shed).sum();
+    let total_shed: u64 = baseline.0.iter().map(|(_, shed, _, _)| *shed).sum();
     assert!(total_shed > 0, "storm must shed at least one update");
     assert_eq!(baseline.0[1].0, CampaignStatus::DeadlineExceeded);
     assert!(
         baseline
             .0
             .iter()
-            .filter(|(status, _, _)| *status == CampaignStatus::Completed)
+            .filter(|(status, _, _, _)| *status == CampaignStatus::Completed)
             .count()
             >= 3,
         "most campaigns still complete under the storm"
@@ -241,7 +244,7 @@ fn fault_storm_degrades_identically_across_worker_counts() {
         let run = storm_fingerprint(workers);
         assert_eq!(
             run.0, baseline.0,
-            "shed set must not depend on workers={workers}"
+            "shed set and tables must not depend on workers={workers}"
         );
         assert_eq!(
             run.1, baseline.1,

@@ -569,6 +569,18 @@ impl JournalWriter {
         self.inner.lock().unwrap().error.clone()
     }
 
+    /// The latched I/O error as one line naming this journal and its
+    /// frame count: `journal PATH failed after N frames: ERROR`.
+    pub fn failure(&self) -> Option<String> {
+        let inner = self.inner.lock().unwrap();
+        let e = inner.error.as_ref()?;
+        Some(format!(
+            "journal {} failed after {} frames: {e}",
+            self.path.display(),
+            inner.stats.frames
+        ))
+    }
+
     /// Durability counters so far.
     pub fn stats(&self) -> JournalStats {
         self.inner.lock().unwrap().stats
