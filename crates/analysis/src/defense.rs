@@ -13,7 +13,7 @@ use kt_store::VisitRecord;
 use std::collections::BTreeMap;
 
 use crate::classify::{classify_site, ReasonClass};
-use crate::detect::{aggregate_sites, detect_local_with_page, LocalObservation};
+use crate::detect::{aggregate_sites, detect_local_with_page_view, LocalObservation};
 use crate::report::TextTable;
 
 /// Which local services answer the PNA preflight affirmatively.
@@ -87,7 +87,7 @@ pub fn replay_record(
     record: &VisitRecord,
     scenario: AdoptionScenario,
 ) -> Vec<(PnaVerdict, LocalObservation)> {
-    let (observations, page_url) = detect_local_with_page(record);
+    let (observations, page_url) = detect_local_with_page_view(&record.view());
     let page = page_env(page_url.as_ref());
     observations
         .into_iter()

@@ -9,8 +9,8 @@
 //! unique-local ranges.
 
 use crate::intern::DomainInterner;
-use kt_netbase::{Host, HostView, Locality, Os, OsSet, Scheme, Url, UrlView};
-use kt_netlog::{FlowSet, FlowSetView};
+use kt_netbase::{HostView, Locality, Os, OsSet, Scheme, Url, UrlView};
+use kt_netlog::FlowSetView;
 use kt_store::{VisitRecord, VisitView};
 use std::collections::HashMap;
 
@@ -70,8 +70,7 @@ fn split_ice_address(address: &str) -> Option<(&str, u16)> {
 /// Materialise a [`LocalObservation`] for one already-classified local
 /// ICE candidate. The candidate is surfaced as a `ws://` socket URL:
 /// WebRTC rendezvous is a socket channel, not an HTTP fetch, and this
-/// keeps the knock-request scheme statistics clean. Shared by the owned
-/// and view detection paths so their output stays byte-identical.
+/// keeps the knock-request scheme statistics clean.
 #[allow(clippy::too_many_arguments)]
 fn ice_observation(
     domain: String,
@@ -104,105 +103,19 @@ fn ice_observation(
 
 /// Extract all local observations from one visit record.
 pub fn detect_local(record: &VisitRecord) -> Vec<LocalObservation> {
-    detect_local_with_page(record).0
+    detect_local_with_page_view(&record.view()).0
 }
 
 /// Detection plus the visit's main-document URL (the first page flow
-/// whose direct URL parses) from a single flow reconstruction. The
-/// parallel analysis driver fans one decoded record out to every
-/// classifier, and the §5.3 defense replay needs the page context —
-/// this returns both without walking the events twice.
-pub fn detect_local_with_page(record: &VisitRecord) -> (Vec<LocalObservation>, Option<Url>) {
-    detect_local_with_page_view(&record.view())
-}
-
-/// Extract all local observations from a borrowed record view.
-pub fn detect_local_view(view: &VisitView<'_>) -> Vec<LocalObservation> {
-    detect_local_with_page_view(view).0
-}
-
-/// The pre-zero-copy reference implementation of
-/// [`detect_local_with_page`]: owned flow reconstruction (every event
-/// cloned into a [`FlowSet`]), owned candidate strings, and an owned
-/// [`Url`] parse for every URL. Retained verbatim as the ablation
-/// baseline the decode+detect bench measures against and the ground
-/// truth the equivalence tests pin [`detect_local_with_page_view`] to,
-/// byte for byte.
-pub fn detect_local_with_page_owned(record: &VisitRecord) -> (Vec<LocalObservation>, Option<Url>) {
-    let flows = FlowSet::from_events(record.events.iter().cloned());
-    let mut out = Vec::new();
-    let mut page_url: Option<Url> = None;
-    for flow in flows.page_flows() {
-        // Direct request URL.
-        let mut candidates: Vec<(String, bool)> = Vec::new();
-        if let Some(u) = flow.url() {
-            candidates.push((u.to_string(), false));
-        }
-        for loc in flow.redirect_chain() {
-            candidates.push((loc.to_string(), true));
-        }
-        for (text, via_redirect) in candidates {
-            let Ok(url) = Url::parse(&text) else {
-                continue;
-            };
-            if page_url.is_none() && !via_redirect {
-                page_url = Some(url.clone());
-            }
-            let locality = url.locality();
-            if !locality.is_local() {
-                continue;
-            }
-            out.push(LocalObservation {
-                domain: record.domain.clone(),
-                rank: record.rank,
-                malicious_category: record.malicious_category,
-                os: record.os,
-                scheme: url.scheme(),
-                port: url.port(),
-                path: url.path_and_query(),
-                locality,
-                websocket: flow.is_websocket() || url.scheme().is_websocket(),
-                via_redirect,
-                time_ms: flow.start_time(),
-                delay_ms: flow.start_time().saturating_sub(record.loaded_at_ms),
-                url,
-            });
-        }
-        // WebRTC ICE candidates: a second local-discovery channel. The
-        // candidate address is a bare `host:port`, not a URL — classify
-        // the host directly, then surface local ones as observations.
-        for (address, _candidate_type) in flow.ice_candidates() {
-            let Some((host_text, port)) = split_ice_address(address) else {
-                continue;
-            };
-            let Ok(host) = Host::parse(host_text) else {
-                continue;
-            };
-            let locality = Locality::of_host(&host);
-            if !locality.is_local() {
-                continue;
-            }
-            out.extend(ice_observation(
-                record.domain.clone(),
-                record.rank,
-                record.malicious_category,
-                record.os,
-                address,
-                port,
-                locality,
-                flow.start_time(),
-                record.loaded_at_ms,
-            ));
-        }
-    }
-    (out, page_url)
-}
-
-/// The zero-copy detection core: flows are reconstructed over borrowed
-/// [`kt_netlog::EventView`]s and every candidate URL is parsed as a
-/// borrowed [`UrlView`]. Nothing is copied out of the backing buffer
-/// until a URL actually classifies as local (< 1% of requests) or
-/// becomes the page URL — only then is an owned [`Url`] materialised.
+/// whose direct URL parses) from a single flow reconstruction: the §5.3
+/// defense replay needs the page context, and this returns both without
+/// walking the events twice.
+///
+/// Flows are reconstructed over borrowed [`kt_netlog::EventView`]s and
+/// every candidate URL is parsed as a borrowed [`UrlView`]. Nothing is
+/// copied out of the backing buffer until a URL actually classifies as
+/// local (< 1% of requests) or becomes the page URL — only then is an
+/// owned [`Url`] materialised.
 pub fn detect_local_with_page_view(view: &VisitView<'_>) -> (Vec<LocalObservation>, Option<Url>) {
     let flows = FlowSetView::from_events(view.events.iter().copied());
     let mut out = Vec::new();
@@ -382,8 +295,108 @@ pub fn aggregate_sites(records: &[VisitRecord]) -> Vec<SiteLocalActivity> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kt_netbase::Host;
     use kt_netlog::{EventParams, EventPhase, EventType, NetLogEvent, SourceRef, SourceType};
     use kt_store::{CrawlId, LoadOutcome};
+    use std::collections::BTreeMap;
+
+    /// The owned reference detector [`detect_local_with_page_view`] is
+    /// pinned to, byte for byte: every event cloned into a per-source
+    /// flow (a `BTreeMap` keyed by source ID, each flow stably sorted by
+    /// time), owned candidate strings, and an owned [`Url`] parse for
+    /// every URL.
+    fn detect_local_with_page_owned(record: &VisitRecord) -> (Vec<LocalObservation>, Option<Url>) {
+        let mut flows: BTreeMap<u64, (SourceRef, Vec<NetLogEvent>)> = BTreeMap::new();
+        for ev in record.events.iter().cloned() {
+            flows
+                .entry(ev.source.id)
+                .or_insert_with(|| (ev.source, Vec::new()))
+                .1
+                .push(ev);
+        }
+        let mut out = Vec::new();
+        let mut page_url: Option<Url> = None;
+        for (source, events) in flows.values_mut() {
+            if !source.kind.is_page_traffic() {
+                continue;
+            }
+            events.sort_by_key(|e| e.time);
+            let start_time = events.first().map(|e| e.time).unwrap_or(0);
+            let is_websocket = source.kind == SourceType::WebSocket
+                || events
+                    .iter()
+                    .any(|e| e.event_type == EventType::WebSocketSendRequestHeaders);
+            // Direct request URL, then every redirect target.
+            let mut candidates: Vec<(String, bool)> = Vec::new();
+            if let Some(u) = events.iter().find_map(|e| match &e.params {
+                EventParams::UrlRequestStart { url, .. } | EventParams::WebSocket { url } => {
+                    Some(url.clone())
+                }
+                _ => None,
+            }) {
+                candidates.push((u, false));
+            }
+            for e in events.iter() {
+                if let EventParams::Redirect { location } = &e.params {
+                    candidates.push((location.clone(), true));
+                }
+            }
+            for (text, via_redirect) in candidates {
+                let Ok(url) = Url::parse(&text) else {
+                    continue;
+                };
+                if page_url.is_none() && !via_redirect {
+                    page_url = Some(url.clone());
+                }
+                let locality = url.locality();
+                if !locality.is_local() {
+                    continue;
+                }
+                out.push(LocalObservation {
+                    domain: record.domain.clone(),
+                    rank: record.rank,
+                    malicious_category: record.malicious_category,
+                    os: record.os,
+                    scheme: url.scheme(),
+                    port: url.port(),
+                    path: url.path_and_query(),
+                    locality,
+                    websocket: is_websocket || url.scheme().is_websocket(),
+                    via_redirect,
+                    time_ms: start_time,
+                    delay_ms: start_time.saturating_sub(record.loaded_at_ms),
+                    url,
+                });
+            }
+            for e in events.iter() {
+                let EventParams::IceCandidate { address, .. } = &e.params else {
+                    continue;
+                };
+                let Some((host_text, port)) = split_ice_address(address) else {
+                    continue;
+                };
+                let Ok(host) = Host::parse(host_text) else {
+                    continue;
+                };
+                let locality = Locality::of_host(&host);
+                if !locality.is_local() {
+                    continue;
+                }
+                out.extend(ice_observation(
+                    record.domain.clone(),
+                    record.rank,
+                    record.malicious_category,
+                    record.os,
+                    address,
+                    port,
+                    locality,
+                    start_time,
+                    record.loaded_at_ms,
+                ));
+            }
+        }
+        (out, page_url)
+    }
 
     fn record_with_events(domain: &str, os: Os, events: Vec<NetLogEvent>) -> VisitRecord {
         VisitRecord {
@@ -608,9 +621,8 @@ mod tests {
         for os in [Os::Windows, Os::Linux] {
             let record = record_with_events("equiv.example", os, events.clone());
             let owned = detect_local_with_page_owned(&record);
-            let via_wrapper = detect_local_with_page(&record);
             let via_view = detect_local_with_page_view(&record.view());
-            assert_eq!(owned, via_wrapper);
+            assert_eq!(owned.0, detect_local(&record));
             assert_eq!(owned, via_view);
             assert!(!owned.0.is_empty() && owned.1.is_some());
         }

@@ -33,7 +33,7 @@ use kt_store::snapshot::{shard_of, SnapshotStore, SNAPSHOT_SHARDS};
 use kt_trace::{names, par_indexed, Labels, Trace};
 
 use crate::classify::{classify_site, ReasonClass};
-use crate::detect::{detect_local_view, SiteLocalActivity};
+use crate::detect::{detect_local_with_page_view, SiteLocalActivity};
 use crate::longitudinal::{Transition, TransitionMatrix};
 use crate::report::TextTable;
 
@@ -214,7 +214,7 @@ fn site_state(
         };
         let os = slot_os(slot).expect("slot in 0..3");
         debug_assert_eq!(view.os, os, "manifest slot disagrees with record OS");
-        for obs in detect_local_view(&view) {
+        for obs in detect_local_with_page_view(&view).0 {
             let site = activity.get_or_insert_with(|| SiteLocalActivity {
                 domain: domain.to_string(),
                 rank: entry.rank,

@@ -69,10 +69,7 @@ pub use crossval::{
     AgreementMatrix, CrossCase, CrossValidation, PASSIVE_WINDOW_MS,
 };
 pub use defense::{AdoptionScenario, DefenseImpact};
-pub use detect::{
-    detect_local, detect_local_view, detect_local_with_page_owned, LocalObservation,
-    SiteLocalActivity,
-};
+pub use detect::{detect_local, LocalObservation, SiteLocalActivity};
 pub use dev_error::{classify_dev_error, DevErrorKind};
 pub use diff::{diff_snapshots, diff_snapshots_traced, AdoptionRow, FlowRow, SnapshotDiff};
 pub use entropy::{scan_entropy, EntropyReport, PortFingerprint};

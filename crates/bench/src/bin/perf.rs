@@ -48,13 +48,11 @@
 //! the checked-in baseline.
 //!
 //! The binary also installs a counting global allocator and runs the
-//! decode+detect hot path twice over the same raw store bytes — once
-//! through the owned path (`decode` to a `VisitRecord`, `detect_local`
-//! over it) and once through the borrowed path (`decode_view` +
-//! `detect_local_view`) — recording events/sec, allocations/event, and
-//! heap bytes/event for each. `--alloc-ceiling <f64>` turns the view
-//! path's allocations/event into a CI gate: exit 1 if any population
-//! exceeds the checked-in ceiling.
+//! decode+detect hot path (`decode_view` +
+//! `detect_local_with_page_view`) over the raw store bytes, recording
+//! events/sec, allocations/event, and heap bytes/event.
+//! `--alloc-ceiling <f64>` turns its allocations/event into a CI gate:
+//! exit 1 if any population exceeds the checked-in ceiling.
 //!
 //! Two raw-speed-floor stages round out the sweep. *flat_memory*
 //! crawls a bulk population (10× the largest sweep size) into a store
@@ -69,7 +67,7 @@
 
 use std::time::Instant;
 
-use knock_talk::analysis::{detect_local_view, detect_local_with_page_owned};
+use knock_talk::analysis::detect::detect_local_with_page_view;
 use knock_talk::crawler::{run_crawl, CrawlConfig, CrawlJob};
 use knock_talk::faults::{Fault, FaultPlan, RetryPolicy};
 use knock_talk::netbase::{DomainName, Os};
@@ -78,7 +76,6 @@ use knock_talk::service::{
     CampaignService, CampaignSpec, CampaignStatus, OverflowPolicy, ServiceConfig, ServiceJob,
     TenantQuota,
 };
-use knock_talk::store::codec::decode;
 use knock_talk::store::journal::{JournalConfig, JournalWriter, VisitDelta, FLAG_FINAL};
 use knock_talk::store::{
     decode_view, CrawlId, LoadOutcome, SpillConfig, TelemetryStore, VisitRecord,
@@ -339,13 +336,7 @@ fn bench_population(n: usize, seed: u64, plan: &FaultPlan, calib: f64) -> serde_
         );
     }
 
-    // Zero-copy decode+detect ablation: identical raw segment bytes
-    // through the pre-refactor owned path (`decode` to a
-    // `VisitRecord`, then the retained clone-per-event reference
-    // detection) and the borrowed path (`decode_view` +
-    // `detect_local_view`). Cloning a `Bytes` is an Arc refcount bump,
-    // so the owned pass pays only what owned decode+detect itself
-    // costs.
+    // Zero-copy decode+detect over the raw segment bytes.
     let raws: Vec<_> = (0..store.shard_count())
         .flat_map(|shard| store.shard_raw_on(&crawl, shard, None))
         .collect();
@@ -354,29 +345,15 @@ fn bench_population(n: usize, seed: u64, plan: &FaultPlan, calib: f64) -> serde_
         .iter()
         .map(|raw| decode_view(raw).expect("store bytes decode").events.len())
         .sum();
-    let owned_pass = || -> usize {
-        raws.iter()
-            .map(|raw| {
-                let record = decode(raw.clone()).expect("store bytes decode");
-                detect_local_with_page_owned(&record).0.len()
-            })
-            .sum()
-    };
     let view_pass = || -> usize {
         raws.iter()
             .map(|raw| {
                 let view = decode_view(raw).expect("store bytes decode");
-                detect_local_view(&view).len()
+                detect_local_with_page_view(&view).0.len()
             })
             .sum()
     };
-    let (owned_obs, owned_allocs, owned_bytes) = count_allocs(owned_pass);
-    let (view_obs, view_allocs, view_bytes) = count_allocs(view_pass);
-    assert_eq!(owned_obs, view_obs, "both paths must agree on observations");
-    let (_, mut owned_secs) = time(owned_pass);
-    for _ in 0..2 {
-        owned_secs = owned_secs.min(time(owned_pass).1);
-    }
+    let (_, view_allocs, view_bytes) = count_allocs(view_pass);
     let (_, mut view_secs) = time(view_pass);
     for _ in 0..2 {
         view_secs = view_secs.min(time(view_pass).1);
@@ -392,14 +369,9 @@ fn bench_population(n: usize, seed: u64, plan: &FaultPlan, calib: f64) -> serde_
         analyze_secs
     );
     eprintln!(
-        "          decode+detect over {events} events: owned {:.0}/s ({:.2} allocs/ev), \
-         view {:.0}/s ({:.3} allocs/ev) — {:.1}x faster, {:.0}x fewer allocs",
-        events as f64 / owned_secs,
-        per_event(owned_allocs),
+        "          decode+detect over {events} events: {:.0}/s ({:.3} allocs/ev)",
         events as f64 / view_secs,
         per_event(view_allocs),
-        owned_secs / view_secs,
-        owned_allocs as f64 / view_allocs.max(1) as f64
     );
     let mut crawl_stage = stage_json(n, crawl_secs, calib);
     if let serde_json::Value::Object(map) = &mut crawl_stage {
@@ -408,20 +380,17 @@ fn bench_population(n: usize, seed: u64, plan: &FaultPlan, calib: f64) -> serde_
             serde_json::json!(stats.makespan_ms),
         );
     }
-    let decode_stage = |secs: f64, allocs: u64, bytes: u64| {
-        let mut stage = stage_json(events, secs, calib);
-        if let serde_json::Value::Object(map) = &mut stage {
-            map.insert(
-                "allocs_per_event".to_string(),
-                serde_json::json!(per_event(allocs)),
-            );
-            map.insert(
-                "bytes_per_event".to_string(),
-                serde_json::json!(per_event(bytes)),
-            );
-        }
-        stage
-    };
+    let mut decode_stage = stage_json(events, view_secs, calib);
+    if let serde_json::Value::Object(map) = &mut decode_stage {
+        map.insert(
+            "allocs_per_event".to_string(),
+            serde_json::json!(per_event(view_allocs)),
+        );
+        map.insert(
+            "bytes_per_event".to_string(),
+            serde_json::json!(per_event(view_bytes)),
+        );
+    }
     serde_json::json!({
         "sites": n,
         "heavy_sites": (n / MAX_WORKERS).max(1),
@@ -429,12 +398,7 @@ fn bench_population(n: usize, seed: u64, plan: &FaultPlan, calib: f64) -> serde_
             "crawl": crawl_stage,
             "scan": stage_json(n, scan_secs, calib),
             "analyze": stage_json(n, analyze_secs, calib),
-            "decode_detect_owned": decode_stage(owned_secs, owned_allocs, owned_bytes),
-            "decode_detect_view": decode_stage(view_secs, view_allocs, view_bytes),
-        },
-        "zero_copy": {
-            "speedup": owned_secs / view_secs,
-            "alloc_reduction": owned_allocs as f64 / view_allocs.max(1) as f64,
+            "decode_detect_view": decode_stage,
         },
     })
 }

@@ -32,13 +32,7 @@ pub fn check_regressions(
         else {
             continue; // no baseline at this size — nothing to compare
         };
-        for stage in [
-            "crawl",
-            "scan",
-            "analyze",
-            "decode_detect_owned",
-            "decode_detect_view",
-        ] {
+        for stage in ["crawl", "scan", "analyze", "decode_detect_view"] {
             // A stage the baseline measured but the current run did not
             // produce is a hard failure: a silently dropped stage would
             // otherwise pass `--check` forever (a baseline without the
@@ -144,7 +138,6 @@ mod tests {
                     "crawl": { "relative": relative },
                     "scan": { "relative": relative },
                     "analyze": { "relative": relative },
-                    "decode_detect_owned": { "relative": relative },
                     "decode_detect_view": { "relative": relative },
                 },
             }],

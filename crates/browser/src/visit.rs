@@ -972,13 +972,17 @@ fn t_after_dns_failure(at: u64) -> u64 {
 mod tests {
     use super::*;
     use kt_netbase::{DomainName, Locality, Os, OsSet, Scheme};
-    use kt_netlog::FlowSet;
+    use kt_netlog::{FlowSetView, NetLogEvent};
     use kt_webgen::{Availability, Behavior, NativeApp, PlantedBehavior, WebSite};
 
     fn mk_site(domain: &str, https: bool) -> WebSite {
         let mut s = WebSite::plain(DomainName::parse(domain).unwrap(), Some(10), 6);
         s.https = https;
         s
+    }
+
+    fn flow_set(result: &VisitResult) -> FlowSetView<'_> {
+        FlowSetView::from_events(result.capture.events.iter().map(NetLogEvent::view))
     }
 
     fn visit(site: &WebSite, os: Os) -> VisitResult {
@@ -992,7 +996,7 @@ mod tests {
         let site = mk_site("healthy.example", true);
         let result = visit(&site, Os::Linux);
         assert!(result.outcome.is_loaded());
-        let flows = FlowSet::from_events(result.capture.events);
+        let flows = flow_set(&result);
         // Main document + 6 public resources (+ browser internal).
         assert!(flows.len() >= 7, "{} flows", flows.len());
         // No local traffic from a plain site.
@@ -1015,7 +1019,7 @@ mod tests {
             PageLoadOutcome::Failed(NetError::NameNotResolved)
         );
         // And the capture records the DNS failure.
-        let flows = FlowSet::from_events(result.capture.events);
+        let flows = flow_set(&result);
         let failed = flows.iter().any(|f| {
             matches!(
                 f.outcome(),
@@ -1047,7 +1051,7 @@ mod tests {
             base_delay_ms: 9_000,
         });
         let win = visit(&site, Os::Windows);
-        let flows = FlowSet::from_events(win.capture.events);
+        let flows = flow_set(&win);
         let local_ws: Vec<u16> = flows
             .iter()
             .filter(|f| f.is_websocket())
@@ -1060,7 +1064,7 @@ mod tests {
         assert!(local_ws.contains(&3389));
 
         let linux = visit(&site, Os::Linux);
-        let flows = FlowSet::from_events(linux.capture.events);
+        let flows = flow_set(&linux);
         let local = flows
             .iter()
             .filter_map(|f| f.url())
@@ -1083,7 +1087,7 @@ mod tests {
             PageLoadOutcome::Loaded { at_ms } => at_ms,
             other => panic!("{other:?}"),
         };
-        let flows = FlowSet::from_events(result.capture.events);
+        let flows = flow_set(&result);
         let ws_flow = flows
             .iter()
             .find(|f| f.is_websocket())
@@ -1101,7 +1105,7 @@ mod tests {
             base_delay_ms: 25_000, // past the 20 s window
         });
         let result = visit(&site, Os::Linux);
-        let flows = FlowSet::from_events(result.capture.events);
+        let flows = flow_set(&result);
         assert!(!flows.iter().any(|f| f.is_websocket()));
         // And no event exceeds the window.
         let max_t = flows.iter().map(|f| f.end_time()).max().unwrap_or(0);
@@ -1118,12 +1122,15 @@ mod tests {
             base_delay_ms: 1_000,
         });
         let result = visit(&site, Os::Windows);
-        let flows = FlowSet::from_events(result.capture.events);
+        let flows = flow_set(&result);
         let redirected = flows
             .iter()
-            .find(|f| !f.redirect_chain().is_empty())
+            .find(|f| f.redirects().next().is_some())
             .expect("redirect flow");
-        assert_eq!(redirected.redirect_chain(), vec!["http://127.0.0.1/"]);
+        assert_eq!(
+            redirected.redirects().collect::<Vec<_>>(),
+            vec!["http://127.0.0.1/"]
+        );
     }
 
     #[test]
@@ -1141,7 +1148,7 @@ mod tests {
             base_delay_ms: 1_500,
         });
         let result = visit(&site, Os::Linux);
-        let flows = FlowSet::from_events(result.capture.events);
+        let flows = flow_set(&result);
         let lan_flow = flows
             .iter()
             .find(|f| {
@@ -1158,7 +1165,7 @@ mod tests {
     fn browser_internal_source_present_and_filterable() {
         let site = mk_site("any.example", true);
         let result = visit(&site, Os::Linux);
-        let flows = FlowSet::from_events(result.capture.events);
+        let flows = flow_set(&result);
         let internal = flows
             .iter()
             .filter(|f| f.source.kind == SourceType::BrowserInternal)
@@ -1185,7 +1192,7 @@ mod tests {
         config.pna = PnaMode::EnforceNoOptIn;
         let mut browser = Browser::new(&mut world, config, 5);
         let result = browser.visit(&site);
-        let flows = FlowSet::from_events(result.capture.events);
+        let flows = flow_set(&result);
         let local_flow = flows
             .iter()
             .find(|f| {
@@ -1200,8 +1207,7 @@ mod tests {
         );
         // And no socket work happened for it.
         assert!(!local_flow
-            .events
-            .iter()
+            .events()
             .any(|e| e.event_type == EventType::TcpConnectAttempt));
     }
 
@@ -1220,7 +1226,7 @@ mod tests {
             config.pna = mode;
             let mut browser = Browser::new(&mut world, config, 5);
             let result = browser.visit(&site);
-            let flows = FlowSet::from_events(result.capture.events);
+            let flows = flow_set(&result);
             flows
                 .iter()
                 .filter(|f| {
@@ -1341,7 +1347,7 @@ mod tests {
     }
 
     fn local_flow_count(result: &VisitResult) -> usize {
-        FlowSet::from_events(result.capture.events.clone())
+        flow_set(result)
             .iter()
             .filter_map(|f| f.url())
             .filter_map(|u| Url::parse(u).ok())
@@ -1392,7 +1398,7 @@ mod tests {
         let site = probing_site(SensorArchetype::BigIpChallenge);
         let naive = visit_profiled(&site, CrawlerProfile::Naive);
         assert_eq!(local_flow_count(&naive), 0, "real page never runs");
-        let flows = FlowSet::from_events(naive.capture.events);
+        let flows = flow_set(&naive);
         assert!(
             flows
                 .iter()
@@ -1413,12 +1419,11 @@ mod tests {
         });
         let ice_addresses = |profile| {
             let result = visit_profiled(&site, profile);
-            let flows = FlowSet::from_events(result.capture.events);
+            let flows = flow_set(&result);
             flows
                 .iter()
                 .flat_map(|f| {
                     f.ice_candidates()
-                        .into_iter()
                         .map(|(a, t)| (a.to_string(), t.to_string()))
                         .collect::<Vec<_>>()
                 })

@@ -4,13 +4,17 @@
 
 use kt_browser::{Browser, BrowserConfig, World};
 use kt_netbase::{DomainName, Os, OsSet, Scheme, Url};
-use kt_netlog::{FlowSet, SourceType};
+use kt_netlog::{FlowSetView, NetLogEvent, SourceType};
 use kt_webgen::{Behavior, DevError, NativeApp, PlantedBehavior, UnknownKind, WebSite};
 
-fn visit(site: &WebSite, os: Os) -> FlowSet {
+fn visit(site: &WebSite, os: Os) -> Vec<NetLogEvent> {
     let mut world = World::build(std::slice::from_ref(site), os, 17);
     let mut browser = Browser::new(&mut world, BrowserConfig::paper(os), 17);
-    FlowSet::from_events(browser.visit(site).capture.events)
+    browser.visit(site).capture.events
+}
+
+fn flows_of(events: &[NetLogEvent]) -> FlowSetView<'_> {
+    FlowSetView::from_events(events.iter().map(NetLogEvent::view))
 }
 
 fn planted(domain: &str, behavior: Behavior, os_set: OsSet, delay: u64) -> WebSite {
@@ -23,7 +27,7 @@ fn planted(domain: &str, behavior: Behavior, os_set: OsSet, delay: u64) -> WebSi
     site
 }
 
-fn local_urls(flows: &FlowSet) -> Vec<Url> {
+fn local_urls(flows: &FlowSetView<'_>) -> Vec<Url> {
     flows
         .page_flows()
         .filter_map(|f| f.url())
@@ -41,7 +45,8 @@ fn threatmetrix_vendor_script_and_upload_are_public_fetches() {
         OsSet::WINDOWS_ONLY,
         9_000,
     );
-    let flows = visit(&site, Os::Windows);
+    let events = visit(&site, Os::Windows);
+    let flows = flows_of(&events);
     let urls: Vec<String> = flows
         .page_flows()
         .filter_map(|f| f.url().map(str::to_string))
@@ -73,7 +78,8 @@ fn gamehouse_probe_carries_api_port_query() {
         OsSet::ALL,
         2_000,
     );
-    let flows = visit(&site, Os::MacOs);
+    let events = visit(&site, Os::MacOs);
+    let flows = flows_of(&events);
     let urls = local_urls(&flows);
     assert_eq!(urls.len(), 4, "12071, 12072, 17021, 27021");
     for u in &urls {
@@ -91,7 +97,8 @@ fn samsung_probe_spans_two_protocols_and_two_hosts() {
         OsSet::ALL,
         3_000,
     );
-    let flows = visit(&site, Os::Windows);
+    let events = visit(&site, Os::Windows);
+    let flows = flows_of(&events);
     let urls = local_urls(&flows);
     let https = urls.iter().filter(|u| u.scheme() == Scheme::Https).count();
     let wss = urls.iter().filter(|u| u.scheme() == Scheme::Wss).count();
@@ -113,7 +120,8 @@ fn hola_json_probes_hit_ten_consecutive_ports() {
         OsSet::ALL,
         1_500,
     );
-    let flows = visit(&site, Os::Linux);
+    let events = visit(&site, Os::Linux);
+    let flows = flows_of(&events);
     let mut ports: Vec<u16> = local_urls(&flows).iter().map(Url::port).collect();
     ports.sort_unstable();
     assert_eq!(ports, (6880u16..=6889).collect::<Vec<_>>());
@@ -132,7 +140,8 @@ fn lan_fetch_goes_to_the_exact_planted_address() {
         OsSet::ALL,
         1_000,
     );
-    let flows = visit(&site, Os::Windows);
+    let events = visit(&site, Os::Windows);
+    let flows = flows_of(&events);
     let urls = local_urls(&flows);
     assert_eq!(urls.len(), 1);
     assert_eq!(urls[0].host().to_string(), "192.168.64.160");
@@ -154,7 +163,8 @@ fn multiple_behaviors_coexist_on_one_site() {
         os_set: OsSet::ALL,
         base_delay_ms: 4_000,
     });
-    let flows = visit(&site, Os::Linux);
+    let events = visit(&site, Os::Linux);
+    let flows = flows_of(&events);
     let urls = local_urls(&flows);
     assert_eq!(urls.len(), 2);
     let ports: Vec<u16> = urls.iter().map(Url::port).collect();
@@ -170,7 +180,8 @@ fn behavior_site_emits_public_noise_too() {
         OsSet::ALL,
         1_000,
     );
-    let flows = visit(&site, Os::MacOs);
+    let events = visit(&site, Os::MacOs);
+    let flows = flows_of(&events);
     let public = flows
         .page_flows()
         .filter_map(|f| f.url())

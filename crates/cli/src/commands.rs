@@ -51,10 +51,9 @@ USAGE:
                      [--store DIR] [--spill DIR] [--journal FILE] [--resume yes]
                      [--kill-frames N] [--kill-mode mid-frame|post-frame]
                      [--metrics-out FILE] [--trace-out FILE]
-  knocktalk snapshot diff --store DIR [--mode mmap|resident] [--workers N]
-                     [--snapshots L1,L2,...] [--out FILE] [--metrics-out FILE]
-                     [--trace-out FILE]
-  knocktalk snapshot gc --store DIR [--mode mmap|resident] [--keep N]
+  knocktalk snapshot diff --store DIR [--workers N] [--snapshots L1,L2,...]
+                     [--out FILE] [--metrics-out FILE] [--trace-out FILE]
+  knocktalk snapshot gc --store DIR [--keep N]
   knocktalk health   [--scale quick|standard|paper] [--seed N] [--workers N]
   knocktalk profile  [--scale quick|standard|paper] [--seed N] [--workers N]
                      [--metrics-out FILE] [--trace-out FILE]
@@ -240,10 +239,10 @@ const COMMANDS: &[Command] = &[
     (
         "snapshot diff",
         None,
-        "store mode workers snapshots out metrics-out trace-out",
+        "store workers snapshots out metrics-out trace-out",
         snapshot_diff,
     ),
-    ("snapshot gc", None, "store mode keep", snapshot_gc),
+    ("snapshot gc", None, "store keep", snapshot_gc),
     ("health", None, "scale seed workers", health),
     (
         "profile",
@@ -1337,10 +1336,7 @@ fn open_snapshot_store(opts: &Options) -> Result<(String, SnapshotStore), String
         .get("store")
         .ok_or("--store DIR is required")?
         .to_string();
-    let mode = opts.get("mode").unwrap_or("mmap");
-    let mode = SegmentMode::parse(mode)
-        .ok_or_else(|| format!("unknown --mode {mode:?}; expected mmap | resident"))?;
-    let store = SnapshotStore::open(std::path::Path::new(&dir), mode)
+    let store = SnapshotStore::open(std::path::Path::new(&dir), SegmentMode::Mmap)
         .map_err(|e| format!("opening snapshot store {dir}: {e}"))?;
     Ok((dir, store))
 }

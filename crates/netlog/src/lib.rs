@@ -28,26 +28,25 @@
 //!   complete event of a truncated file (Chrome appends events
 //!   incrementally, so a crashed browser leaves a syntactically
 //!   unterminated array);
-//! * [`flow`] — reconstruction of logical request flows by source ID,
-//!   which is how the analysis pipeline tells page-initiated requests
-//!   apart from browser-internal traffic;
 //! * [`logger`] — the handle a (simulated) browser uses to emit events
 //!   with serial source IDs and monotonic timestamps;
-//! * [`view`] — borrowed (`&str`-backed) event views and a clone-free
-//!   flow reconstruction used by the zero-copy analysis hot path.
+//! * [`view`] — borrowed (`&str`-backed) event views and the
+//!   reconstruction of logical request flows by source ID, which is how
+//!   the analysis pipeline tells page-initiated requests apart from
+//!   browser-internal traffic.
 
 #![warn(missing_docs)]
 
 pub mod capture;
 pub mod constants;
 pub mod event;
-pub mod flow;
+#[cfg(test)]
+mod flow;
 pub mod logger;
 pub mod view;
 
 pub use capture::{Capture, CaptureError};
 pub use constants::{EventPhase, EventType, NetError, SourceType};
 pub use event::{EventParams, NetLogEvent, SourceRef};
-pub use flow::{Flow, FlowOutcome, FlowSet};
 pub use logger::NetLogger;
-pub use view::{EventView, FlowSetView, FlowView, ParamsView};
+pub use view::{EventView, FlowOutcome, FlowSetView, FlowView, ParamsView};

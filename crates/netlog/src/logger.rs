@@ -142,7 +142,7 @@ impl NetLogger {
 mod tests {
     use super::*;
     use crate::constants::NetError;
-    use crate::flow::{FlowOutcome, FlowSet};
+    use crate::view::{FlowOutcome, FlowSetView};
 
     #[test]
     fn source_ids_are_serial_starting_at_one() {
@@ -163,7 +163,8 @@ mod tests {
         log.log_request_start(110, bad, "http://gone.example/", Some("https://a.com"));
         log.log_failure(120, bad, NetError::NameNotResolved);
 
-        let flows = FlowSet::from_events(log.into_capture().events);
+        let events = log.into_capture().events;
+        let flows = FlowSetView::from_events(events.iter().map(NetLogEvent::view));
         assert_eq!(flows.len(), 2);
         assert_eq!(
             flows.get(ok.id).unwrap().outcome(),

@@ -1,25 +1,38 @@
 //! Borrowed event views and clone-free flow reconstruction.
 //!
-//! The analysis hot path decodes a record, groups its events into
-//! flows, and classifies every request URL. The owned types pay for
-//! that with a heap `String` per event field and a full event clone per
-//! flow insert. The view types here keep every string a `&str` into
-//! the decoder's backing buffer and group flows by sorting one flat
-//! vector — the only allocation on the whole path is that vector.
+//! "When a new network request is initiated, it is assigned a new
+//! source ID (in serial order). Subsequent dependent events (e.g.,
+//! responses) are assigned the same source ID, allowing the events
+//! within a network flow to be logically grouped together." (§3.1)
 //!
-//! [`FlowSetView`] reproduces [`FlowSet`](crate::flow::FlowSet)
-//! exactly: the owned set groups events into a `BTreeMap` keyed by
-//! source ID (a stable partition in insertion order) and then stably
-//! sorts each flow by time, which is the same ordering as one stable
-//! sort of the flat event sequence by `(source id, time)`. The view
+//! The paper's pipeline relies on this grouping twice: to reassemble
+//! request→response flows, and to *exclude* traffic whose source is the
+//! browser itself rather than the page.
+//!
+//! The view types keep every string a `&str` into the decoder's
+//! backing buffer, and [`FlowSetView`] groups flows by sorting one flat
+//! vector — the only allocation on the whole path is that vector. It
 //! sorts `(event, original index)` pairs with an unstable sort on the
-//! full key `(source id, time, index)` — deterministic, equal to the
-//! stable order, and allocation-free. Runs of equal source ID are the
-//! flows, iterated in ascending ID order just like `BTreeMap::values`.
+//! full key `(source id, time, index)`: deterministic, allocation-free,
+//! and equal to one stable sort of the capture by `(source id, time)`.
+//! Runs of equal source ID are the flows, iterated in ascending ID
+//! order; within a flow, events are in time order and equal timestamps
+//! keep their capture order.
 
 use crate::constants::{EventPhase, EventType, NetError, SourceType};
 use crate::event::{EventParams, NetLogEvent, SourceRef, TimeMs};
-use crate::flow::FlowOutcome;
+
+/// Terminal state of a flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlowOutcome {
+    /// An HTTP response (status) was read, or a WebSocket handshake
+    /// completed.
+    Success(u16),
+    /// The flow failed with a Chrome net error.
+    Failed(NetError),
+    /// The capture ended (20-second window) before the flow did.
+    InFlight,
+}
 
 /// Borrowed counterpart of [`EventParams`]: same shapes, `&str` fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -218,18 +231,17 @@ impl NetLogEvent {
 /// One reconstructed flow, borrowing its events from a [`FlowSetView`].
 #[derive(Debug, Clone, Copy)]
 pub struct FlowView<'s, 'a> {
-    /// The shared source reference: as in the owned
-    /// [`Flow`](crate::Flow), the source of the first event *appended*
-    /// to the flow.
+    /// The shared source reference: the source of the flow's first
+    /// event in capture order.
     pub source: SourceRef,
     entries: &'s [(EventView<'a>, u32)],
 }
 
 impl<'s, 'a> FlowView<'s, 'a> {
     fn from_run(entries: &'s [(EventView<'a>, u32)]) -> FlowView<'s, 'a> {
-        // The owned FlowSet records the source of the first event it
-        // saw for this ID; after sorting that is the entry with the
-        // smallest original index, not necessarily the first of the run.
+        // The first event in capture order is the entry with the
+        // smallest original index, not necessarily the first of the
+        // (time-sorted) run.
         let source = entries
             .iter()
             .min_by_key(|(_, idx)| *idx)
@@ -269,8 +281,9 @@ impl<'s, 'a> FlowView<'s, 'a> {
         })
     }
 
-    /// Every redirect location in order, including the final one.
-    /// Unlike the owned `redirect_chain`, no `Vec` is built.
+    /// Every redirect location in order, including the final one. The
+    /// paper counts sites that *redirect* to a local destination even
+    /// though the response can never come back (§3.1).
     pub fn redirects(&self) -> impl Iterator<Item = &'a str> + use<'s, 'a> {
         self.events().filter_map(|e| match e.params {
             ParamsView::Redirect { location } => Some(location),
@@ -279,8 +292,9 @@ impl<'s, 'a> FlowView<'s, 'a> {
     }
 
     /// Every gathered ICE candidate in order, as `(address,
-    /// candidate_type)` pairs. Unlike the owned `ice_candidates`, no
-    /// `Vec` is built.
+    /// candidate_type)` pairs. WebRTC surfaces local addresses (raw or
+    /// mDNS-obfuscated) through these without any HTTP request — a
+    /// second local-discovery channel beside the fetch/WebSocket knocks.
     pub fn ice_candidates(&self) -> impl Iterator<Item = (&'a str, &'a str)> + use<'s, 'a> {
         self.events().filter_map(|e| match e.params {
             ParamsView::IceCandidate {
@@ -345,8 +359,8 @@ impl<'s, 'a> FlowView<'s, 'a> {
     }
 }
 
-/// Clone-free counterpart of [`FlowSet`](crate::flow::FlowSet): one
-/// flat sorted vector instead of a `BTreeMap` of per-flow vectors.
+/// All flows of a capture, held as one flat vector sorted by source ID
+/// and time.
 #[derive(Debug, Clone, Default)]
 pub struct FlowSetView<'a> {
     /// `(event, original index)` sorted by `(source id, time, index)`.
@@ -357,8 +371,8 @@ pub struct FlowSetView<'a> {
 impl<'a> FlowSetView<'a> {
     /// Group a capture's events into flows. The single `Vec` below is
     /// the only allocation; the unstable sort on the full key
-    /// `(id, time, original index)` reproduces the owned set's stable
-    /// `(insertion partition, time sort)` order exactly.
+    /// `(id, time, original index)` keeps equal-time events of one flow
+    /// in capture order.
     pub fn from_events<I>(events: I) -> FlowSetView<'a>
     where
         I: IntoIterator<Item = EventView<'a>>,
@@ -437,7 +451,155 @@ impl<'s, 'a> Iterator for Flows<'s, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowSet;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The owned reference reconstruction the view is checked against:
+    /// every event cloned into a `BTreeMap` keyed by source ID (a stable
+    /// partition in capture order), each flow then stably sorted by time.
+    #[derive(Debug, Default)]
+    struct FlowSet {
+        flows: BTreeMap<u64, Flow>,
+    }
+
+    /// One owned reference flow: all events sharing one source ID.
+    #[derive(Debug)]
+    struct Flow {
+        /// The source of the first event appended to the flow.
+        source: SourceRef,
+        events: Vec<NetLogEvent>,
+    }
+
+    impl Flow {
+        fn start_time(&self) -> TimeMs {
+            self.events.first().map(|e| e.time).unwrap_or(0)
+        }
+
+        fn end_time(&self) -> TimeMs {
+            self.events.last().map(|e| e.time).unwrap_or(0)
+        }
+
+        fn url(&self) -> Option<&str> {
+            self.events.iter().find_map(|e| match &e.params {
+                EventParams::UrlRequestStart { url, .. } => Some(url.as_str()),
+                EventParams::WebSocket { url } => Some(url.as_str()),
+                _ => None,
+            })
+        }
+
+        fn redirect_chain(&self) -> Vec<&str> {
+            self.events
+                .iter()
+                .filter_map(|e| match &e.params {
+                    EventParams::Redirect { location } => Some(location.as_str()),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn ice_candidates(&self) -> Vec<(&str, &str)> {
+            self.events
+                .iter()
+                .filter_map(|e| match &e.params {
+                    EventParams::IceCandidate {
+                        address,
+                        candidate_type,
+                    } => Some((address.as_str(), candidate_type.as_str())),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn is_websocket(&self) -> bool {
+            self.source.kind == SourceType::WebSocket
+                || self
+                    .events
+                    .iter()
+                    .any(|e| matches!(e.event_type, EventType::WebSocketSendRequestHeaders))
+        }
+
+        fn websocket_frames(&self) -> usize {
+            self.events
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e.event_type,
+                        EventType::WebSocketSentFrame | EventType::WebSocketRecvFrame
+                    )
+                })
+                .count()
+        }
+
+        fn outcome(&self) -> FlowOutcome {
+            // The last failure wins; otherwise the last response header.
+            for e in self.events.iter().rev() {
+                match &e.params {
+                    EventParams::Failed { net_error } => {
+                        if let Some(err) = NetError::from_code(*net_error) {
+                            return FlowOutcome::Failed(err);
+                        }
+                    }
+                    EventParams::ResponseHeaders { status } => {
+                        return FlowOutcome::Success(*status);
+                    }
+                    EventParams::WebSocket { .. }
+                        if e.event_type == EventType::WebSocketReadResponseHeaders =>
+                    {
+                        return FlowOutcome::Success(101);
+                    }
+                    _ => {}
+                }
+            }
+            FlowOutcome::InFlight
+        }
+
+        fn is_closed(&self) -> bool {
+            self.events.iter().any(|e| {
+                e.event_type == EventType::RequestAlive && e.phase == EventPhase::End
+                    || e.event_type == EventType::SocketClosed
+            })
+        }
+    }
+
+    impl FlowSet {
+        fn from_events(events: impl IntoIterator<Item = NetLogEvent>) -> FlowSet {
+            let mut flows: BTreeMap<u64, Flow> = BTreeMap::new();
+            for ev in events {
+                flows
+                    .entry(ev.source.id)
+                    .or_insert_with(|| Flow {
+                        source: ev.source,
+                        events: Vec::new(),
+                    })
+                    .events
+                    .push(ev);
+            }
+            for flow in flows.values_mut() {
+                flow.events.sort_by_key(|e| e.time);
+            }
+            FlowSet { flows }
+        }
+
+        fn iter(&self) -> impl Iterator<Item = &Flow> {
+            self.flows.values()
+        }
+
+        fn page_flows(&self) -> impl Iterator<Item = &Flow> {
+            self.iter().filter(|f| f.source.kind.is_page_traffic())
+        }
+
+        fn get(&self, source_id: u64) -> Option<&Flow> {
+            self.flows.get(&source_id)
+        }
+
+        fn len(&self) -> usize {
+            self.flows.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.flows.is_empty()
+        }
+    }
 
     fn mk(id: u64, kind: SourceType, time: TimeMs, params: EventParams) -> NetLogEvent {
         let event_type = match &params {
@@ -656,5 +818,85 @@ mod tests {
         assert_eq!(view.len(), 0);
         assert!(view.get(1).is_none());
         assert_equivalent(&[]);
+    }
+
+    fn arb_params() -> impl Strategy<Value = (EventType, EventParams)> {
+        prop_oneof![
+            Just((EventType::RequestAlive, EventParams::None)),
+            ("[a-z]{1,8}", "[a-z.]{1,16}").prop_map(|(m, u)| (
+                EventType::UrlRequestStartJob,
+                EventParams::UrlRequestStart {
+                    url: format!("http://{u}/"),
+                    method: m.to_uppercase(),
+                    initiator: None,
+                    load_flags: 0,
+                }
+            )),
+            "[a-z.]{1,20}".prop_map(|h| (
+                EventType::HostResolverImplJob,
+                EventParams::DnsJob { host: h }
+            )),
+            (any::<u16>()).prop_map(|s| (
+                EventType::HttpTransactionReadHeaders,
+                EventParams::ResponseHeaders { status: s }
+            )),
+            (any::<i16>()).prop_map(|e| (
+                EventType::FailedRequest,
+                EventParams::Failed {
+                    net_error: e as i32
+                }
+            )),
+            (any::<u32>()).prop_map(|l| (
+                EventType::WebSocketRecvFrame,
+                EventParams::WebSocketFrame { length: l as u64 }
+            )),
+        ]
+    }
+
+    fn arb_event() -> impl Strategy<Value = NetLogEvent> {
+        (any::<u32>(), 1u64..10_000, 0u32..6, 0u32..3, arb_params()).prop_map(
+            |(time, id, src, phase, (event_type, params))| NetLogEvent {
+                time: time as u64,
+                event_type,
+                source: SourceRef {
+                    id,
+                    kind: SourceType::from_code(src).unwrap(),
+                },
+                phase: EventPhase::from_code(phase).unwrap(),
+                params,
+            },
+        )
+    }
+
+    proptest! {
+        /// The clone-free `FlowSetView` must reconstruct exactly the
+        /// flows the owned reference does: same grouping, same order,
+        /// same per-flow accessors — on arbitrary interleavings,
+        /// duplicate timestamps, and mixed source kinds per ID.
+        #[test]
+        fn flow_set_view_matches_owned_flow_set(
+            events in proptest::collection::vec(arb_event(), 0..60),
+        ) {
+            let owned = FlowSet::from_events(events.iter().cloned());
+            let view = FlowSetView::from_events(events.iter().map(NetLogEvent::view));
+            prop_assert_eq!(view.len(), owned.len());
+            prop_assert_eq!(view.is_empty(), owned.is_empty());
+            prop_assert_eq!(view.page_flows().count(), owned.page_flows().count());
+            for (of, vf) in owned.iter().zip(view.iter()) {
+                prop_assert_eq!(vf.source, of.source);
+                prop_assert_eq!(vf.start_time(), of.start_time());
+                prop_assert_eq!(vf.end_time(), of.end_time());
+                prop_assert_eq!(vf.url(), of.url());
+                prop_assert_eq!(vf.redirects().collect::<Vec<_>>(), of.redirect_chain());
+                prop_assert_eq!(vf.is_websocket(), of.is_websocket());
+                prop_assert_eq!(vf.websocket_frames(), of.websocket_frames());
+                prop_assert_eq!(vf.outcome(), of.outcome());
+                prop_assert_eq!(vf.is_closed(), of.is_closed());
+                let roundtrip: Vec<NetLogEvent> = vf.events().map(|&e| e.to_owned()).collect();
+                prop_assert_eq!(&roundtrip, &of.events);
+                let looked_up = view.get(of.source.id).expect("flow present by id");
+                prop_assert_eq!(looked_up.event_count(), of.events.len());
+            }
+        }
     }
 }

@@ -1,10 +1,7 @@
 //! Property tests: capture serialisation round-trips and truncation
 //! recovery never loses already-complete events.
 
-use kt_netlog::{
-    Capture, EventParams, EventPhase, EventType, FlowSet, FlowSetView, NetLogEvent, SourceRef,
-    SourceType,
-};
+use kt_netlog::{Capture, EventParams, EventPhase, EventType, NetLogEvent, SourceRef, SourceType};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = (EventType, EventParams)> {
@@ -90,35 +87,5 @@ proptest! {
     #[test]
     fn parser_never_panics_on_arbitrary_input(input in "\\PC{0,400}") {
         let _ = Capture::parse(&input);
-    }
-
-    /// The clone-free `FlowSetView` must reconstruct exactly the flows
-    /// the owned `FlowSet` does: same grouping, same order, same
-    /// per-flow accessors — on arbitrary interleavings, duplicate
-    /// timestamps, and mixed source kinds per ID.
-    #[test]
-    fn flow_set_view_matches_owned_flow_set(
-        events in proptest::collection::vec(arb_event(), 0..60),
-    ) {
-        let owned = FlowSet::from_events(events.iter().cloned());
-        let view = FlowSetView::from_events(events.iter().map(NetLogEvent::view));
-        prop_assert_eq!(view.len(), owned.len());
-        prop_assert_eq!(view.is_empty(), owned.is_empty());
-        prop_assert_eq!(view.page_flows().count(), owned.page_flows().count());
-        for (of, vf) in owned.iter().zip(view.iter()) {
-            prop_assert_eq!(vf.source, of.source);
-            prop_assert_eq!(vf.start_time(), of.start_time());
-            prop_assert_eq!(vf.end_time(), of.end_time());
-            prop_assert_eq!(vf.url(), of.url());
-            prop_assert_eq!(vf.redirects().collect::<Vec<_>>(), of.redirect_chain());
-            prop_assert_eq!(vf.is_websocket(), of.is_websocket());
-            prop_assert_eq!(vf.websocket_frames(), of.websocket_frames());
-            prop_assert_eq!(vf.outcome(), of.outcome());
-            prop_assert_eq!(vf.is_closed(), of.is_closed());
-            let roundtrip: Vec<NetLogEvent> = vf.events().map(|&e| e.to_owned()).collect();
-            prop_assert_eq!(&roundtrip, &of.events);
-            let looked_up = view.get(of.source.id).expect("flow present by id");
-            prop_assert_eq!(looked_up.event_count(), of.events.len());
-        }
     }
 }

@@ -7,7 +7,7 @@ use kt_crawler::crawl::{
     run_crawl, run_crawl_with, CrawlConfig, CrawlJob, CrawlOpts, VISIT_WALL_MS,
 };
 use kt_crawler::split_campaigns;
-use kt_netbase::Os;
+use kt_netbase::{Os, OsSet};
 use kt_service::{
     AdmissionError, CampaignHandle, CampaignService, CampaignSpec, CampaignStatus, OverflowPolicy,
     ServiceConfig, ServiceJob, TenantQuota,
@@ -15,7 +15,7 @@ use kt_service::{
 use kt_store::journal::replay;
 use kt_store::{CrawlId, TelemetryStore};
 use kt_trace::Trace;
-use kt_webgen::{PopulationConfig, WebPopulation, WebSite};
+use kt_webgen::{Behavior, NativeApp, PlantedBehavior, PopulationConfig, WebPopulation, WebSite};
 
 use kt_faults::{Fault, FaultPlan};
 
@@ -120,7 +120,9 @@ fn mid_flight_snapshot_tracks_the_store_prefix() {
 
 /// The storm fixture: three tenants, mixed policies, over-quota
 /// submissions, a deadline campaign, and every service + crawl fault
-/// class firing at once.
+/// class firing at once. One site of the unshed Block-policy campaign
+/// probes a native app on localhost, so the completed tables the
+/// worker-count check compares hold local activity.
 fn storm_service(workers: usize) -> (CampaignService, Vec<CampaignHandle>) {
     let seed = 77;
     let mut config = ServiceConfig::new(seed);
@@ -153,10 +155,16 @@ fn storm_service(workers: usize) -> (CampaignService, Vec<CampaignHandle>) {
         OverflowPolicy::Shed,
     );
 
+    let mut acme_sites = sites(7, 0, 8);
+    acme_sites[0].behaviors.push(PlantedBehavior {
+        behavior: Behavior::NativeApp(NativeApp::Faceit),
+        os_set: OsSet::ALL,
+        base_delay_ms: 4_000,
+    });
     let mut handles = Vec::new();
     handles.push(
         service
-            .submit("acme", spec("acme-a", Os::Linux, &sites(7, 0, 8), 2))
+            .submit("acme", spec("acme-a", Os::Linux, &acme_sites, 2))
             .expect("acme-a admitted"),
     );
     let mut deadline = spec("acme-b", Os::Windows, &sites(7, 8, 8), 2);
@@ -239,6 +247,15 @@ fn fault_storm_degrades_identically_across_worker_counts() {
             .count()
             >= 3,
         "most campaigns still complete under the storm"
+    );
+    // The tables compared are not empty: acme-a completed unshed, so
+    // its tables come from the online aggregate, and they hold the
+    // planted localhost probe.
+    let (status, shed, _, acme_a) = &baseline.0[0];
+    assert_eq!((*status, *shed), (CampaignStatus::Completed, 0));
+    assert!(
+        acme_a.as_ref().is_some_and(|a| !a.sites.is_empty()),
+        "acme-a's tables must hold its planted local activity"
     );
     for workers in [2, 4, 8] {
         let run = storm_fingerprint(workers);

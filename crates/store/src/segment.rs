@@ -10,10 +10,9 @@
 //!
 //! The repo vendors no `libc` crate, so the two syscalls are declared
 //! directly — `std` already links the platform C library on every unix
-//! target. Platforms (or tests) that want deterministic heap-only
-//! behavior use [`SegmentMode::Resident`], which reads the file back
-//! into an ordinary buffer; both modes serve identical bytes, which
-//! the `spill` test suite property-pins.
+//! target. [`SegmentMode::Resident`] reads the file back into an
+//! ordinary heap buffer instead; both modes serve identical bytes,
+//! which the store's property tests pin.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -30,17 +29,6 @@ pub enum SegmentMode {
     Mmap,
     /// Read the segment file into a heap buffer.
     Resident,
-}
-
-impl SegmentMode {
-    /// Parse a CLI-style mode name.
-    pub fn parse(s: &str) -> Option<SegmentMode> {
-        match s {
-            "mmap" => Some(SegmentMode::Mmap),
-            "resident" => Some(SegmentMode::Resident),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(all(unix, target_pointer_width = "64"))]
@@ -158,13 +146,11 @@ pub fn load_segment(path: &Path, mode: SegmentMode) -> io::Result<Bytes> {
     }
 }
 
-/// Where (and how) a store spills sealed segments.
+/// Where a store spills sealed segments; they are memory-mapped back.
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
     /// Directory for segment files (created if missing).
     pub dir: PathBuf,
-    /// Read-back mode for spilled segments.
-    pub mode: SegmentMode,
     /// Per-shard active-buffer size that triggers a seal+spill;
     /// `None` uses the store's default segment target. Benches lower
     /// it to exercise the spill path at reduced populations.
@@ -176,16 +162,6 @@ impl SpillConfig {
     pub fn mmap(dir: impl Into<PathBuf>) -> SpillConfig {
         SpillConfig {
             dir: dir.into(),
-            mode: SegmentMode::Mmap,
-            segment_target: None,
-        }
-    }
-
-    /// Spill under `dir`, reading segments back into heap buffers.
-    pub fn resident(dir: impl Into<PathBuf>) -> SpillConfig {
-        SpillConfig {
-            dir: dir.into(),
-            mode: SegmentMode::Resident,
             segment_target: None,
         }
     }
@@ -198,12 +174,11 @@ impl SpillConfig {
 }
 
 /// Per-shard spill state: writes sealed buffers to numbered segment
-/// files and loads them back in the configured mode.
+/// files and memory-maps them back.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardSpill {
     pub(crate) dir: PathBuf,
     pub(crate) shard: usize,
-    pub(crate) mode: SegmentMode,
 }
 
 impl ShardSpill {
@@ -224,7 +199,7 @@ impl ShardSpill {
             let mut file = File::create(&path)?;
             file.write_all(buf)?;
         }
-        let loaded = load_segment(&path, self.mode)?;
+        let loaded = load_segment(&path, SegmentMode::Mmap)?;
         if loaded.as_ref() != buf {
             // A short write or concurrent truncation: don't serve it.
             return Err(io::Error::new(
@@ -298,7 +273,6 @@ mod tests {
         let spill = ShardSpill {
             dir: dir.clone(),
             shard: 3,
-            mode: SegmentMode::Mmap,
         };
         let buf: Vec<u8> = (0..255u8).cycle().take(100_000).collect();
         let (bytes, spilled) = spill.spill(0, buf.clone());
@@ -313,18 +287,10 @@ mod tests {
         let spill = ShardSpill {
             dir: PathBuf::from("/nonexistent-kt-spill-dir/nested"),
             shard: 0,
-            mode: SegmentMode::Mmap,
         };
         let buf = vec![42u8; 1024];
         let (bytes, spilled) = spill.spill(0, buf.clone());
         assert!(!spilled, "unwritable dir cannot spill");
         assert_eq!(bytes.as_ref(), &buf[..], "buffer kept resident");
-    }
-
-    #[test]
-    fn segment_mode_parses_cli_names() {
-        assert_eq!(SegmentMode::parse("mmap"), Some(SegmentMode::Mmap));
-        assert_eq!(SegmentMode::parse("resident"), Some(SegmentMode::Resident));
-        assert_eq!(SegmentMode::parse("other"), None);
     }
 }

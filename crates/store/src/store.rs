@@ -174,10 +174,9 @@ impl TelemetryStore {
     }
 
     /// An empty store that spills sealed segments to files under
-    /// `config.dir`, reading them back in `config.mode` — the
-    /// larger-than-RAM path: the heap only ever holds each shard's
-    /// active buffer, so resident set stays flat however big the
-    /// campaign grows. Creates the directory; fails only if it cannot.
+    /// `config.dir`, memory-mapping them back — the larger-than-RAM
+    /// path: the heap only ever holds each shard's active buffer, so
+    /// resident set stays flat however big the campaign grows. Creates the directory; fails only if it cannot.
     pub fn with_spill(config: SpillConfig) -> std::io::Result<TelemetryStore> {
         std::fs::create_dir_all(&config.dir)?;
         let store = TelemetryStore::default();
@@ -186,7 +185,6 @@ impl TelemetryStore {
             inner.spill = Some(ShardSpill {
                 dir: config.dir.clone(),
                 shard: i,
-                mode: config.mode,
             });
             inner.target = config.segment_target;
         }
@@ -446,7 +444,7 @@ impl TelemetryStore {
 
     /// The encoded bytes of every stored record, sorted by (crawl,
     /// domain, OS): zero-copy slices of sealed segment memory, in the
-    /// order [`Self::scan_all`] decodes and `persist::save` writes.
+    /// order `persist::save` writes.
     pub fn raw_all(&self) -> Vec<Bytes> {
         let mut out = Vec::with_capacity(self.len());
         for crawl in self.crawl_ids() {
@@ -474,8 +472,9 @@ impl TelemetryStore {
 
     /// Full scan over every stored record, sorted by (crawl, domain,
     /// OS). Unlike [`Self::crawl_records`] this propagates decode
-    /// errors — it is the persistence layer's integrity pass.
-    pub fn scan_all(&self) -> Result<Vec<VisitRecord>, CodecError> {
+    /// errors.
+    #[cfg(test)]
+    pub(crate) fn scan_all(&self) -> Result<Vec<VisitRecord>, CodecError> {
         self.raw_all().into_iter().map(decode).collect()
     }
 }
@@ -834,35 +833,5 @@ mod tests {
         );
         assert_eq!(store.len(), 2_000, "nothing lost to spilling");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn spill_modes_are_read_equivalent() {
-        use crate::segment::{SegmentMode, SpillConfig};
-        let dir_m = spill_dir("mode-mmap");
-        let dir_r = spill_dir("mode-resident");
-        let mmap_store =
-            TelemetryStore::with_spill(SpillConfig::mmap(&dir_m).with_segment_target(1_024))
-                .unwrap();
-        let resident_store =
-            TelemetryStore::with_spill(SpillConfig::resident(&dir_r).with_segment_target(1_024))
-                .unwrap();
-        assert_eq!(
-            SpillConfig::resident(&dir_r).mode,
-            SegmentMode::Resident,
-            "constructor picks the explicit fallback mode"
-        );
-        for i in 0..300 {
-            let os = Os::ALL[i % 3];
-            let r = rec(CrawlId::top2020(), &format!("eq{i:03}.example"), os);
-            mmap_store.append(&r);
-            resident_store.append(&r);
-        }
-        assert_eq!(
-            mmap_store.crawl_records(&CrawlId::top2020()),
-            resident_store.crawl_records(&CrawlId::top2020()),
-        );
-        std::fs::remove_dir_all(&dir_m).ok();
-        std::fs::remove_dir_all(&dir_r).ok();
     }
 }

@@ -10,7 +10,7 @@
 use knock_talk::browser::{Browser, BrowserConfig, World};
 use knock_talk::netbase::services::THREATMETRIX_PORTS;
 use knock_talk::netbase::{DomainName, Os, OsSet, ServiceRegistry, Url};
-use knock_talk::netlog::{FlowOutcome, FlowSet};
+use knock_talk::netlog::{FlowOutcome, FlowSetView, NetLogEvent};
 use knock_talk::webgen::{Behavior, PlantedBehavior, WebSite};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
         let mut world = World::build(std::slice::from_ref(&site), os, 7);
         let mut browser = Browser::new(&mut world, BrowserConfig::paper(os), 7);
         let result = browser.visit(&site);
-        let flows = FlowSet::from_events(result.capture.events);
+        let flows = FlowSetView::from_events(result.capture.events.iter().map(NetLogEvent::view));
         let mut local = 0;
         for flow in flows.page_flows() {
             let Some(url_text) = flow.url() else { continue };

@@ -12,7 +12,7 @@
 
 use knock_talk::browser::{Browser, BrowserConfig, World};
 use knock_talk::netbase::{DomainName, Os, OsSet, Url};
-use knock_talk::netlog::{Capture, FlowSet};
+use knock_talk::netlog::{Capture, FlowSetView, NetLogEvent};
 use knock_talk::webgen::{Behavior, NativeApp, PlantedBehavior, WebSite};
 
 fn main() {
@@ -55,7 +55,7 @@ fn main() {
 
     // 4. The evidence survives: the localhost probe is still in the
     //    recovered prefix (it fired early in the visit).
-    let flows = FlowSet::from_events(recovered.events);
+    let flows = FlowSetView::from_events(recovered.events.iter().map(NetLogEvent::view));
     let local: Vec<String> = flows
         .page_flows()
         .filter_map(|f| f.url().map(str::to_string))

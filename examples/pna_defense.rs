@@ -10,7 +10,7 @@ use knock_talk::analysis::classify::ReasonClass;
 use knock_talk::analysis::defense::{evaluate, AdoptionScenario};
 use knock_talk::browser::{Browser, BrowserConfig, PnaMode, World};
 use knock_talk::netbase::{DomainName, Os, OsSet, Url};
-use knock_talk::netlog::{FlowOutcome, FlowSet, NetError};
+use knock_talk::netlog::{FlowOutcome, FlowSetView, NetError, NetLogEvent};
 use knock_talk::store::CrawlId;
 use knock_talk::webgen::{Behavior, NativeApp, PlantedBehavior, WebSite};
 use knock_talk::{Study, StudyConfig};
@@ -58,7 +58,7 @@ fn main() {
         config.pna = mode;
         let mut browser = Browser::new(&mut world, config, 1);
         let result = browser.visit(&site);
-        let flows = FlowSet::from_events(result.capture.events);
+        let flows = FlowSetView::from_events(result.capture.events.iter().map(NetLogEvent::view));
         let (aborted, attempted): (usize, usize) = flows
             .page_flows()
             .filter(|f| {

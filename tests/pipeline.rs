@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use knock_talk::analysis::detect::{aggregate_sites, detect_local};
 use knock_talk::netbase::{Locality, Os, Url};
-use knock_talk::netlog::{FlowSet, SourceType};
+use knock_talk::netlog::{FlowSetView, NetLogEvent, SourceType};
 use knock_talk::store::CrawlId;
 use knock_talk::{Study, StudyConfig};
 
@@ -40,11 +40,12 @@ fn stored_telemetry_is_flow_consistent() {
     let records = s.store.crawl_records_on(&CrawlId::top2020(), Os::Windows);
     let mut checked = 0;
     for record in records.iter().take(200) {
-        let flows = FlowSet::from_events(record.events.iter().cloned());
+        let flows = FlowSetView::from_events(record.events.iter().map(NetLogEvent::view));
         for flow in flows.iter() {
             // Events in a flow share the source and are time-ordered.
-            assert!(flow.events.iter().all(|e| e.source.id == flow.source.id));
-            assert!(flow.events.windows(2).all(|w| w[0].time <= w[1].time));
+            assert!(flow.events().all(|e| e.source.id == flow.source.id));
+            let times: Vec<u64> = flow.events().map(|e| e.time).collect();
+            assert!(times.windows(2).all(|w| w[0] <= w[1]));
             // Every event sits inside the 20 s observation window.
             assert!(flow.end_time() < 20_000, "{}", record.domain);
         }
@@ -92,7 +93,7 @@ fn browser_internal_sources_never_surface_as_findings() {
             "internal noise exists in telemetry"
         );
         // No detection may come from an internal source's flow.
-        let flows = FlowSet::from_events(record.events.iter().cloned());
+        let flows = FlowSetView::from_events(record.events.iter().map(NetLogEvent::view));
         for obs in detect_local(record) {
             let flow = flows
                 .iter()
