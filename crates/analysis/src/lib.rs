@@ -40,6 +40,7 @@
 //!   by shard across threads, decode each record once, fan it out to
 //!   every classifier, and merge deterministically.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bias;

@@ -65,6 +65,8 @@
 //! `--eps-floor` gates the machine-normalized zero-copy decode
 //! throughput from the population sweep.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use knock_talk::analysis::detect::detect_local_with_page_view;

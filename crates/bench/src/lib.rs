@@ -6,6 +6,7 @@
 //! static-chunk schedule replay the perf bin compares the crawl pool
 //! against. `knocktalk repro` prints every regenerated artefact.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checks;

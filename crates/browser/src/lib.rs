@@ -19,6 +19,7 @@
 //! * the 20-second window: flows that outlive it stay in-flight;
 //! * Safe Browsing disabled, incognito profile (the paper's config).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

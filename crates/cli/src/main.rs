@@ -8,6 +8,8 @@
 //! time. Argument parsing is hand-rolled (the workspace's dependency
 //! policy keeps the tree small).
 
+#![forbid(unsafe_code)]
+
 use std::io::{self, Write};
 use std::process::ExitCode;
 

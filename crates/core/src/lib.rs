@@ -27,6 +27,7 @@
 //! store), `kt-scanner` (active local-network probing) and
 //! `kt-analysis` (detection, classification, reports).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

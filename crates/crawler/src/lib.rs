@@ -13,6 +13,7 @@
 //! * [`stats::CrawlStats`] accumulates the Table 1 numbers: successful
 //!   and failed loads with the error-type breakdown.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crawl;

@@ -32,6 +32,7 @@
 //!   prefix so the supervisor can quarantine the site without losing
 //!   the evidence gathered before the crash.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod plan;

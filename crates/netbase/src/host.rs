@@ -19,30 +19,7 @@ pub struct DomainName(String);
 impl DomainName {
     /// Parse and validate a domain name. The stored form is lower-case.
     pub fn parse(s: &str) -> Result<DomainName, ParseError> {
-        if s.is_empty() {
-            return Err(ParseError::Empty);
-        }
-        // A trailing dot denotes the DNS root and is stripped.
-        let s = s.strip_suffix('.').unwrap_or(s);
-        if s.is_empty() || s.len() > 253 {
-            return Err(ParseError::InvalidHost(s.to_string()));
-        }
-        let lowered = s.to_ascii_lowercase();
-        for label in lowered.split('.') {
-            if label.is_empty() || label.len() > 63 {
-                return Err(ParseError::InvalidLabel(label.to_string()));
-            }
-            if label.starts_with('-') || label.ends_with('-') {
-                return Err(ParseError::InvalidLabel(label.to_string()));
-            }
-            if !label
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
-            {
-                return Err(ParseError::InvalidLabel(label.to_string()));
-            }
-        }
-        Ok(DomainName(lowered))
+        DomainView::parse(s).map(DomainView::to_owned)
     }
 
     /// The normalised (lower-case, no trailing dot) name.
@@ -122,25 +99,7 @@ impl Host {
     /// parsing; a well-formed dotted quad parses as IPv4; anything else
     /// is validated as a domain name.
     pub fn parse(s: &str) -> Result<Host, ParseError> {
-        if s.is_empty() {
-            return Err(ParseError::Empty);
-        }
-        if let Some(rest) = s.strip_prefix('[') {
-            let inner = rest.strip_suffix(']').ok_or(ParseError::UnterminatedIpv6)?;
-            let addr: Ipv6Addr = inner
-                .parse()
-                .map_err(|_| ParseError::InvalidIpLiteral(inner.to_string()))?;
-            return Ok(Host::Ipv6(addr));
-        }
-        // A string that looks like a dotted quad must parse as IPv4:
-        // treating `1.2.3.999` as a domain would silently misclassify.
-        if s.bytes().all(|b| b.is_ascii_digit() || b == b'.') && s.contains('.') {
-            let addr: Ipv4Addr = s
-                .parse()
-                .map_err(|_| ParseError::InvalidIpLiteral(s.to_string()))?;
-            return Ok(Host::Ipv4(addr));
-        }
-        Ok(Host::Domain(DomainName::parse(s)?))
+        HostView::parse(s).map(HostView::to_owned)
     }
 
     /// The IP address if this host is a literal.
@@ -187,10 +146,11 @@ impl FromStr for Host {
 /// A borrowed, validated DNS name: the input slice with any trailing
 /// root dot stripped, in its *original* case.
 ///
-/// Validation is byte-identical to [`DomainName::parse`] — same
-/// accepted set, same error values (including the lower-cased label in
-/// `InvalidLabel`) — but nothing is copied on success. Case-dependent
-/// predicates compare case-insensitively instead of lowering.
+/// This is the one domain validator: [`DomainName::parse`] is this
+/// parse plus lowering, so both accept the same names with the same
+/// error values (including the lower-cased label in `InvalidLabel`).
+/// Nothing is copied on success. Case-dependent predicates compare
+/// case-insensitively instead of lowering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DomainView<'a>(&'a str);
 
@@ -207,8 +167,8 @@ impl<'a> DomainView<'a> {
         }
         // Length, hyphen placement and the accepted byte set are all
         // case-insensitive, so validating the original bytes accepts
-        // exactly what DomainName::parse accepts after lowering. Only
-        // the error value needs the lowered form.
+        // exactly the names whose lowered form is valid. Only the error
+        // value needs the lowered form.
         for label in s.split('.') {
             if label.is_empty()
                 || label.len() > 63
@@ -250,7 +210,7 @@ impl<'a> DomainView<'a> {
 
     /// Convert to the owned, lower-cased form (allocates).
     pub fn to_owned(self) -> DomainName {
-        DomainName::parse(self.0).expect("DomainView is pre-validated")
+        DomainName(self.0.to_ascii_lowercase())
     }
 }
 
@@ -267,8 +227,10 @@ pub enum HostView<'a> {
 }
 
 impl<'a> HostView<'a> {
-    /// Parse a URL host token without copying it. Accepts and rejects
-    /// exactly what [`Host::parse`] does, with identical error values.
+    /// Parse a URL host token without copying it. A leading `[`
+    /// selects IPv6-literal parsing; a well-formed dotted quad parses
+    /// as IPv4; anything else is validated as a domain name.
+    /// [`Host::parse`] is this parse plus [`HostView::to_owned`].
     pub fn parse(s: &'a str) -> Result<HostView<'a>, ParseError> {
         if s.is_empty() {
             return Err(ParseError::Empty);
@@ -311,8 +273,72 @@ impl<'a> HostView<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference domain parser: lowers first, then validates the
+    /// lowered name, building the owned value directly. The production
+    /// parser validates the original bytes and lowers after.
+    fn reference_domain_parse(s: &str) -> Result<DomainName, ParseError> {
+        if s.is_empty() {
+            return Err(ParseError::Empty);
+        }
+        // A trailing dot denotes the DNS root and is stripped.
+        let s = s.strip_suffix('.').unwrap_or(s);
+        if s.is_empty() || s.len() > 253 {
+            return Err(ParseError::InvalidHost(s.to_string()));
+        }
+        let lowered = s.to_ascii_lowercase();
+        for label in lowered.split('.') {
+            if label.is_empty() || label.len() > 63 {
+                return Err(ParseError::InvalidLabel(label.to_string()));
+            }
+            if label.starts_with('-') || label.ends_with('-') {
+                return Err(ParseError::InvalidLabel(label.to_string()));
+            }
+            if !label
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+            {
+                return Err(ParseError::InvalidLabel(label.to_string()));
+            }
+        }
+        Ok(DomainName(lowered))
+    }
+
+    /// Reference host parser, building owned values directly; the
+    /// borrowed [`HostView::parse`] is held to it.
+    pub(crate) fn reference_host_parse(s: &str) -> Result<Host, ParseError> {
+        if s.is_empty() {
+            return Err(ParseError::Empty);
+        }
+        if let Some(rest) = s.strip_prefix('[') {
+            let inner = rest.strip_suffix(']').ok_or(ParseError::UnterminatedIpv6)?;
+            let addr: Ipv6Addr = inner
+                .parse()
+                .map_err(|_| ParseError::InvalidIpLiteral(inner.to_string()))?;
+            return Ok(Host::Ipv6(addr));
+        }
+        if s.bytes().all(|b| b.is_ascii_digit() || b == b'.') && s.contains('.') {
+            let addr: Ipv4Addr = s
+                .parse()
+                .map_err(|_| ParseError::InvalidIpLiteral(s.to_string()))?;
+            return Ok(Host::Ipv4(addr));
+        }
+        Ok(Host::Domain(reference_domain_parse(s)?))
+    }
+
+    proptest! {
+        #[test]
+        fn host_view_agrees_with_owned_parser(input in "\\PC{0,60}") {
+            match (reference_host_parse(&input), HostView::parse(&input)) {
+                (Ok(owned), Ok(view)) => prop_assert_eq!(view.to_owned(), owned),
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(false, "disagreement on {:?}: owned={:?} view={:?}", input, a, b),
+            }
+        }
+    }
 
     #[test]
     fn domain_normalises_case_and_root_dot() {
@@ -462,7 +488,7 @@ mod tests {
             ".",
         ];
         for s in corpus {
-            match (Host::parse(s), HostView::parse(s)) {
+            match (reference_host_parse(s), HostView::parse(s)) {
                 (Ok(owned), Ok(view)) => {
                     assert_eq!(view.to_owned(), owned, "value for {s:?}");
                     assert_eq!(view.ip(), owned.ip(), "ip for {s:?}");

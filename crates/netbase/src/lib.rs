@@ -18,6 +18,7 @@
 //!    encodes that plain HTTP fetches are bound by the Same-Origin
 //!    Policy while WebSocket connections are not (§4.2 of the paper).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

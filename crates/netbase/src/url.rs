@@ -50,46 +50,7 @@ pub struct Url {
 impl Url {
     /// Parse an absolute URL.
     pub fn parse(input: &str) -> Result<Url, ParseError> {
-        let input = input.trim();
-        if input.is_empty() {
-            return Err(ParseError::Empty);
-        }
-        let (scheme_str, rest) = input.split_once("://").ok_or(ParseError::MissingScheme)?;
-        let scheme = Scheme::parse(scheme_str)?;
-
-        // Split authority from path/query/fragment. An IPv6 literal may
-        // contain ':' so we must honour the bracket first.
-        let (authority, tail) = split_authority(rest)?;
-        if authority.contains('@') {
-            return Err(ParseError::InvalidHost(authority.to_string()));
-        }
-
-        let (host_str, port) = split_host_port(authority)?;
-        let host = Host::parse(host_str)?;
-
-        // Decompose the tail into path / query / fragment.
-        let (before_frag, fragment) = match tail.split_once('#') {
-            Some((b, f)) => (b, Some(f.to_string())),
-            None => (tail, None),
-        };
-        let (path_str, query) = match before_frag.split_once('?') {
-            Some((p, q)) => (p, Some(q.to_string())),
-            None => (before_frag, None),
-        };
-        let path = if path_str.is_empty() {
-            "/".to_string()
-        } else {
-            path_str.to_string()
-        };
-
-        Ok(Url {
-            scheme,
-            host,
-            explicit_port: port,
-            path,
-            query,
-            fragment,
-        })
+        UrlView::parse(input).map(UrlView::to_owned)
     }
 
     /// Build a URL from parts; `path` must begin with `/` or be empty.
@@ -199,9 +160,10 @@ impl FromStr for Url {
 
 /// A parsed absolute URL that borrows its input.
 ///
-/// [`UrlView::parse`] accepts and rejects exactly what [`Url::parse`]
-/// does (identical error values) but allocates nothing on success: the
-/// path, query and fragment are slices of the input, and the host
+/// [`UrlView::parse`] is the one URL parser: [`Url::parse`] is this
+/// parse plus [`UrlView::to_owned`], so the two accept the same inputs
+/// with identical error values. The view allocates nothing on success:
+/// the path, query and fragment are slices of the input, and the host
 /// keeps domain names borrowed. The analysis hot path classifies every
 /// request URL but emits an observation for fewer than 1% of them, so
 /// the owned conversion ([`UrlView::to_owned`]) is deferred until a
@@ -227,6 +189,8 @@ impl<'a> UrlView<'a> {
         let (scheme_str, rest) = input.split_once("://").ok_or(ParseError::MissingScheme)?;
         let scheme = Scheme::parse(scheme_str)?;
 
+        // Split authority from path/query/fragment. An IPv6 literal may
+        // contain ':' so we must honour the bracket first.
         let (authority, tail) = split_authority(rest)?;
         if authority.contains('@') {
             return Err(ParseError::InvalidHost(authority.to_string()));
@@ -235,6 +199,7 @@ impl<'a> UrlView<'a> {
         let (host_str, port) = split_host_port(authority)?;
         let host = HostView::parse(host_str)?;
 
+        // Decompose the tail into path / query / fragment.
         let (before_frag, fragment) = match tail.split_once('#') {
             Some((b, f)) => (b, Some(f)),
             None => (tail, None),
@@ -302,8 +267,7 @@ impl<'a> UrlView<'a> {
         self.locality().is_local()
     }
 
-    /// Convert to the owned [`Url`] (allocates; equal to what
-    /// `Url::parse` would have produced on the same input).
+    /// Convert to the owned [`Url`] (allocates).
     pub fn to_owned(self) -> Url {
         Url {
             scheme: self.scheme,
@@ -367,7 +331,91 @@ fn split_host_port(authority: &str) -> Result<(&str, Option<u16>), ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::tests::reference_host_parse;
+    use proptest::prelude::*;
     use std::net::Ipv4Addr;
+
+    /// Reference URL parser, building every owned field directly; the
+    /// borrowed [`UrlView::parse`] is held to it.
+    fn reference_url_parse(input: &str) -> Result<Url, ParseError> {
+        let input = input.trim();
+        if input.is_empty() {
+            return Err(ParseError::Empty);
+        }
+        let (scheme_str, rest) = input.split_once("://").ok_or(ParseError::MissingScheme)?;
+        let scheme = Scheme::parse(scheme_str)?;
+
+        let (authority, tail) = split_authority(rest)?;
+        if authority.contains('@') {
+            return Err(ParseError::InvalidHost(authority.to_string()));
+        }
+
+        let (host_str, port) = split_host_port(authority)?;
+        let host = reference_host_parse(host_str)?;
+
+        let (before_frag, fragment) = match tail.split_once('#') {
+            Some((b, f)) => (b, Some(f.to_string())),
+            None => (tail, None),
+        };
+        let (path_str, query) = match before_frag.split_once('?') {
+            Some((p, q)) => (p, Some(q.to_string())),
+            None => (before_frag, None),
+        };
+        let path = if path_str.is_empty() {
+            "/".to_string()
+        } else {
+            path_str.to_string()
+        };
+
+        Ok(Url {
+            scheme,
+            host,
+            explicit_port: port,
+            path,
+            query,
+            fragment,
+        })
+    }
+
+    proptest! {
+        /// The borrowed URL parser must accept, reject, and classify
+        /// exactly as the owned parser does — on arbitrary input, not just
+        /// well-formed URLs.
+        #[test]
+        fn url_view_agrees_with_owned_parser(input in "\\PC{0,80}") {
+            match (reference_url_parse(&input), UrlView::parse(&input)) {
+                (Ok(owned), Ok(view)) => {
+                    prop_assert_eq!(view.scheme(), owned.scheme());
+                    prop_assert_eq!(view.port(), owned.port());
+                    prop_assert_eq!(view.explicit_port(), owned.explicit_port());
+                    prop_assert_eq!(view.path(), owned.path());
+                    prop_assert_eq!(view.query(), owned.query());
+                    prop_assert_eq!(view.fragment(), owned.fragment());
+                    prop_assert_eq!(view.locality(), owned.locality());
+                    prop_assert_eq!(view.to_owned(), owned);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(false, "disagreement on {:?}: owned={:?} view={:?}", input, a, b),
+            }
+        }
+
+        /// Same agreement on inputs biased towards *almost*-valid URLs,
+        /// which exercise the deep error paths far more often than fully
+        /// arbitrary strings do.
+        #[test]
+        fn url_view_agrees_on_url_shaped_inputs(
+            scheme in "(http|https|ws|wss|HTTP|ftp|Wss)",
+            host in "[a-zA-Z0-9.\\[\\]:@_-]{1,25}",
+            tail in "[/?#a-z0-9=.&]{0,20}",
+        ) {
+            let input = format!("{scheme}://{host}{tail}");
+            match (reference_url_parse(&input), UrlView::parse(&input)) {
+                (Ok(owned), Ok(view)) => prop_assert_eq!(view.to_owned(), owned),
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(false, "disagreement on {:?}: owned={:?} view={:?}", input, a, b),
+            }
+        }
+    }
 
     #[test]
     fn parses_simple_http_url() {
@@ -495,7 +543,7 @@ mod tests {
             "http://[::1/",
         ];
         for s in corpus {
-            match (Url::parse(s), UrlView::parse(s)) {
+            match (reference_url_parse(s), UrlView::parse(s)) {
                 (Ok(owned), Ok(view)) => {
                     assert_eq!(view.to_owned(), owned, "value for {s:?}");
                     assert_eq!(view.scheme(), owned.scheme(), "scheme for {s:?}");

@@ -2,7 +2,7 @@
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use kt_netbase::{Host, HostView, Locality, Scheme, Url, UrlView};
+use kt_netbase::{Host, Locality, Scheme, Url};
 use proptest::prelude::*;
 
 /// Oracle for RFC 1918 + special ranges using raw integer arithmetic,
@@ -122,53 +122,6 @@ proptest! {
         let scheme = Scheme::ALL[scheme_idx];
         let url = Url::parse(&format!("{scheme}://example.com/")).unwrap();
         prop_assert_eq!(url.port(), scheme.default_port());
-    }
-
-    /// The borrowed URL parser must accept, reject, and classify
-    /// exactly as the owned parser does — on arbitrary input, not just
-    /// well-formed URLs.
-    #[test]
-    fn url_view_agrees_with_owned_parser(input in "\\PC{0,80}") {
-        match (Url::parse(&input), UrlView::parse(&input)) {
-            (Ok(owned), Ok(view)) => {
-                prop_assert_eq!(view.scheme(), owned.scheme());
-                prop_assert_eq!(view.port(), owned.port());
-                prop_assert_eq!(view.explicit_port(), owned.explicit_port());
-                prop_assert_eq!(view.path(), owned.path());
-                prop_assert_eq!(view.query(), owned.query());
-                prop_assert_eq!(view.fragment(), owned.fragment());
-                prop_assert_eq!(view.locality(), owned.locality());
-                prop_assert_eq!(view.to_owned(), owned);
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "disagreement on {:?}: owned={:?} view={:?}", input, a, b),
-        }
-    }
-
-    /// Same agreement on inputs biased towards *almost*-valid URLs,
-    /// which exercise the deep error paths far more often than fully
-    /// arbitrary strings do.
-    #[test]
-    fn url_view_agrees_on_url_shaped_inputs(
-        scheme in "(http|https|ws|wss|HTTP|ftp|Wss)",
-        host in "[a-zA-Z0-9.\\[\\]:@_-]{1,25}",
-        tail in "[/?#a-z0-9=.&]{0,20}",
-    ) {
-        let input = format!("{scheme}://{host}{tail}");
-        match (Url::parse(&input), UrlView::parse(&input)) {
-            (Ok(owned), Ok(view)) => prop_assert_eq!(view.to_owned(), owned),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "disagreement on {:?}: owned={:?} view={:?}", input, a, b),
-        }
-    }
-
-    #[test]
-    fn host_view_agrees_with_owned_parser(input in "\\PC{0,60}") {
-        match (Host::parse(&input), HostView::parse(&input)) {
-            (Ok(owned), Ok(view)) => prop_assert_eq!(view.to_owned(), owned),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "disagreement on {:?}: owned={:?} view={:?}", input, a, b),
-        }
     }
 
     #[test]

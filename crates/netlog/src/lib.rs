@@ -35,6 +35,7 @@
 //!   the analysis pipeline tells page-initiated requests apart from
 //!   browser-internal traffic.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capture;

@@ -32,6 +32,8 @@
 //! phase only, so reports are byte-identical across `--concurrency`
 //! settings by construction.
 
+#![forbid(unsafe_code)]
+
 pub mod breaker;
 pub mod engine;
 pub mod probe;

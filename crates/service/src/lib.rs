@@ -31,6 +31,7 @@
 //! campaigns that were drained mid-flight and resumed from their
 //! journal.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;

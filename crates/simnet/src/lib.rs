@@ -21,6 +21,7 @@
 //! same seed produce identical traffic regardless of crawl order or
 //! parallelism.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

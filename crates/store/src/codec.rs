@@ -15,8 +15,17 @@
 //!
 //! At crawl scale this matters: a JSON NetLog event averages ~180
 //! bytes; this codec stores the common events in 8–40.
+//!
+//! Both decoders read in one pass through the same `Cursor`, which
+//! validates each string where it reads it, so the first fault in
+//! stream order is the error either one reports. [`decode_view`]
+//! borrows its strings from the input; [`decode`] copies them into an
+//! owned [`VisitRecord`]. They share the record head's parse (magic
+//! through event count) and each builds its own events.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+#![forbid(unsafe_code)]
+
+use bytes::{BufMut, Bytes, BytesMut};
 use kt_netbase::Os;
 use kt_netlog::{
     EventParams, EventPhase, EventType, EventView, NetLogEvent, ParamsView, SourceRef, SourceType,
@@ -56,6 +65,11 @@ impl std::error::Error for CodecError {}
 const MAGIC: u16 = 0x4B54; // "KT"
 const VERSION: u8 = 1;
 
+/// The fewest bytes one encoded event takes: five one-byte head
+/// fields and a params tag. A declared event count pre-sizes the
+/// event vector only as far as the bytes left could hold.
+const MIN_EVENT_BYTES: usize = 6;
+
 pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -68,44 +82,9 @@ pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-pub(crate) fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    let mut shift = 0;
-    loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let byte = buf.get_u8();
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(CodecError::BadTag("varint", v));
-        }
-    }
-}
-
 pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
     put_varint(buf, s.len() as u64);
     buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, CodecError> {
-    let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(CodecError::Truncated);
-    }
-    // Validate in place on the buffer slice, then copy once into the
-    // String (the old copy_to_bytes(..).to_vec() paid an extra copy
-    // and a refcount bump).
-    let s = match std::str::from_utf8(&buf[..len]) {
-        Ok(s) => s.to_string(),
-        Err(_) => return Err(CodecError::BadUtf8),
-    };
-    buf.advance(len);
-    Ok(s)
 }
 
 fn os_from(code: u8) -> Result<Os, CodecError> {
@@ -185,58 +164,6 @@ fn put_params(buf: &mut BytesMut, params: &EventParams) {
     }
 }
 
-fn get_params(buf: &mut Bytes) -> Result<EventParams, CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    match buf.get_u8() {
-        0 => Ok(EventParams::None),
-        1 => {
-            let url = get_str(buf)?;
-            let method = get_str(buf)?;
-            let initiator = if buf.has_remaining() && buf.get_u8() == 1 {
-                Some(get_str(buf)?)
-            } else {
-                None
-            };
-            let load_flags = get_varint(buf)? as u32;
-            Ok(EventParams::UrlRequestStart {
-                url,
-                method,
-                initiator,
-                load_flags,
-            })
-        }
-        2 => Ok(EventParams::Redirect {
-            location: get_str(buf)?,
-        }),
-        3 => Ok(EventParams::DnsJob {
-            host: get_str(buf)?,
-        }),
-        4 => Ok(EventParams::Connect {
-            address: get_str(buf)?,
-        }),
-        5 => Ok(EventParams::Ssl {
-            host: get_str(buf)?,
-        }),
-        6 => Ok(EventParams::ResponseHeaders {
-            status: get_varint(buf)? as u16,
-        }),
-        7 => Ok(EventParams::WebSocket { url: get_str(buf)? }),
-        8 => Ok(EventParams::WebSocketFrame {
-            length: get_varint(buf)?,
-        }),
-        9 => Ok(EventParams::Failed {
-            net_error: unzigzag(get_varint(buf)?) as i32,
-        }),
-        10 => Ok(EventParams::IceCandidate {
-            address: get_str(buf)?,
-            candidate_type: get_str(buf)?,
-        }),
-        v => Err(CodecError::BadTag("params", v as u64)),
-    }
-}
-
 /// Encode one record.
 pub fn encode(record: &VisitRecord) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + record.events.len() * 24);
@@ -280,114 +207,16 @@ pub fn encode(record: &VisitRecord) -> Bytes {
     buf.freeze()
 }
 
-/// Decode one record.
-pub fn decode(mut buf: Bytes) -> Result<VisitRecord, CodecError> {
-    if buf.remaining() < 3 {
-        return Err(CodecError::Truncated);
-    }
-    if buf.get_u16_le() != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = buf.get_u8();
-    if version != VERSION {
-        return Err(CodecError::BadVersion(version));
-    }
-    let crawl = CrawlId(get_str(&mut buf)?);
-    let domain = get_str(&mut buf)?;
-    let rank = if buf.has_remaining() && buf.get_u8() == 1 {
-        Some(get_varint(&mut buf)? as u32)
-    } else {
-        None
-    };
-    let malicious_category = if buf.has_remaining() && buf.get_u8() == 1 {
-        if !buf.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        Some(buf.get_u8())
-    } else {
-        None
-    };
-    if !buf.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let os = os_from(buf.get_u8())?;
-    if !buf.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let outcome = match buf.get_u8() {
-        0 => LoadOutcome::Success,
-        1 => {
-            let code = unzigzag(get_varint(&mut buf)?) as i32;
-            let err = kt_netlog::NetError::from_code(code)
-                .ok_or(CodecError::BadTag("net_error", code as u64))?;
-            LoadOutcome::Error(err)
-        }
-        2 => LoadOutcome::Crashed,
-        v => return Err(CodecError::BadTag("outcome", v as u64)),
-    };
-    let loaded_at_ms = get_varint(&mut buf)?;
-    let n = get_varint(&mut buf)? as usize;
-    let mut events = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let time = get_varint(&mut buf)?;
-        if buf.remaining() < 1 {
-            return Err(CodecError::Truncated);
-        }
-        let ty = buf.get_u8();
-        let event_type =
-            EventType::from_code(ty as u32).ok_or(CodecError::BadTag("event_type", ty as u64))?;
-        let id = get_varint(&mut buf)?;
-        if buf.remaining() < 2 {
-            return Err(CodecError::Truncated);
-        }
-        let st = buf.get_u8();
-        let kind =
-            SourceType::from_code(st as u32).ok_or(CodecError::BadTag("source_type", st as u64))?;
-        let ph = buf.get_u8();
-        let phase =
-            EventPhase::from_code(ph as u32).ok_or(CodecError::BadTag("phase", ph as u64))?;
-        let params = get_params(&mut buf)?;
-        events.push(NetLogEvent {
-            time,
-            event_type,
-            source: SourceRef { id, kind },
-            phase,
-            params,
-        });
-    }
-    Ok(VisitRecord {
-        crawl,
-        domain,
-        rank,
-        malicious_category,
-        os,
-        outcome,
-        loaded_at_ms,
-        events,
-    })
-}
-
-/// Borrowed cursor over an encoded record: the read-side mirror of the
-/// `Bytes`-based helpers above, but every string it yields is a slice
-/// of the input rather than a fresh `String`.
-///
-/// Strings come out of [`Cursor::get_str_raw`] as *unvalidated* byte
-/// spans; every span is also pushed onto `spans` so a single batched
-/// UTF-8 pass can validate them all at once after the structural scan
-/// (see [`decode_view`]). Keeping validation out of the field-by-field
-/// hot loop lets `std::str::from_utf8` run slice-at-once per string in
-/// one tight loop instead of interleaving with tag dispatch.
+/// Borrowed cursor over an encoded record or journal payload. Every
+/// read checks the bytes left, and every string it yields is a
+/// validated slice of the input rather than a fresh `String`.
 pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
-    spans: Vec<&'a [u8]>,
 }
 
 impl<'a> Cursor<'a> {
     pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor {
-            buf,
-            spans: Vec::new(),
-        }
+        Cursor { buf }
     }
 
     pub(crate) fn remaining(&self) -> usize {
@@ -429,9 +258,10 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Validating string read, for the journal's payloads; also the
-    /// byte-at-a-time reference the batched path is property-pinned
-    /// against.
+    /// A length-prefixed string, UTF-8-validated where it is read.
+    /// Every string both record decoders and the journal's payload
+    /// readers take goes through here, so the first bad string in
+    /// stream order is the one reported, before any later fault.
     pub(crate) fn get_str(&mut self) -> Result<&'a str, CodecError> {
         let len = self.get_varint()? as usize;
         std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::BadUtf8)
@@ -447,177 +277,210 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
-    /// Length-prefixed string span, structural checks only. UTF-8
-    /// validation is deferred to the batched pass over `spans`.
-    fn get_str_raw(&mut self) -> Result<&'a [u8], CodecError> {
-        let len = self.get_varint()? as usize;
-        let head = self.take(len)?;
-        self.spans.push(head);
-        Ok(head)
-    }
-
-    /// The batched UTF-8 pass: validate every span collected so far in
-    /// one loop. Spans are in stream order, but the specific failing
-    /// span does not matter — [`CodecError::BadUtf8`] carries no
-    /// position, which is what makes deferring validation legal.
-    fn validate_spans(&self) -> Result<(), CodecError> {
-        for span in &self.spans {
-            if std::str::from_utf8(span).is_err() {
-                return Err(CodecError::BadUtf8);
-            }
+    /// The record head, magic through event count: every field but the
+    /// events, which come back empty, and the declared event count.
+    fn get_head(&mut self) -> Result<(VisitView<'a>, usize), CodecError> {
+        if self.remaining() < 3 {
+            return Err(CodecError::Truncated);
         }
-        Ok(())
-    }
-}
-
-/// `from_utf8_unchecked` with the codec's justification attached.
-///
-/// # Safety
-///
-/// `b` must be a span that already passed [`Cursor::validate_spans`].
-unsafe fn utf8_unchecked(b: &[u8]) -> &str {
-    std::str::from_utf8_unchecked(b)
-}
-
-/// Structural mirror of [`ParamsView`] with unvalidated string spans.
-enum RawParams<'a> {
-    None,
-    UrlRequestStart {
-        url: &'a [u8],
-        method: &'a [u8],
-        initiator: Option<&'a [u8]>,
-        load_flags: u32,
-    },
-    Redirect {
-        location: &'a [u8],
-    },
-    DnsJob {
-        host: &'a [u8],
-    },
-    Connect {
-        address: &'a [u8],
-    },
-    Ssl {
-        host: &'a [u8],
-    },
-    ResponseHeaders {
-        status: u16,
-    },
-    WebSocket {
-        url: &'a [u8],
-    },
-    WebSocketFrame {
-        length: u64,
-    },
-    Failed {
-        net_error: i32,
-    },
-    IceCandidate {
-        address: &'a [u8],
-        candidate_type: &'a [u8],
-    },
-}
-
-impl<'a> RawParams<'a> {
-    /// Convert to the `&str`-typed view.
-    ///
-    /// # Safety
-    ///
-    /// Every span in `self` must have passed UTF-8 validation (they
-    /// all live in the cursor's `spans` list, so one successful
-    /// [`Cursor::validate_spans`] covers them).
-    unsafe fn into_view(self) -> ParamsView<'a> {
-        let s = |b: &'a [u8]| -> &'a str {
-            // SAFETY: forwarded from this fn's contract.
-            unsafe { utf8_unchecked(b) }
+        if self.get_u16_le() != MAGIC {
+            return Err(CodecError::BadMagic);
+        }
+        let version = self.get_u8();
+        if version != VERSION {
+            return Err(CodecError::BadVersion(version));
+        }
+        let crawl = self.get_str()?;
+        let domain = self.get_str()?;
+        let rank = if self.has_remaining() && self.get_u8() == 1 {
+            Some(self.get_varint()? as u32)
+        } else {
+            None
         };
-        match self {
-            RawParams::None => ParamsView::None,
-            RawParams::UrlRequestStart {
-                url,
-                method,
-                initiator,
-                load_flags,
-            } => ParamsView::UrlRequestStart {
-                url: s(url),
-                method: s(method),
-                initiator: initiator.map(s),
-                load_flags,
-            },
-            RawParams::Redirect { location } => ParamsView::Redirect {
-                location: s(location),
-            },
-            RawParams::DnsJob { host } => ParamsView::DnsJob { host: s(host) },
-            RawParams::Connect { address } => ParamsView::Connect {
-                address: s(address),
-            },
-            RawParams::Ssl { host } => ParamsView::Ssl { host: s(host) },
-            RawParams::ResponseHeaders { status } => ParamsView::ResponseHeaders { status },
-            RawParams::WebSocket { url } => ParamsView::WebSocket { url: s(url) },
-            RawParams::WebSocketFrame { length } => ParamsView::WebSocketFrame { length },
-            RawParams::Failed { net_error } => ParamsView::Failed { net_error },
-            RawParams::IceCandidate {
-                address,
-                candidate_type,
-            } => ParamsView::IceCandidate {
-                address: s(address),
-                candidate_type: s(candidate_type),
-            },
+        let malicious_category = if self.has_remaining() && self.get_u8() == 1 {
+            if !self.has_remaining() {
+                return Err(CodecError::Truncated);
+            }
+            Some(self.get_u8())
+        } else {
+            None
+        };
+        if !self.has_remaining() {
+            return Err(CodecError::Truncated);
         }
+        let os = os_from(self.get_u8())?;
+        if !self.has_remaining() {
+            return Err(CodecError::Truncated);
+        }
+        let outcome = match self.get_u8() {
+            0 => LoadOutcome::Success,
+            1 => {
+                let code = unzigzag(self.get_varint()?) as i32;
+                let err = kt_netlog::NetError::from_code(code)
+                    .ok_or(CodecError::BadTag("net_error", code as u64))?;
+                LoadOutcome::Error(err)
+            }
+            2 => LoadOutcome::Crashed,
+            v => return Err(CodecError::BadTag("outcome", v as u64)),
+        };
+        let loaded_at_ms = self.get_varint()?;
+        let n = self.get_varint()? as usize;
+        let head = VisitView {
+            crawl,
+            domain,
+            rank,
+            malicious_category,
+            os,
+            outcome,
+            loaded_at_ms,
+            events: Vec::new(),
+        };
+        Ok((head, n))
     }
-}
 
-fn get_params_raw<'a>(c: &mut Cursor<'a>) -> Result<RawParams<'a>, CodecError> {
-    if !c.has_remaining() {
-        return Err(CodecError::Truncated);
+    /// An event vector for `n` declared events, pre-sized only as far
+    /// as the bytes left could hold them.
+    fn event_vec<T>(&self, n: usize) -> Vec<T> {
+        Vec::with_capacity(n.min(self.remaining() / MIN_EVENT_BYTES))
     }
-    match c.get_u8() {
-        0 => Ok(RawParams::None),
-        1 => {
-            let url = c.get_str_raw()?;
-            let method = c.get_str_raw()?;
-            let initiator = if c.has_remaining() && c.get_u8() == 1 {
-                Some(c.get_str_raw()?)
-            } else {
-                None
-            };
-            let load_flags = c.get_varint()? as u32;
-            Ok(RawParams::UrlRequestStart {
-                url,
-                method,
-                initiator,
-                load_flags,
-            })
+
+    /// An event's fields before its params.
+    fn get_event_head(&mut self) -> Result<(u64, EventType, SourceRef, EventPhase), CodecError> {
+        let time = self.get_varint()?;
+        if self.remaining() < 1 {
+            return Err(CodecError::Truncated);
         }
-        2 => Ok(RawParams::Redirect {
-            location: c.get_str_raw()?,
-        }),
-        3 => Ok(RawParams::DnsJob {
-            host: c.get_str_raw()?,
-        }),
-        4 => Ok(RawParams::Connect {
-            address: c.get_str_raw()?,
-        }),
-        5 => Ok(RawParams::Ssl {
-            host: c.get_str_raw()?,
-        }),
-        6 => Ok(RawParams::ResponseHeaders {
-            status: c.get_varint()? as u16,
-        }),
-        7 => Ok(RawParams::WebSocket {
-            url: c.get_str_raw()?,
-        }),
-        8 => Ok(RawParams::WebSocketFrame {
-            length: c.get_varint()?,
-        }),
-        9 => Ok(RawParams::Failed {
-            net_error: unzigzag(c.get_varint()?) as i32,
-        }),
-        10 => Ok(RawParams::IceCandidate {
-            address: c.get_str_raw()?,
-            candidate_type: c.get_str_raw()?,
-        }),
-        v => Err(CodecError::BadTag("params", v as u64)),
+        let ty = self.get_u8();
+        let event_type =
+            EventType::from_code(ty as u32).ok_or(CodecError::BadTag("event_type", ty as u64))?;
+        let id = self.get_varint()?;
+        if self.remaining() < 2 {
+            return Err(CodecError::Truncated);
+        }
+        let st = self.get_u8();
+        let kind =
+            SourceType::from_code(st as u32).ok_or(CodecError::BadTag("source_type", st as u64))?;
+        let ph = self.get_u8();
+        let phase =
+            EventPhase::from_code(ph as u32).ok_or(CodecError::BadTag("phase", ph as u64))?;
+        Ok((time, event_type, SourceRef { id, kind }, phase))
+    }
+
+    /// Event params with borrowed strings.
+    fn get_params_view(&mut self) -> Result<ParamsView<'a>, CodecError> {
+        if !self.has_remaining() {
+            return Err(CodecError::Truncated);
+        }
+        match self.get_u8() {
+            0 => Ok(ParamsView::None),
+            1 => {
+                let url = self.get_str()?;
+                let method = self.get_str()?;
+                let initiator = if self.has_remaining() && self.get_u8() == 1 {
+                    Some(self.get_str()?)
+                } else {
+                    None
+                };
+                let load_flags = self.get_varint()? as u32;
+                Ok(ParamsView::UrlRequestStart {
+                    url,
+                    method,
+                    initiator,
+                    load_flags,
+                })
+            }
+            2 => Ok(ParamsView::Redirect {
+                location: self.get_str()?,
+            }),
+            3 => Ok(ParamsView::DnsJob {
+                host: self.get_str()?,
+            }),
+            4 => Ok(ParamsView::Connect {
+                address: self.get_str()?,
+            }),
+            5 => Ok(ParamsView::Ssl {
+                host: self.get_str()?,
+            }),
+            6 => Ok(ParamsView::ResponseHeaders {
+                status: self.get_varint()? as u16,
+            }),
+            7 => Ok(ParamsView::WebSocket {
+                url: self.get_str()?,
+            }),
+            8 => Ok(ParamsView::WebSocketFrame {
+                length: self.get_varint()?,
+            }),
+            9 => Ok(ParamsView::Failed {
+                net_error: unzigzag(self.get_varint()?) as i32,
+            }),
+            10 => Ok(ParamsView::IceCandidate {
+                address: self.get_str()?,
+                candidate_type: self.get_str()?,
+            }),
+            v => Err(CodecError::BadTag("params", v as u64)),
+        }
+    }
+
+    /// Event params with owned strings. Built apart from
+    /// [`Cursor::get_params_view`], so the decode-vs-decode_view
+    /// agreement properties compare two builders.
+    fn get_params(&mut self) -> Result<EventParams, CodecError> {
+        if !self.has_remaining() {
+            return Err(CodecError::Truncated);
+        }
+        match self.get_u8() {
+            0 => Ok(EventParams::None),
+            1 => {
+                let url = self.get_string()?;
+                let method = self.get_string()?;
+                let initiator = if self.has_remaining() && self.get_u8() == 1 {
+                    Some(self.get_string()?)
+                } else {
+                    None
+                };
+                let load_flags = self.get_varint()? as u32;
+                Ok(EventParams::UrlRequestStart {
+                    url,
+                    method,
+                    initiator,
+                    load_flags,
+                })
+            }
+            2 => Ok(EventParams::Redirect {
+                location: self.get_string()?,
+            }),
+            3 => Ok(EventParams::DnsJob {
+                host: self.get_string()?,
+            }),
+            4 => Ok(EventParams::Connect {
+                address: self.get_string()?,
+            }),
+            5 => Ok(EventParams::Ssl {
+                host: self.get_string()?,
+            }),
+            6 => Ok(EventParams::ResponseHeaders {
+                status: self.get_varint()? as u16,
+            }),
+            7 => Ok(EventParams::WebSocket {
+                url: self.get_string()?,
+            }),
+            8 => Ok(EventParams::WebSocketFrame {
+                length: self.get_varint()?,
+            }),
+            9 => Ok(EventParams::Failed {
+                net_error: unzigzag(self.get_varint()?) as i32,
+            }),
+            10 => Ok(EventParams::IceCandidate {
+                address: self.get_string()?,
+                candidate_type: self.get_string()?,
+            }),
+            v => Err(CodecError::BadTag("params", v as u64)),
+        }
+    }
+
+    /// [`Cursor::get_str`], copied into a `String`.
+    fn get_string(&mut self) -> Result<String, CodecError> {
+        self.get_str().map(str::to_owned)
     }
 }
 
@@ -680,172 +543,96 @@ impl VisitRecord {
     }
 }
 
-/// [`VisitView`] with unvalidated string spans: the output of the
-/// structural pass, before the batched UTF-8 pass has run.
-struct RawVisit<'a> {
-    crawl: &'a [u8],
-    domain: &'a [u8],
-    rank: Option<u32>,
-    malicious_category: Option<u8>,
-    os: Os,
-    outcome: LoadOutcome,
-    loaded_at_ms: u64,
-    events: Vec<RawEvent<'a>>,
-}
-
-struct RawEvent<'a> {
-    time: u64,
-    event_type: EventType,
-    source: SourceRef,
-    phase: EventPhase,
-    params: RawParams<'a>,
-}
-
-/// Structural pass of [`decode_view`]: frame layout, tags, and lengths
-/// only. String bytes are captured as spans (both in the returned raw
-/// record and on the cursor's span list) without being validated.
-fn decode_structure<'a>(c: &mut Cursor<'a>) -> Result<RawVisit<'a>, CodecError> {
-    if c.remaining() < 3 {
-        return Err(CodecError::Truncated);
-    }
-    if c.get_u16_le() != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = c.get_u8();
-    if version != VERSION {
-        return Err(CodecError::BadVersion(version));
-    }
-    let crawl = c.get_str_raw()?;
-    let domain = c.get_str_raw()?;
-    let rank = if c.has_remaining() && c.get_u8() == 1 {
-        Some(c.get_varint()? as u32)
-    } else {
-        None
-    };
-    let malicious_category = if c.has_remaining() && c.get_u8() == 1 {
-        if !c.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        Some(c.get_u8())
-    } else {
-        None
-    };
-    if !c.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let os = os_from(c.get_u8())?;
-    if !c.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let outcome = match c.get_u8() {
-        0 => LoadOutcome::Success,
-        1 => {
-            let code = unzigzag(c.get_varint()?) as i32;
-            let err = kt_netlog::NetError::from_code(code)
-                .ok_or(CodecError::BadTag("net_error", code as u64))?;
-            LoadOutcome::Error(err)
-        }
-        2 => LoadOutcome::Crashed,
-        v => return Err(CodecError::BadTag("outcome", v as u64)),
-    };
-    let loaded_at_ms = c.get_varint()?;
-    let n = c.get_varint()? as usize;
-    let mut events = Vec::with_capacity(n.min(1 << 20));
+/// Decode one record into an owned [`VisitRecord`]. Accepts and
+/// rejects exactly what [`decode_view`] does, with the same error
+/// values.
+pub fn decode(buf: Bytes) -> Result<VisitRecord, CodecError> {
+    let mut c = Cursor::new(&buf);
+    let (head, n) = c.get_head()?;
+    let mut events = c.event_vec(n);
     for _ in 0..n {
-        let time = c.get_varint()?;
-        if c.remaining() < 1 {
-            return Err(CodecError::Truncated);
-        }
-        let ty = c.get_u8();
-        let event_type =
-            EventType::from_code(ty as u32).ok_or(CodecError::BadTag("event_type", ty as u64))?;
-        let id = c.get_varint()?;
-        if c.remaining() < 2 {
-            return Err(CodecError::Truncated);
-        }
-        let st = c.get_u8();
-        let kind =
-            SourceType::from_code(st as u32).ok_or(CodecError::BadTag("source_type", st as u64))?;
-        let ph = c.get_u8();
-        let phase =
-            EventPhase::from_code(ph as u32).ok_or(CodecError::BadTag("phase", ph as u64))?;
-        let params = get_params_raw(c)?;
-        events.push(RawEvent {
+        let (time, event_type, source, phase) = c.get_event_head()?;
+        events.push(NetLogEvent {
             time,
             event_type,
-            source: SourceRef { id, kind },
+            source,
             phase,
-            params,
+            params: c.get_params()?,
         });
     }
-    Ok(RawVisit {
-        crawl,
-        domain,
-        rank,
-        malicious_category,
-        os,
-        outcome,
-        loaded_at_ms,
+    Ok(VisitRecord {
+        crawl: CrawlId(head.crawl.to_owned()),
+        domain: head.domain.to_owned(),
+        rank: head.rank,
+        malicious_category: head.malicious_category,
+        os: head.os,
+        outcome: head.outcome,
+        loaded_at_ms: head.loaded_at_ms,
         events,
     })
 }
 
-/// Decode one record without copying its strings: the borrowed mirror
-/// of [`decode`]. Accepts and rejects exactly the same inputs with the
-/// same error values (the property suite holds the two decoders to
-/// byte-for-byte agreement); on success the view's one allocation is
-/// the events vector.
-///
-/// Validation is batched: one structural pass checks layout, tags, and
-/// lengths while collecting string spans, then a single UTF-8 pass
-/// validates every span slice-at-once. Error parity with the
-/// field-by-field [`decode`] holds because structure never depends on
-/// string *contents*: when the structural pass fails, any invalid span
-/// it collected first sits earlier in the stream, so the reference
-/// decoder would have reported [`CodecError::BadUtf8`] before reaching
-/// the structural fault — hence spans are checked first on both exits.
+/// Decode one record without copying its strings: the borrowed
+/// counterpart of [`decode`], with the same accepted inputs and error
+/// values (the property suite holds the two to agreement). One pass
+/// reads each field once, validating every string where it reads it;
+/// on success the view's one allocation is the events vector.
 pub fn decode_view(buf: &[u8]) -> Result<VisitView<'_>, CodecError> {
     let mut c = Cursor::new(buf);
-    let raw = match decode_structure(&mut c) {
-        Ok(raw) => raw,
-        Err(structural) => {
-            // Spans collected before the structural fault precede it in
-            // stream order: a bad one means the byte-at-a-time decoder
-            // failed with BadUtf8 first.
-            c.validate_spans()?;
-            return Err(structural);
-        }
-    };
-    c.validate_spans()?;
-    // SAFETY: every span in `raw` is on the cursor's span list and the
-    // batched pass above validated them all.
-    let events = raw
-        .events
-        .into_iter()
-        .map(|e| EventView {
-            time: e.time,
-            event_type: e.event_type,
-            source: e.source,
-            phase: e.phase,
-            params: unsafe { e.params.into_view() },
-        })
-        .collect();
-    Ok(VisitView {
-        crawl: unsafe { utf8_unchecked(raw.crawl) },
-        domain: unsafe { utf8_unchecked(raw.domain) },
-        rank: raw.rank,
-        malicious_category: raw.malicious_category,
-        os: raw.os,
-        outcome: raw.outcome,
-        loaded_at_ms: raw.loaded_at_ms,
-        events,
-    })
+    let (mut view, n) = c.get_head()?;
+    view.events = c.event_vec(n);
+    for _ in 0..n {
+        let (time, event_type, source, phase) = c.get_event_head()?;
+        view.events.push(EventView {
+            time,
+            event_type,
+            source,
+            phase,
+            params: c.get_params_view()?,
+        });
+    }
+    Ok(view)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Buf;
     use kt_netlog::NetError;
+
+    /// Reference varint and string readers over `Bytes`, written apart
+    /// from [`Cursor`], for the reader-agreement test below.
+    fn ref_get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            if !buf.has_remaining() {
+                return Err(CodecError::Truncated);
+            }
+            let byte = buf.get_u8();
+            v |= ((byte & 0x7f) as u64) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+            if shift >= 64 {
+                return Err(CodecError::BadTag("varint", v));
+            }
+        }
+    }
+
+    fn ref_get_str(buf: &mut Bytes) -> Result<String, CodecError> {
+        let len = ref_get_varint(buf)? as usize;
+        if buf.remaining() < len {
+            return Err(CodecError::Truncated);
+        }
+        let s = match std::str::from_utf8(&buf[..len]) {
+            Ok(s) => s.to_string(),
+            Err(_) => return Err(CodecError::BadUtf8),
+        };
+        buf.advance(len);
+        Ok(s)
+    }
 
     fn sample() -> VisitRecord {
         VisitRecord {
@@ -977,8 +764,9 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut buf = BytesMut::new();
             put_varint(&mut buf, v);
-            let mut bytes = buf.freeze();
-            assert_eq!(get_varint(&mut bytes).unwrap(), v);
+            let bytes = buf.freeze();
+            assert_eq!(Cursor::new(&bytes).get_varint().unwrap(), v);
+            assert_eq!(ref_get_varint(&mut bytes.clone()).unwrap(), v);
         }
     }
 
@@ -1017,7 +805,7 @@ mod tests {
 
     #[test]
     fn owned_get_str_matches_cursor_get_str() {
-        // The single-copy `get_str` (Bytes path) and the borrowed
+        // The reference `Bytes` reader and the borrowed
         // `Cursor::get_str` must accept/reject identically: same
         // string on success, same error otherwise.
         let mut cases: Vec<Vec<u8>> = vec![
@@ -1046,7 +834,7 @@ mod tests {
             cases.push(case);
         }
         for case in cases {
-            let owned = get_str(&mut Bytes::from(case.clone()));
+            let owned = ref_get_str(&mut Bytes::from(case.clone()));
             let mut cursor = Cursor::new(&case);
             let view = cursor.get_str();
             match (owned, view) {
@@ -1060,9 +848,9 @@ mod tests {
     #[test]
     fn batched_validation_reports_utf8_before_later_structural_errors() {
         // Corrupt the domain string to invalid UTF-8 *and* truncate the
-        // record afterwards: the byte-at-a-time decoder hits the UTF-8
-        // error first, so the batched decoder must report BadUtf8 too,
-        // not the later Truncated.
+        // record afterwards: the UTF-8 error comes first in stream
+        // order, so both decoders must report BadUtf8, not the later
+        // Truncated.
         let rec = sample();
         let mut data = encode(&rec).to_vec();
         let domain_at = data
@@ -1077,6 +865,8 @@ mod tests {
 
     #[test]
     fn batched_validation_covers_params_strings() {
+        // A bad byte inside an event's params string fails both
+        // decoders, not only the header strings.
         let rec = sample();
         let mut data = encode(&rec).to_vec();
         let url_at = data
@@ -1091,8 +881,8 @@ mod tests {
     #[test]
     fn structural_errors_win_when_all_earlier_strings_are_valid() {
         // Corrupt the outcome tag (after both header strings, before
-        // any event): both decoders must report the tag error, proving
-        // the batched pass doesn't over-report BadUtf8.
+        // any event): both decoders must report the tag error, not
+        // over-report BadUtf8.
         let rec = sample();
         let encoded = encode(&rec).to_vec();
         // outcome byte = magic(2) + ver(1) + crawl + domain + rank + cat + os

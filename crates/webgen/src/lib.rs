@@ -16,6 +16,7 @@
 //! * [`sensor`] — anti-bot sensors ([`BotSensor`]) and crawler
 //!   profiles ([`CrawlerProfile`]): the measurement-bias model.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod behavior;

@@ -14,6 +14,7 @@
 //! All generation is seed-deterministic: the same seed yields the same
 //! lists, so every downstream table is reproducible byte-for-byte.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocklist;
