@@ -61,7 +61,9 @@
 //! `--mem-ceiling` gates the peak-heap/store-bytes ratio. *journal*
 //! streams visit frames through the group-commit writer and its
 //! unbatched ablation, byte-compares the files, and reports frames per
-//! fsync (`--fsync-floor` gates it) and frames per batched write.
+//! fsync (`--fsync-floor` gates it) and frames per batched write, then
+//! replays the grouped journal (`journal.replay`, gated like the
+//! writer).
 //! `--eps-floor` gates the machine-normalized zero-copy decode
 //! throughput from the population sweep.
 
@@ -80,7 +82,7 @@ use knock_talk::service::{
 };
 use knock_talk::store::journal::{JournalConfig, JournalWriter, VisitDelta, FLAG_FINAL};
 use knock_talk::store::{
-    decode_view, CrawlId, LoadOutcome, SpillConfig, TelemetryStore, VisitRecord,
+    decode_view, replay, CrawlId, LoadOutcome, SpillConfig, TelemetryStore, VisitRecord,
 };
 use knock_talk::trace::{
     count_allocs, live_bytes, peak_bytes, reset_peak_bytes, CountingAllocator, StageProfiler,
@@ -671,6 +673,8 @@ fn bench_flat_memory(n: usize, seed: u64, calib: f64) -> serde_json::Value {
 /// batching never changes what lands on disk, and report throughput
 /// plus the two amortization ratios — frames per fsync (the flush
 /// cadence) and frames per group commit (the write-syscall batching).
+/// Then replay the grouped journal, best of three: frames per second
+/// read back through `kt_store::replay`.
 fn bench_journal(frames: usize, seed: u64, calib: f64) -> serde_json::Value {
     let records: Vec<VisitRecord> = (0..frames)
         .map(|i| VisitRecord {
@@ -743,17 +747,25 @@ fn bench_journal(frames: usize, seed: u64, calib: f64) -> serde_json::Value {
         grouped_secs = grouped_secs.min(run(JournalConfig::default(), &grouped_path).1);
         unbatched_secs = unbatched_secs.min(run(JournalConfig::unbatched(), &unbatched_path).1);
     }
+    let replay_once = || time(|| replay(&grouped_path).expect("replay the bench journal"));
+    let (replayed, mut replay_secs) = replay_once();
+    assert!(replayed.summary.clean() && replayed.visits.len() == frames);
+    drop(replayed);
+    for _ in 0..2 {
+        replay_secs = replay_secs.min(replay_once().1);
+    }
     let frames_per_fsync = stats.frames_per_fsync();
     let frames_per_group = stats.frames as f64 / stats.group_commits.max(1) as f64;
     eprintln!(
         "  {frames} frames: grouped {:.0}/s ({:.1} frames/fsync, {:.1} frames/write), \
-         unbatched {:.0}/s ({:.1} frames/fsync) — {:.2}x",
+         unbatched {:.0}/s ({:.1} frames/fsync) — {:.2}x; replay {:.0}/s",
         frames as f64 / grouped_secs,
         frames_per_fsync,
         frames_per_group,
         frames as f64 / unbatched_secs,
         unbatched_stats.frames_per_fsync(),
-        unbatched_secs / grouped_secs
+        unbatched_secs / grouped_secs,
+        frames as f64 / replay_secs
     );
     let mut grouped = stage_json(frames, grouped_secs, calib);
     if let serde_json::Value::Object(map) = &mut grouped {
@@ -766,6 +778,7 @@ fn bench_journal(frames: usize, seed: u64, calib: f64) -> serde_json::Value {
         "frames": frames,
         "grouped": grouped,
         "unbatched": stage_json(frames, unbatched_secs, calib),
+        "replay": stage_json(frames, replay_secs, calib),
         "speedup": unbatched_secs / grouped_secs,
         "frames_per_fsync": frames_per_fsync,
         "fsyncs": stats.fsyncs,

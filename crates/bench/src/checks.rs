@@ -88,9 +88,10 @@ pub fn check_regressions(
             ));
         }
     }
-    // Raw-speed-floor stages: the mmap'd-store scan and the grouped
-    // journal writer regress on their machine-normalized throughput
-    // like any other stage. Skip silently against older baselines.
+    // Raw-speed-floor stages: the mmap'd-store scan, the grouped
+    // journal writer and its replay regress on their machine-normalized
+    // throughput like any other stage. Skip silently against older
+    // baselines.
     let path = |entry: &serde_json::Value, keys: &[&str]| -> Option<f64> {
         let mut v = entry;
         for key in keys {
@@ -98,9 +99,10 @@ pub fn check_regressions(
         }
         v.as_f64()
     };
-    let top_level: [(&str, &[&str]); 6] = [
+    let top_level: [(&str, &[&str]); 7] = [
         ("flat-memory scan", &["flat_memory", "scan", "relative"]),
         ("journal grouped", &["journal", "grouped", "relative"]),
+        ("journal replay", &["journal", "replay", "relative"]),
         ("port scan", &["port_scan", "scan", "relative"]),
         ("snapshot store", &["snapshot_store", "relative"]),
         ("snapshot diff", &["snapshot_diff", "relative"]),
@@ -143,7 +145,10 @@ mod tests {
             }],
             "service": { "relative": relative, "p99_completion_ms": 1000.0 },
             "flat_memory": { "scan": { "relative": relative } },
-            "journal": { "grouped": { "relative": relative } },
+            "journal": {
+                "grouped": { "relative": relative },
+                "replay": { "relative": relative },
+            },
             "port_scan": { "scan": { "relative": relative } },
             "snapshot_store": { "relative": relative },
             "snapshot_diff": { "relative": relative },

@@ -476,11 +476,11 @@ fn commit_visit(
     {
         stats.store_retries += 1;
     }
-    store.append(record);
+    let encoded = store.append(record);
     if let Some(journal) = journal {
         let delta = stats.delta_since(before, cost_ms);
         let kill = config.faults.injects(Fault::ProcessKill, domain, attempt);
-        journal.append_visit(record, &delta, flags, kill);
+        journal.append_encoded_visit(&encoded, &delta, flags, kill);
     }
 }
 

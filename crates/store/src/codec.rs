@@ -258,6 +258,32 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// A presence flag: 0 is absent, 1 is present, any other byte is
+    /// `BadTag` (the encoder writes only 0 and 1).
+    fn get_flag(&mut self, what: &'static str) -> Result<bool, CodecError> {
+        if !self.has_remaining() {
+            return Err(CodecError::Truncated);
+        }
+        match self.get_u8() {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(CodecError::BadTag(what, v as u64)),
+        }
+    }
+
+    /// A varint that must fit `T`; a wider value is `BadTag`, never
+    /// silently truncated.
+    fn get_narrow<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, CodecError> {
+        let v = self.get_varint()?;
+        T::try_from(v).map_err(|_| CodecError::BadTag(what, v))
+    }
+
+    /// A zig-zag varint that must fit `i32`; a wider value is `BadTag`.
+    fn get_signed(&mut self, what: &'static str) -> Result<i32, CodecError> {
+        let v = self.get_varint()?;
+        i32::try_from(unzigzag(v)).map_err(|_| CodecError::BadTag(what, v))
+    }
+
     /// A length-prefixed string, UTF-8-validated where it is read.
     /// Every string both record decoders and the journal's payload
     /// readers take goes through here, so the first bad string in
@@ -292,12 +318,12 @@ impl<'a> Cursor<'a> {
         }
         let crawl = self.get_str()?;
         let domain = self.get_str()?;
-        let rank = if self.has_remaining() && self.get_u8() == 1 {
-            Some(self.get_varint()? as u32)
+        let rank = if self.get_flag("rank")? {
+            Some(self.get_narrow("rank")?)
         } else {
             None
         };
-        let malicious_category = if self.has_remaining() && self.get_u8() == 1 {
+        let malicious_category = if self.get_flag("malicious_category")? {
             if !self.has_remaining() {
                 return Err(CodecError::Truncated);
             }
@@ -315,7 +341,7 @@ impl<'a> Cursor<'a> {
         let outcome = match self.get_u8() {
             0 => LoadOutcome::Success,
             1 => {
-                let code = unzigzag(self.get_varint()?) as i32;
+                let code = self.get_signed("net_error")?;
                 let err = kt_netlog::NetError::from_code(code)
                     .ok_or(CodecError::BadTag("net_error", code as u64))?;
                 LoadOutcome::Error(err)
@@ -376,12 +402,12 @@ impl<'a> Cursor<'a> {
             1 => {
                 let url = self.get_str()?;
                 let method = self.get_str()?;
-                let initiator = if self.has_remaining() && self.get_u8() == 1 {
+                let initiator = if self.get_flag("initiator")? {
                     Some(self.get_str()?)
                 } else {
                     None
                 };
-                let load_flags = self.get_varint()? as u32;
+                let load_flags = self.get_narrow("load_flags")?;
                 Ok(ParamsView::UrlRequestStart {
                     url,
                     method,
@@ -402,7 +428,7 @@ impl<'a> Cursor<'a> {
                 host: self.get_str()?,
             }),
             6 => Ok(ParamsView::ResponseHeaders {
-                status: self.get_varint()? as u16,
+                status: self.get_narrow("status")?,
             }),
             7 => Ok(ParamsView::WebSocket {
                 url: self.get_str()?,
@@ -411,7 +437,7 @@ impl<'a> Cursor<'a> {
                 length: self.get_varint()?,
             }),
             9 => Ok(ParamsView::Failed {
-                net_error: unzigzag(self.get_varint()?) as i32,
+                net_error: self.get_signed("net_error")?,
             }),
             10 => Ok(ParamsView::IceCandidate {
                 address: self.get_str()?,
@@ -433,12 +459,12 @@ impl<'a> Cursor<'a> {
             1 => {
                 let url = self.get_string()?;
                 let method = self.get_string()?;
-                let initiator = if self.has_remaining() && self.get_u8() == 1 {
+                let initiator = if self.get_flag("initiator")? {
                     Some(self.get_string()?)
                 } else {
                     None
                 };
-                let load_flags = self.get_varint()? as u32;
+                let load_flags = self.get_narrow("load_flags")?;
                 Ok(EventParams::UrlRequestStart {
                     url,
                     method,
@@ -459,7 +485,7 @@ impl<'a> Cursor<'a> {
                 host: self.get_string()?,
             }),
             6 => Ok(EventParams::ResponseHeaders {
-                status: self.get_varint()? as u16,
+                status: self.get_narrow("status")?,
             }),
             7 => Ok(EventParams::WebSocket {
                 url: self.get_string()?,
@@ -468,7 +494,7 @@ impl<'a> Cursor<'a> {
                 length: self.get_varint()?,
             }),
             9 => Ok(EventParams::Failed {
-                net_error: unzigzag(self.get_varint()?) as i32,
+                net_error: self.get_signed("net_error")?,
             }),
             10 => Ok(EventParams::IceCandidate {
                 address: self.get_string()?,
@@ -900,6 +926,165 @@ mod tests {
             Err(CodecError::BadTag("outcome", 77))
         );
         assert_eq!(decode_view(&data), Err(CodecError::BadTag("outcome", 77)));
+    }
+
+    /// A hand-built record: crawl "c", domain "d", then `head` (rank
+    /// flag through outcome), `loaded_at_ms` 0 and `events`. Lets a
+    /// test write field values the encoder never produces.
+    fn hand_record(head: &[u8], events: &[Vec<u8>]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_u16_le(MAGIC);
+        buf.put_u8(VERSION);
+        put_str(&mut buf, "c");
+        put_str(&mut buf, "d");
+        buf.put_slice(head);
+        put_varint(&mut buf, 0);
+        put_varint(&mut buf, events.len() as u64);
+        for event in events {
+            buf.put_slice(event);
+        }
+        buf.freeze().to_vec()
+    }
+
+    /// One event with the given encoded params (tag first).
+    fn hand_event(params: &[u8]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, 7);
+        buf.put_u8(EventType::UrlRequestStartJob.code() as u8);
+        put_varint(&mut buf, 1);
+        buf.put_u8(SourceType::UrlRequest.code() as u8);
+        buf.put_u8(EventPhase::Begin.code() as u8);
+        buf.put_slice(params);
+        buf.freeze().to_vec()
+    }
+
+    fn varint(v: u64) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, v);
+        buf.freeze().to_vec()
+    }
+
+    /// Linux, successful load: the head after the two presence flags.
+    const OS_AND_SUCCESS: [u8; 2] = [1, 0];
+
+    /// `good` decodes under both decoders and `bad`, which differs
+    /// only in the field under test, fails both with `err`.
+    fn both_reject(good: Vec<u8>, bad: Vec<u8>, err: CodecError) {
+        assert!(decode(Bytes::from(good.clone())).is_ok());
+        assert!(decode_view(&good).is_ok());
+        assert_eq!(decode(Bytes::from(bad.clone())), Err(err.clone()));
+        assert_eq!(decode_view(&bad), Err(err));
+    }
+
+    #[test]
+    fn a_rank_flag_other_than_0_or_1_is_a_bad_tag() {
+        for flag in [2u8, 0x80, 0xFF] {
+            both_reject(
+                hand_record(&[&[0, 0][..], &OS_AND_SUCCESS].concat(), &[]),
+                hand_record(&[&[flag, 0][..], &OS_AND_SUCCESS].concat(), &[]),
+                CodecError::BadTag("rank", flag as u64),
+            );
+        }
+    }
+
+    #[test]
+    fn a_category_flag_other_than_0_or_1_is_a_bad_tag() {
+        for flag in [2u8, 0x80, 0xFF] {
+            both_reject(
+                hand_record(&[&[0, 0][..], &OS_AND_SUCCESS].concat(), &[]),
+                hand_record(&[&[0, flag][..], &OS_AND_SUCCESS].concat(), &[]),
+                CodecError::BadTag("malicious_category", flag as u64),
+            );
+        }
+    }
+
+    #[test]
+    fn an_initiator_flag_other_than_0_or_1_is_a_bad_tag() {
+        let start = |flag: u8| {
+            let mut params = vec![1];
+            params.extend([1, b'u', 3, b'G', b'E', b'T', flag]);
+            params.push(0); // load_flags
+            let head = [&[0, 0][..], &OS_AND_SUCCESS].concat();
+            hand_record(&head, &[hand_event(&params)])
+        };
+        for flag in [2u8, 0xFF] {
+            both_reject(
+                start(0),
+                start(flag),
+                CodecError::BadTag("initiator", flag as u64),
+            );
+        }
+    }
+
+    #[test]
+    fn a_rank_wider_than_u32_is_a_bad_tag() {
+        let with_rank = |rank: u64| {
+            let head = [&[1][..], &varint(rank), &[0], &OS_AND_SUCCESS].concat();
+            hand_record(&head, &[])
+        };
+        let wide = u32::MAX as u64 + 1;
+        both_reject(
+            with_rank(u32::MAX as u64),
+            with_rank(wide),
+            CodecError::BadTag("rank", wide),
+        );
+    }
+
+    #[test]
+    fn an_outcome_code_wider_than_i32_is_a_bad_tag() {
+        // -105 (name not resolved) plus 2^32: the low 32 bits alone
+        // would read as a valid code.
+        let with_code = |code: i64| {
+            let head = [&[0, 0, 1, 1][..], &varint(zigzag(code))].concat();
+            hand_record(&head, &[])
+        };
+        let wide = -105 + (1i64 << 32);
+        both_reject(
+            with_code(-105),
+            with_code(wide),
+            CodecError::BadTag("net_error", zigzag(wide)),
+        );
+    }
+
+    /// A record whose one event carries `params`.
+    fn with_params(params: &[u8]) -> Vec<u8> {
+        let head = [&[0, 0][..], &OS_AND_SUCCESS].concat();
+        hand_record(&head, &[hand_event(params)])
+    }
+
+    #[test]
+    fn load_flags_wider_than_u32_are_a_bad_tag() {
+        let start = |flags: u64| {
+            let params = [&[1, 1, b'u', 3, b'G', b'E', b'T', 0][..], &varint(flags)].concat();
+            with_params(&params)
+        };
+        let wide = 1u64 << 32;
+        both_reject(
+            start(u32::MAX as u64),
+            start(wide),
+            CodecError::BadTag("load_flags", wide),
+        );
+    }
+
+    #[test]
+    fn a_status_wider_than_u16_is_a_bad_tag() {
+        let headers = |status: u64| with_params(&[&[6][..], &varint(status)].concat());
+        both_reject(
+            headers(u16::MAX as u64),
+            headers(1 << 16),
+            CodecError::BadTag("status", 1 << 16),
+        );
+    }
+
+    #[test]
+    fn a_net_error_wider_than_i32_is_a_bad_tag() {
+        let failed = |code: i64| with_params(&[&[9][..], &varint(zigzag(code))].concat());
+        let wide = i32::MIN as i64 - 1;
+        both_reject(
+            failed(i32::MIN as i64),
+            failed(wide),
+            CodecError::BadTag("net_error", zigzag(wide)),
+        );
     }
 
     #[test]

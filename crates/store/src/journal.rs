@@ -11,6 +11,13 @@
 //! a saved store ([`crate::persist::save`]) is the same file holding a
 //! STORE header and final visit frames, so [`replay`] and [`fsck`] read both.
 //!
+//! Reading checks each frame once: the scan's CRC, then one full
+//! [`decode_view`] per visit record, whose identity the frame body
+//! borrows from the file bytes. [`fsck`] and the summary fold
+//! allocate no per-frame strings; [`replay`] stores the checked bytes
+//! under that identity and builds only the owned [`ReplayedVisit`]s it
+//! returns.
+//!
 //! Recovery properties, in decreasing order of strength:
 //!
 //! * **Torn tail** (the common crash shape): the scanner loads every
@@ -30,7 +37,7 @@
 //! processes. `kt-faults` drives the same mechanism per-visit via
 //! `Fault::ProcessKill`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -147,22 +154,6 @@ pub struct ReplayedVisit {
     pub delta: VisitDelta,
     /// `FLAG_*` bits.
     pub flags: u8,
-}
-
-impl ReplayedVisit {
-    /// True for a site's final record of its pass.
-    fn is_final(&self) -> bool {
-        self.flags & FLAG_FINAL != 0
-    }
-
-    /// Visit identity in checkpoint terms: (crawl, domain, OS name).
-    fn key(&self) -> (String, String, &'static str) {
-        (
-            self.crawl.as_str().to_string(),
-            self.domain.clone(),
-            self.os.name(),
-        )
-    }
 }
 
 /// One finished `(crawl, os)` campaign: enough to skip it wholesale on
@@ -304,9 +295,10 @@ pub(crate) fn visit_payload(record: &[u8], delta: &VisitDelta, flags: u8) -> Vec
     buf.freeze().to_vec()
 }
 
-/// Split a visit payload into its identity, delta and flags plus the
-/// record's bytes, which must pass [`decode_view`].
-fn decode_visit_payload(payload: &[u8]) -> Result<(ReplayedVisit, &[u8]), codec::CodecError> {
+/// Split a visit payload into its flags, delta and record bytes, and
+/// check the record with one full [`decode_view`]: the only decode a
+/// visit frame gets on the read path. Its identity borrows the payload.
+fn decode_visit_payload(payload: &[u8]) -> Result<FrameBody<'_>, codec::CodecError> {
     let mut c = Cursor::new(payload);
     if !c.has_remaining() {
         return Err(codec::CodecError::Truncated);
@@ -316,14 +308,14 @@ fn decode_visit_payload(payload: &[u8]) -> Result<(ReplayedVisit, &[u8]), codec:
     let len = c.get_varint()? as usize;
     let record = c.take(len)?;
     let view = decode_view(record)?;
-    let visit = ReplayedVisit {
-        crawl: CrawlId(view.crawl.to_string()),
-        domain: view.domain.to_string(),
+    Ok(FrameBody::Visit {
+        crawl: view.crawl,
+        domain: view.domain,
         os: view.os,
         delta,
         flags,
-    };
-    Ok((visit, record))
+        record,
+    })
 }
 
 // ------------------------------------------------------------- errors
@@ -596,7 +588,20 @@ impl JournalWriter {
         flags: u8,
         kill_now: bool,
     ) {
-        let payload = visit_payload(&encode(record), delta, flags);
+        self.append_encoded_visit(&encode(record), delta, flags, kill_now);
+    }
+
+    /// [`JournalWriter::append_visit`] for a record already encoded,
+    /// such as the bytes `TelemetryStore::append` returns, so a visit
+    /// that goes to both the store and the journal is encoded once.
+    pub fn append_encoded_visit(
+        &self,
+        record: &[u8],
+        delta: &VisitDelta,
+        flags: u8,
+        kill_now: bool,
+    ) {
+        let payload = visit_payload(record, delta, flags);
         self.append_frame(kind::VISIT, &payload, kill_now);
         if self.killed() {
             return;
@@ -652,6 +657,9 @@ impl JournalWriter {
         if self.killed() {
             return;
         }
+        // The frame and its CRC are built before the lock is taken.
+        let mut frame = Vec::new();
+        frame::put(&mut frame, frame_kind, payload);
         let mut inner = self.inner.lock().unwrap();
         // Re-check under the lock. Without this, a worker that passed
         // the latch check and then blocked on the mutex while another
@@ -673,8 +681,6 @@ impl JournalWriter {
         } else {
             armed
         };
-        let mut frame = Vec::new();
-        frame::put(&mut frame, frame_kind, payload);
         let outcome: io::Result<bool> = (|| match mode {
             Some(KillMode::MidFrame) => {
                 // The torn write: header plus roughly half the payload
@@ -762,10 +768,19 @@ impl Drop for JournalWriter {
 #[derive(Debug)]
 pub enum FrameBody<'a> {
     /// A visit frame: identity, delta and flags, plus the record bytes
-    /// (already checked by [`decode_view`]).
+    /// (already checked by [`decode_view`]). The identity's strings
+    /// borrow the record bytes.
     Visit {
-        /// The visit's identity, delta and flags.
-        visit: ReplayedVisit,
+        /// Crawl campaign of the visit.
+        crawl: &'a str,
+        /// Visited domain.
+        domain: &'a str,
+        /// Crawling OS.
+        os: Os,
+        /// Its stats contribution.
+        delta: VisitDelta,
+        /// `FLAG_*` bits.
+        flags: u8,
         /// The codec-encoded record, borrowed from the scanned bytes.
         record: &'a [u8],
     },
@@ -787,10 +802,7 @@ pub type ScanReport<'a> = frame::Scan<'a, FrameBody<'a>>;
 
 fn parse_frame(kind_byte: u8, payload: &[u8]) -> Option<FrameBody<'_>> {
     Some(match kind_byte {
-        kind::VISIT => {
-            let (visit, record) = decode_visit_payload(payload).ok()?;
-            FrameBody::Visit { visit, record }
-        }
+        kind::VISIT => decode_visit_payload(payload).ok()?,
         kind::CHECKPOINT => FrameBody::Checkpoint(get_checkpoint(&mut Cursor::new(payload)).ok()?),
         kind::FLUSH => FrameBody::Flush,
         kind::META => FrameBody::Meta(get_meta(&mut Cursor::new(payload)).ok()?),
@@ -805,7 +817,13 @@ fn parse_frame(kind_byte: u8, payload: &[u8]) -> Option<FrameBody<'_>> {
 /// panics, never errors on frame damage — only on a missing magic, or
 /// on a CRC-valid frame of a retired JSON kind, which no damage makes.
 pub fn scan(data: &[u8]) -> Result<ScanReport<'_>, JournalError> {
-    let scan = frame::scan(data, parse_frame).ok_or(JournalError::BadMagic)?;
+    checked(frame::scan(data, parse_frame))
+}
+
+/// A frame scan, refused whole without the magic or with a retired
+/// JSON frame.
+fn checked(scan: Option<ScanReport<'_>>) -> Result<ScanReport<'_>, JournalError> {
+    let scan = scan.ok_or(JournalError::BadMagic)?;
     match scan
         .frames
         .iter()
@@ -882,16 +900,26 @@ impl JournalSummary {
 }
 
 /// The one reader of journal and saved-store files: read `path`, scan
-/// it, and fold every valid frame into the [`JournalSummary`] — counts,
-/// duplicate finals, checkpoint and STORE-header cross-checks, in file
-/// order — before handing the frame to `each`. Returns the file's bytes
-/// with the summary.
+/// it, and [`summarize`] the scan. Returns the file's bytes with the
+/// summary.
 fn read(
     path: &Path,
-    mut each: impl FnMut(Frame<'_, FrameBody<'_>>),
+    each: impl FnMut(Frame<'_, FrameBody<'_>>),
 ) -> Result<(Vec<u8>, JournalSummary), JournalError> {
     let data = std::fs::read(path)?;
-    let scan = scan(&data)?;
+    let summary = summarize(scan(&data)?, each);
+    Ok((data, summary))
+}
+
+/// Fold every valid frame into the [`JournalSummary`] — counts,
+/// duplicate finals, checkpoint and STORE-header cross-checks, in file
+/// order — before handing the frame to `each`. Final frames are keyed
+/// by their borrowed identity and grouped per `(crawl, OS)`, so a
+/// checkpoint is checked against its own campaign's finals only.
+fn summarize<'a>(
+    scan: ScanReport<'a>,
+    mut each: impl FnMut(Frame<'a, FrameBody<'a>>),
+) -> JournalSummary {
     let mut sum = JournalSummary {
         frames: scan.frames.len(),
         corrupt_frames: scan.corrupt_spans.len(),
@@ -901,29 +929,33 @@ fn read(
         valid_end: scan.valid_end,
         ..JournalSummary::default()
     };
-    let mut finals = BTreeSet::new();
+    // (crawl, OS name) -> domains with a final frame so far.
+    let mut finals: BTreeMap<(&str, &str), BTreeSet<&str>> = BTreeMap::new();
     let mut declared = 0u64;
     for frame in scan.frames {
         match &frame.body {
-            FrameBody::Visit { visit, .. } => {
+            FrameBody::Visit {
+                crawl,
+                domain,
+                os,
+                flags,
+                ..
+            } => {
                 sum.visits += 1;
-                if visit.is_final() && !finals.insert(visit.key()) {
+                if flags & FLAG_FINAL != 0
+                    && !finals.entry((crawl, os.name())).or_default().insert(domain)
+                {
                     sum.duplicate_finals += 1;
                 }
             }
             FrameBody::Checkpoint(cp) => {
                 sum.checkpoints += 1;
                 let listed: BTreeSet<&str> = cp.completed.iter().map(|s| s.as_str()).collect();
-                let mut seen_here = 0usize;
-                for (crawl, domain, os) in &finals {
-                    if crawl == &cp.crawl && *os == cp.os {
-                        if listed.contains(domain.as_str()) {
-                            seen_here += 1;
-                        } else {
-                            sum.orphan_records += 1;
-                        }
-                    }
-                }
+                let group = finals.get(&(cp.crawl.as_str(), cp.os.as_str()));
+                let finals_here = group.map_or(0, BTreeSet::len);
+                let seen_here =
+                    group.map_or(0, |g| listed.iter().filter(|d| g.contains(*d)).count());
+                sum.orphan_records += finals_here - seen_here;
                 sum.missing_records += cp.completed.len().saturating_sub(seen_here);
             }
             FrameBody::Flush => sum.flush_points += 1,
@@ -933,7 +965,7 @@ fn read(
         each(frame);
     }
     sum.missing_records += (declared as usize).saturating_sub(sum.visits);
-    Ok((data, sum))
+    sum
 }
 
 // ------------------------------------------------------------- replay
@@ -954,21 +986,33 @@ pub struct ReplayReport {
     pub summary: JournalSummary,
 }
 
-/// Replay a journal (or a saved store) from disk: every valid visit
-/// frame's verified record bytes go straight into the store, never
-/// decoded into an owned record and re-encoded. Frame damage degrades,
-/// never fails.
+/// Replay a journal (or a saved store) from disk. Each visit record
+/// is decoded once: the scan's [`decode_view`] checks it and reads its
+/// identity, and its verified bytes go into the store under that
+/// identity, never decoded again, into an owned record or re-encoded.
+/// Frame damage degrades, never fails.
 pub fn replay(path: &Path) -> Result<ReplayReport, JournalError> {
     let store = TelemetryStore::new();
     let mut visits = Vec::new();
     let mut checkpoints = Vec::new();
     let mut meta = None;
     let (_, summary) = read(path, |frame| match frame.body {
-        FrameBody::Visit { visit, record } => {
-            store
-                .append_encoded(record)
-                .expect("the scan checked the record with decode_view");
-            visits.push(visit);
+        FrameBody::Visit {
+            crawl,
+            domain,
+            os,
+            delta,
+            flags,
+            record,
+        } => {
+            store.insert(crawl, domain, os, record);
+            visits.push(ReplayedVisit {
+                crawl: CrawlId(crawl.to_string()),
+                domain: domain.to_string(),
+                os,
+                delta,
+                flags,
+            });
         }
         FrameBody::Checkpoint(cp) => checkpoints.push(cp),
         FrameBody::Meta(m) => meta = Some(m),
@@ -1856,6 +1900,160 @@ mod tests {
             assert!(agrees, "{what}: silent divergence");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_crc_valid_frame_whose_record_fails_decode_is_corrupt_and_never_stored() {
+        let path = tmp("bad-record");
+        let w = JournalWriter::create(&path).unwrap();
+        append_final(&w, 0, Os::Linux);
+        drop(w);
+        let mut data = std::fs::read(&path).unwrap();
+        let good_end = data.len();
+        // A well-framed visit whose record is not a record, between two
+        // good frames.
+        let mut record = encode(&sample_record(1, Os::Linux)).to_vec();
+        record[2] = 99; // codec version
+        frame::put(
+            &mut data,
+            kind::VISIT,
+            &visit_payload(&record, &sample_delta(1), FLAG_FINAL),
+        );
+        let bad_end = data.len();
+        frame::put(
+            &mut data,
+            kind::VISIT,
+            &visit_payload(
+                &encode(&sample_record(2, Os::Linux)),
+                &sample_delta(2),
+                FLAG_FINAL,
+            ),
+        );
+        std::fs::write(&path, &data).unwrap();
+        let report = replay(&path).unwrap();
+        assert_eq!(report.summary.corrupt_frames, 1);
+        assert_eq!(report.summary.corrupt_bytes, (bad_end - good_end) as u64);
+        let domains: Vec<&str> = report.visits.iter().map(|v| v.domain.as_str()).collect();
+        assert_eq!(domains, ["site0.example", "site2.example"]);
+        assert_eq!(report.store.len(), 2);
+        assert!(report
+            .store
+            .get(&CrawlId::top2020(), "site1.example", Os::Linux)
+            .is_none());
+        assert_eq!(
+            fsck(&path, FsckOptions::default()).unwrap().summary,
+            report.summary
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A journal with every frame kind: META, then `n` visits across
+    /// the three OSes with a crash duplicate, FLUSH markers, and a
+    /// checkpoint per OS that lists one domain it has no frame for
+    /// (the first OS's also leaves out site0, an orphan).
+    fn mixed_journal(name: &str, n: usize) -> Vec<u8> {
+        let path = tmp(name);
+        let w = JournalWriter::create_with(
+            &path,
+            JournalConfig {
+                flush_every_bytes: 100,
+                ..JournalConfig::default()
+            },
+        )
+        .unwrap();
+        w.append_meta(&sample_meta());
+        for i in 0..n {
+            append_final(&w, i, Os::ALL[i % 3]);
+        }
+        append_final(&w, 1, Os::ALL[1]);
+        for os in Os::ALL {
+            w.append_checkpoint(&CheckpointFrame {
+                crawl: "top2020".into(),
+                os: os.name().into(),
+                completed: (0..n)
+                    .filter(|i| Os::ALL[i % 3] == os && *i != 0)
+                    .map(|i| format!("site{i}.example"))
+                    .chain(["gone.example".to_string()])
+                    .collect(),
+                stats: vec![1, 2],
+            });
+        }
+        drop(w);
+        let data = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        data
+    }
+
+    /// The scan and its summary at 1 thread equal those at 2, 3 and 8
+    /// threads: frames, damage and every summary count.
+    fn same_at_every_thread_count(data: &[u8]) -> Result<(), String> {
+        let at = |threads| {
+            let scan = checked(frame::scan_on(data, parse_frame, threads));
+            scan.map(|scan| {
+                let frames: Vec<_> = scan
+                    .frames
+                    .iter()
+                    .map(|f| (f.start, f.end, f.kind, f.payload, format!("{:?}", f.body)))
+                    .collect();
+                let damage = (
+                    scan.corrupt_spans.clone(),
+                    scan.truncated_tail,
+                    scan.valid_end,
+                );
+                (frames, damage, summarize(scan, |_| {}))
+            })
+            .map_err(|e| e.to_string())
+        };
+        let serial = at(1);
+        for threads in [2, 3, 8] {
+            if at(threads) != serial {
+                return Err(format!("{threads} threads disagree with one"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn the_scan_does_not_depend_on_the_thread_count() {
+        let clean = mixed_journal("threads-sweep", 9);
+        let sum = summarize(scan(&clean).unwrap(), |_| {});
+        assert_eq!(
+            (sum.visits, sum.checkpoints, sum.duplicate_finals),
+            (10, 3, 1)
+        );
+        assert_eq!((sum.orphan_records, sum.missing_records), (1, 3));
+        assert!(sum.flush_points > 0);
+        same_at_every_thread_count(&clean).unwrap();
+        for (what, bytes) in frame::tests::damaged(&clean).step_by(7) {
+            same_at_every_thread_count(&bytes)
+                .map_err(|e| format!("{what}: {e}"))
+                .unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_scan_does_not_depend_on_the_thread_count_under_damage(
+            n in 1usize..24,
+            frac in 0.0f64..1.0,
+            xor in 1u8..255,
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..60),
+        ) {
+            let clean = mixed_journal("threads-prop", n);
+            let body = clean.len() - MAGIC.len();
+            let at = MAGIC.len() + ((body - 1) as f64 * frac) as usize;
+            let mut flipped = clean.clone();
+            flipped[at] ^= xor;
+            let mut spliced = clean[..at].to_vec();
+            spliced.extend_from_slice(&noise);
+            spliced.extend_from_slice(&clean[at..]);
+            for bytes in [&clean[..], &flipped, &clean[..at], &spliced] {
+                let agree = same_at_every_thread_count(bytes);
+                proptest::prop_assert!(agree.is_ok(), "{agree:?} (at {at})");
+            }
+        }
     }
 
     #[test]

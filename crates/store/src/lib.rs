@@ -14,8 +14,10 @@
 //!   from crawl workers, with full-scan and indexed query paths;
 //! * [`frame`] — the one on-disk format: a `KTSTORE2` magic, then
 //!   CRC-32 frames (`sync kind len payload crc`); one scanner that
-//!   checks every CRC and resyncs past damage, and one atomic writer
-//!   (temp file, fsync, rename, directory fsync);
+//!   checks every frame once (on every core for a file of 1 MiB or
+//!   more, with the same result at any thread count) and resyncs past
+//!   damage, and one atomic writer (temp file, fsync, rename,
+//!   directory fsync);
 //! * [`persist`] — save the store as final visit frames and load it
 //!   back by replay, with truncation recovery and corrupt-frame
 //!   skipping;
@@ -25,7 +27,7 @@
 //!   journals and saved stores alike), with group-commit frame
 //!   batching behind [`journal::JournalConfig`]; one read of a file
 //!   yields the [`JournalSummary`] that replay, fsck, load and resume's
-//!   reopen-for-append share;
+//!   reopen-for-append share, and decodes each visit record once;
 //! * [`segment`] — memory-mapped sealed segments: spill a sealed
 //!   segment to disk and serve it back through the zero-copy `Bytes`
 //!   API via `mmap` (with an explicit resident fallback);

@@ -33,7 +33,7 @@ use bytes::Bytes;
 use kt_netbase::Os;
 use std::sync::RwLock;
 
-use crate::codec::{decode, decode_view, encode, CodecError};
+use crate::codec::{decode, encode};
 use crate::record::{os_slot, CrawlId, VisitRecord};
 use crate::segment::{ShardSpill, SpillConfig};
 
@@ -250,26 +250,22 @@ impl TelemetryStore {
             .copied()
     }
 
-    /// Append one record (last write wins per key).
-    pub fn append(&self, record: &VisitRecord) {
+    /// Append one record (last write wins per key). Returns its
+    /// encoded bytes, so a caller that also journals the visit need
+    /// not encode it again.
+    pub fn append(&self, record: &VisitRecord) -> Bytes {
         // Encode outside the lock: the critical section is only the
         // byte copy and the index insert.
         let encoded = encode(record);
         self.insert(record.crawl.as_str(), &record.domain, record.os, &encoded);
+        encoded
     }
 
-    /// Append one encoded record, such as a replayed journal frame,
-    /// without decoding it into an owned record. The identity
-    /// `(crawl, domain, os)` is read through [`decode_view`]; bytes it
-    /// rejects are refused, never stored. Last write wins per key.
-    pub fn append_encoded(&self, encoded: &[u8]) -> Result<(), CodecError> {
-        let view = decode_view(encoded)?;
-        self.insert(view.crawl, view.domain, view.os, encoded);
-        Ok(())
-    }
-
-    /// The single insert path: store `encoded` under its identity.
-    fn insert(&self, crawl: &str, domain: &str, os: Os, encoded: &[u8]) {
+    /// The single insert path: store `encoded` under its identity. The
+    /// caller vouches that `encoded` decodes to a record with that
+    /// identity (journal replay passes bytes its scan checked with
+    /// [`decode_view`](crate::codec::decode_view)).
+    pub(crate) fn insert(&self, crawl: &str, domain: &str, os: Os, encoded: &[u8]) {
         let crawl = self.intern(crawl);
         let shard = &self.shards[shard_of(crawl, domain, os)];
         let mut guard = shard.inner.write().expect("store lock poisoned");
@@ -385,7 +381,7 @@ impl TelemetryStore {
     /// shard's active segment first, so every returned `Bytes` is a
     /// zero-copy slice of shared segment memory that outlives the
     /// shard lock; the caller decodes with
-    /// [`decode_view`] and borrows straight
+    /// [`decode_view`](crate::codec::decode_view) and borrows straight
     /// from the segment.
     pub fn shard_raw_on(&self, crawl: &CrawlId, shard: usize, os: Option<Os>) -> Vec<Bytes> {
         let Some(crawl) = self.lookup(crawl.as_str()) else {
@@ -474,7 +470,7 @@ impl TelemetryStore {
     /// OS). Unlike [`Self::crawl_records`] this propagates decode
     /// errors.
     #[cfg(test)]
-    pub(crate) fn scan_all(&self) -> Result<Vec<VisitRecord>, CodecError> {
+    pub(crate) fn scan_all(&self) -> Result<Vec<VisitRecord>, crate::codec::CodecError> {
         self.raw_all().into_iter().map(decode).collect()
     }
 }
@@ -620,15 +616,6 @@ mod tests {
             }
         }
         assert!(store.shard_raw_on(&CrawlId::top2021(), 0, None).is_empty());
-    }
-
-    #[test]
-    fn append_encoded_stores_the_bytes_and_refuses_garbage() {
-        let store = TelemetryStore::new();
-        let record = rec(CrawlId::top2020(), "raw.example", Os::Linux);
-        store.append_encoded(&encode(&record)).unwrap();
-        assert!(store.append_encoded(b"not a record").is_err());
-        assert_eq!(store.scan_all().unwrap(), vec![record]);
     }
 
     #[test]
