@@ -450,7 +450,7 @@ pub fn crossval_population(seed: u64, n: usize) -> Vec<(DomainName, PlantedBehav
                 PASSIVE_WINDOW_MS + 5_000,
             )
         } else {
-            let behavior = match rng::pick(seed, &format!("crossval/behavior/{i}"), 7) {
+            let behavior = match rng::pick(seed, format_args!("crossval/behavior/{i}"), 7) {
                 0 => Behavior::ThreatMetrix {
                     vendor: vendor.clone(),
                 },
@@ -468,7 +468,8 @@ pub fn crossval_population(seed: u64, n: usize) -> Vec<(DomainName, PlantedBehav
                 }),
                 _ => Behavior::Unknown(UnknownKind::HolaJson),
             };
-            let delay = rng::range(seed, &format!("crossval/delay/{i}"), 500.0, 15_000.0) as u64;
+            let delay =
+                rng::range(seed, format_args!("crossval/delay/{i}"), 500.0, 15_000.0) as u64;
             (behavior, delay)
         };
         population.push((

@@ -75,12 +75,15 @@ impl OnlinePartial {
         OnlinePartial::default()
     }
 
-    /// Fold one visit record in. The record is round-tripped through
-    /// the store codec so the yield is computed from exactly the bytes
-    /// the batch analyzer would decode.
-    pub fn absorb(&mut self, record: &VisitRecord, pass: UpdatePass) {
-        let raw = codec::encode(record);
-        let view = decode_view(&raw).expect("store codec round-trip");
+    /// Fold one encoded visit record in: the bytes the store appended
+    /// (the crawl hands them over with the record), so the yield is
+    /// computed from exactly the bytes the batch analyzer decodes.
+    ///
+    /// # Panics
+    ///
+    /// If `encoded` is not a record the store codec wrote.
+    pub fn absorb(&mut self, encoded: &[u8], pass: UpdatePass) {
+        let view = decode_view(encoded).expect("a record the store encoded");
         let yielded = fan_out(&view);
         let key = (view.domain.to_owned(), os_slot(view.os));
         let rank = pass.rank();
@@ -95,12 +98,13 @@ impl OnlinePartial {
     }
 
     /// Build a partial from a finished record set (e.g. a store read
-    /// back after a drain). Bulk reads return post-recrawl rows, so
-    /// every record carries recrawl precedence.
+    /// back after a drain), encoding each record once. Bulk reads
+    /// return post-recrawl rows, so every record carries recrawl
+    /// precedence.
     pub fn from_records<'a>(records: impl IntoIterator<Item = &'a VisitRecord>) -> OnlinePartial {
         let mut partial = OnlinePartial::new();
         for record in records {
-            partial.absorb(record, UpdatePass::Recrawl);
+            partial.absorb(&codec::encode(record), UpdatePass::Recrawl);
         }
         partial
     }
@@ -179,13 +183,14 @@ mod tests {
         let records = crawl_records();
         let mut partial = OnlinePartial::new();
         // Pool first, then recrawl: recrawl row wins.
-        partial.absorb(&records[0], UpdatePass::Pool);
-        partial.absorb(&records[0], UpdatePass::Recrawl);
+        let encoded = codec::encode(&records[0]);
+        partial.absorb(&encoded, UpdatePass::Pool);
+        partial.absorb(&encoded, UpdatePass::Recrawl);
         assert_eq!(partial.len(), 1);
         // Recrawl first, then a stale pool replay: recrawl row stays.
         let mut reversed = OnlinePartial::new();
-        reversed.absorb(&records[0], UpdatePass::Recrawl);
-        reversed.absorb(&records[0], UpdatePass::Pool);
+        reversed.absorb(&encoded, UpdatePass::Recrawl);
+        reversed.absorb(&encoded, UpdatePass::Pool);
         assert_eq!(partial.assemble(), reversed.assemble());
     }
 
@@ -206,14 +211,14 @@ mod tests {
             let mut partials = vec![OnlinePartial::new(); 5];
             for (i, record) in records.iter().enumerate() {
                 partials[assignment[i % assignment.len()] % 5]
-                    .absorb(record, UpdatePass::Recrawl);
+                    .absorb(&codec::encode(record), UpdatePass::Recrawl);
             }
             // Kill/resume: some prefix of the stream is absorbed a
             // second time into a fresh partial, pool-pass (the journal
             // replays pool frames; purity makes the yields identical).
             let mut replayed = OnlinePartial::new();
             for record in records.iter().take(replay_prefix.min(records.len())) {
-                replayed.absorb(record, UpdatePass::Pool);
+                replayed.absorb(&codec::encode(record), UpdatePass::Pool);
             }
             partials.push(replayed);
             // Merge in a seed-scrambled order.

@@ -6,6 +6,9 @@
 //! scans, native-app probes, developer-error fetches…), and hand back
 //! the NetLog capture.
 
+use std::borrow::Cow;
+use std::fmt;
+
 use kt_faults::{SalvagedVisit, VisitFaults};
 use kt_netbase::pna::{self, AddressSpace, PreflightResult};
 use kt_netbase::services::is_native_app_port;
@@ -16,7 +19,7 @@ use kt_netlog::{
 use kt_simnet::dns::DnsError;
 use kt_simnet::server::ServerBehavior;
 use kt_simnet::tls::CertVerdict;
-use kt_simnet::ConnectOutcome;
+use kt_simnet::{rng, ConnectOutcome};
 use kt_webgen::{Channel, SensorGate, WebSite};
 
 use crate::config::{BrowserConfig, PnaMode};
@@ -60,18 +63,26 @@ pub struct Browser<'w> {
     seed: u64,
 }
 
-/// Deterministic per-visit hash (independent of crawl order).
-fn hash(seed: u64, label: &str) -> u64 {
-    let mut h = seed ^ 0xb70b_5e65;
-    for chunk in label.as_bytes().chunks(8) {
-        let mut lane = [0u8; 8];
-        lane[..chunk.len()].copy_from_slice(chunk);
-        h = h
-            .wrapping_add(u64::from_le_bytes(lane))
-            .wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 29;
+/// Deterministic per-visit hash (independent of crawl order). The
+/// label is streamed into the lanes, never formatted into a string.
+fn hash(seed: u64, label: impl fmt::Display) -> u64 {
+    let mix = |h: u64, lane: u64| {
+        let h = h.wrapping_add(lane).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h ^ (h >> 29)
+    };
+    rng::fold_lanes(seed ^ 0xb70b_5e65, label, mix).0
+}
+
+/// The TLS server name for `url`, if it is secure: the domain
+/// borrowed, an IP literal rendered as the URL shows it.
+fn sni(url: &Url) -> Option<Cow<'_, str>> {
+    if !url.scheme().is_secure() {
+        return None;
     }
-    h
+    Some(match url.host() {
+        Host::Domain(d) => Cow::Borrowed(d.as_str()),
+        host => Cow::Owned(host.to_string()),
+    })
 }
 
 impl<'w> Browser<'w> {
@@ -270,10 +281,10 @@ impl<'w> Browser<'w> {
         }
         let mut jobs: Vec<Job> = Vec::new();
         for i in 0..site.public_resources {
-            let label = format!("pubres:{}:{i}", site.domain);
-            let delay = 100 + hash(self.seed, &label) % 12_000;
+            let h = hash(self.seed, format_args!("pubres:{}:{i}", site.domain));
+            let delay = 100 + h % 12_000;
             let url = if i % 2 == 0 {
-                let host = CDN_HOSTS[(hash(self.seed, &label) >> 32) as usize % CDN_HOSTS.len()];
+                let host = CDN_HOSTS[(h >> 32) as usize % CDN_HOSTS.len()];
                 Url::parse(&format!("https://{host}/lib/resource{i}.js")).expect("static url")
             } else {
                 Url::from_parts(
@@ -396,7 +407,7 @@ impl<'w> Browser<'w> {
         mdns: bool,
     ) {
         let domain = site.domain.as_str();
-        let h = hash(self.seed, &format!("ice:{domain}"));
+        let h = hash(self.seed, format_args!("ice:{domain}"));
         let source = log.new_source(SourceType::P2pSocket);
         let port = 49_152 + (h % 16_000) as u16;
         let at = load_end + 800 + h % 1_200;
@@ -584,11 +595,7 @@ impl<'w> Browser<'w> {
             },
             window,
         );
-        let sni = if url.scheme().is_secure() {
-            Some(url.host().to_string())
-        } else {
-            None
-        };
+        let sni = sni(url);
         let outcome = self
             .world
             .net
@@ -597,7 +604,7 @@ impl<'w> Browser<'w> {
             ConnectOutcome::Established {
                 connect_ms,
                 tls_ms,
-                endpoint,
+                behavior,
             } => {
                 let t_conn = t_resolved + connect_ms;
                 self.log_clamped(
@@ -633,9 +640,9 @@ impl<'w> Browser<'w> {
                     EventParams::None,
                     window,
                 );
-                match endpoint.behavior {
+                match behavior {
                     ServerBehavior::Http(resp) => {
-                        let t_resp = t + self.world.net.latency().response_ms(&url.to_string());
+                        let t_resp = t + self.world.net.latency().response_ms(url);
                         if let Some(location) = &resp.redirect_to {
                             self.log_clamped(
                                 log,
@@ -782,11 +789,7 @@ impl<'w> Browser<'w> {
             }
         };
         let port = url.port();
-        let sni = if url.scheme().is_secure() {
-            Some(url.host().to_string())
-        } else {
-            None
-        };
+        let sni = sni(url);
         let outcome = self
             .world
             .net
@@ -795,10 +798,10 @@ impl<'w> Browser<'w> {
             ConnectOutcome::Established {
                 connect_ms,
                 tls_ms,
-                endpoint,
+                behavior,
             } => {
                 let t = t_resolved + connect_ms + tls_ms;
-                match endpoint.behavior {
+                match behavior {
                     ServerBehavior::WebSocket => {
                         self.log_clamped(
                             log,
@@ -915,14 +918,7 @@ impl<'w> Browser<'w> {
     }
 
     /// Log a terminal failure, respecting the window clamp.
-    fn fail(
-        &mut self,
-        log: &mut NetLogger,
-        source: SourceRef,
-        at: u64,
-        err: NetError,
-        window: u64,
-    ) {
+    fn fail(&self, log: &mut NetLogger, source: SourceRef, at: u64, err: NetError, window: u64) {
         self.log_clamped(
             log,
             at,
@@ -948,7 +944,7 @@ impl<'w> Browser<'w> {
     /// Log only if the event falls inside the observation window.
     #[allow(clippy::too_many_arguments)]
     fn log_clamped(
-        &mut self,
+        &self,
         log: &mut NetLogger,
         time: u64,
         source: SourceRef,
@@ -983,6 +979,42 @@ mod tests {
 
     fn flow_set(result: &VisitResult) -> FlowSetView<'_> {
         FlowSetView::from_events(result.capture.events.iter().map(NetLogEvent::view))
+    }
+
+    /// The per-visit hash over an already formatted label, as it was
+    /// computed before labels were streamed.
+    fn hash_of_formatted(seed: u64, label: &str) -> u64 {
+        let mut h = seed ^ 0xb70b_5e65;
+        for chunk in label.as_bytes().chunks(8) {
+            let mut lane = [0u8; 8];
+            lane[..chunk.len()].copy_from_slice(chunk);
+            h = h
+                .wrapping_add(u64::from_le_bytes(lane))
+                .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            h ^= h >> 29;
+        }
+        h
+    }
+
+    #[test]
+    fn streamed_hash_equals_the_hash_of_the_formatted_label() {
+        for seed in [0, 99, u64::MAX] {
+            for label in ["", "a", "ice:", "ice:ünïcødé.example", "pubres:exactly8"] {
+                assert_eq!(hash(seed, label), hash_of_formatted(seed, label));
+            }
+            // Domains of every length put the piece boundaries at every
+            // lane offset.
+            for n in 0..24 {
+                let domain = "d".repeat(n) + ".example";
+                for i in [0u8, 7, 255] {
+                    assert_eq!(
+                        hash(seed, format_args!("pubres:{domain}:{i}")),
+                        hash_of_formatted(seed, &format!("pubres:{domain}:{i}")),
+                        "{domain} {i}"
+                    );
+                }
+            }
+        }
     }
 
     fn visit(site: &WebSite, os: Os) -> VisitResult {

@@ -39,7 +39,7 @@ use kt_faults::{is_transient, Fault, FaultPlan, RetryPolicy, SalvagedVisit};
 use kt_netbase::Os;
 use kt_simnet::connectivity::{ConnectivityChecker, Outage};
 use kt_store::journal::{JournalWriter, FLAG_FINAL, FLAG_RECRAWL};
-use kt_store::{CrawlId, LoadOutcome, TelemetryStore, VisitRecord};
+use kt_store::{Bytes, CrawlId, LoadOutcome, TelemetryStore, VisitRecord};
 use kt_trace::{par_indexed, EventRecord, SpanRecord, SpanRing, Trace};
 use kt_webgen::WebSite;
 use std::cmp::Reverse;
@@ -450,25 +450,25 @@ fn attempt_visit(
 /// Commit one visit's terminal verdict: append the record to the store
 /// (retrying once when the fault plan injects a store-append failure —
 /// the retry, like a real fsync hiccup's, succeeds), then frame it in
-/// the write-ahead journal with the stats delta accumulated since
-/// `before` (the snapshot taken when the job was claimed), so the
-/// delta captures everything the visit contributed — including
-/// retries and store-append retries. A [`Fault::ProcessKill`] drawn
+/// the write-ahead journal with the stats delta accumulated since the
+/// snapshot `journaled` pairs with the writer (taken when the job was
+/// claimed, and only when a journal is attached), so the delta
+/// captures everything the visit contributed — including retries and
+/// store-append retries. A [`Fault::ProcessKill`] drawn
 /// for this `(domain, attempt)` tears the frame mid-write and latches
 /// the journal's kill switch, exactly like power loss under the
-/// writer.
+/// writer. Returns the record's encoding as the store holds it.
 #[allow(clippy::too_many_arguments)]
 fn commit_visit(
     store: &TelemetryStore,
-    journal: Option<&JournalWriter>,
+    journaled: Option<&(&JournalWriter, CrawlStats)>,
     config: &CrawlConfig,
     stats: &mut CrawlStats,
-    before: &CrawlStats,
     record: &VisitRecord,
     cost_ms: u64,
     flags: u8,
     attempt: u32,
-) {
+) -> Bytes {
     let domain = record.domain.as_str();
     if config
         .faults
@@ -477,21 +477,26 @@ fn commit_visit(
         stats.store_retries += 1;
     }
     let encoded = store.append(record);
-    if let Some(journal) = journal {
+    if let Some((journal, before)) = journaled {
         let delta = stats.delta_since(before, cost_ms);
         let kill = config.faults.injects(Fault::ProcessKill, domain, attempt);
         journal.append_encoded_visit(&encoded, &delta, flags, kill);
     }
+    encoded
 }
 
 /// One pool job's terminal outcome, for callers that need the record
-/// itself: the resident campaign service streams it into online
-/// aggregation; the batch pool drops it (the store already holds it).
+/// itself: the resident campaign service streams its encoding into
+/// online aggregation; the batch pool drops it (the store already
+/// holds it).
 #[derive(Debug)]
 pub struct PoolJobEnd {
     /// The terminal visit record (already appended to the store and,
     /// when journaling, framed in the journal).
     pub record: VisitRecord,
+    /// The record's encoding, the bytes the store appended: readers
+    /// take a `decode_view` of it instead of encoding the record again.
+    pub encoded: Bytes,
     /// The job's whole simulated cost: visits, backoffs, outage waits.
     pub cost_ms: u64,
     /// True when the site was parked for the end-of-campaign recrawl
@@ -527,8 +532,8 @@ pub fn run_pool_job(
     let job_start_ms = *wall_ms;
     // Snapshot for the journal's per-visit stats delta: everything
     // this job adds to the tally lands between here and its terminal
-    // arm.
-    let before = stats.clone();
+    // arm. Without a journal there is no delta to take.
+    let journaled = journal.map(|journal| (journal, stats.clone()));
     // A per-site world — its own DNS cache and latency stream, like a
     // dedicated VM — built once per job and reused across that job's
     // retries. Site fates are installed from (domain, seed) alone, so
@@ -585,8 +590,15 @@ pub fn run_pool_job(
     // A parked site's frame is non-final (flags 0): resume sends it
     // straight to the recrawl queue.
     let flags = if parked { 0 } else { FLAG_FINAL };
-    commit_visit(
-        store, journal, config, stats, &before, &record, cost_ms, flags, attempt,
+    let encoded = commit_visit(
+        store,
+        journaled.as_ref(),
+        config,
+        stats,
+        &record,
+        cost_ms,
+        flags,
+        attempt,
     );
     if let Some(ring) = ring {
         ring.span(SpanRecord {
@@ -600,6 +612,7 @@ pub fn run_pool_job(
     }
     PoolJobEnd {
         record,
+        encoded,
         cost_ms,
         parked,
     }
@@ -611,8 +624,8 @@ pub fn run_pool_job(
 /// fresh fault/backoff draw past the in-place attempts. The caller
 /// owns the pass-wide [`World`] (the recrawl builds one world over its
 /// whole queue, unlike the pool's per-site worlds) and the restarted
-/// wall clock. Returns the terminal record for streaming consumers;
-/// the store and journal already hold it.
+/// wall clock. Returns the terminal record and its encoding for
+/// streaming consumers; the store and journal already hold it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_recrawl_job(
     job: &CrawlJob<'_>,
@@ -624,9 +637,9 @@ pub fn run_recrawl_job(
     stats: &mut CrawlStats,
     wall_ms: &mut u64,
     ring: Option<&mut SpanRing>,
-) -> VisitRecord {
+) -> (VisitRecord, Bytes) {
     let attempt = config.retry.max_attempts;
-    let before = stats.clone();
+    let journaled = journal.map(|journal| (journal, stats.clone()));
     stats.recrawled += 1;
     wait_online(checker, wall_ms, stats);
     let record = attempt_visit(world, config, job, attempt);
@@ -653,12 +666,11 @@ pub fn run_recrawl_job(
     // the journaled cost is the constant — resume adds one slot
     // back per surviving recrawl frame.
     let flags = FLAG_FINAL | FLAG_RECRAWL;
-    commit_visit(
+    let encoded = commit_visit(
         store,
-        journal,
+        journaled.as_ref(),
         config,
         stats,
-        &before,
         &record,
         VISIT_WALL_MS,
         flags,
@@ -675,7 +687,7 @@ pub fn run_recrawl_job(
         });
     }
     *wall_ms += VISIT_WALL_MS;
-    record
+    (record, encoded)
 }
 
 /// The end-of-campaign recrawl: transiently-failing sites get one

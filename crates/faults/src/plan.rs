@@ -179,8 +179,11 @@ impl FaultPlan {
         if rate <= 0.0 {
             return false;
         }
-        let label = format!("fault/{}/{}/{}", fault.label(), domain, attempt);
-        rng::coin(self.seed, &label, rate)
+        rng::coin(
+            self.seed,
+            format_args!("fault/{}/{domain}/{attempt}", fault.label()),
+            rate,
+        )
     }
 
     /// All of one visit's fault decisions, drawn up front.

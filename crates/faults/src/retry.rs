@@ -66,8 +66,7 @@ impl RetryPolicy {
             .saturating_mul(1u64 << attempt.saturating_sub(1).min(16))
             .min(self.max_backoff_ms);
         let jitter_span = (self.base_backoff_ms / 2).max(1);
-        let label = format!("backoff/{domain}/{attempt}");
-        exp + rng::hash_str(seed, &label) % jitter_span
+        exp + rng::hash_str(seed, format_args!("backoff/{domain}/{attempt}")) % jitter_span
     }
 }
 

@@ -185,23 +185,24 @@ fn base_outcome(env: &HostEnv, net: &SimNet, target: &ProbeTarget) -> BaseOutcom
             // a datagram is answered (listener), rejected with ICMP
             // port-unreachable (loopback, no listener), or swallowed
             // (empty LAN slot).
-            let endpoint = match (Locality::of_ip(target.addr), target.addr) {
-                (Locality::Loopback, _) => env.localhost_endpoint(target.port),
-                (Locality::Private, IpAddr::V4(v4)) => env.lan_endpoint(v4, target.port),
-                _ => kt_simnet::Endpoint {
-                    behavior: ServerBehavior::Blackhole,
-                    certificate: None,
-                },
-            };
             let locality = Locality::of_ip(target.addr);
-            let key = format!("udp/{}:{}", target.addr, target.port);
-            match endpoint.behavior {
+            let behavior = match (locality, target.addr) {
+                (Locality::Loopback, _) => &env.localhost_endpoint(target.port).behavior,
+                (Locality::Private, IpAddr::V4(v4)) => &env.lan_endpoint(v4, target.port).behavior,
+                _ => &ServerBehavior::Blackhole,
+            };
+            let (addr, port) = (target.addr, target.port);
+            match behavior {
                 ServerBehavior::Refused => BaseOutcome::Refused {
-                    elapsed_ms: net.latency().refused_ms(locality, &key),
+                    elapsed_ms: net
+                        .latency()
+                        .refused_ms(locality, format_args!("udp/{addr}:{port}")),
                 },
                 ServerBehavior::Blackhole => BaseOutcome::Silent,
                 _ => BaseOutcome::Answered {
-                    elapsed_ms: net.latency().connect_ms(locality, &key),
+                    elapsed_ms: net
+                        .latency()
+                        .connect_ms(locality, format_args!("udp/{addr}:{port}")),
                 },
             }
         }
@@ -239,7 +240,7 @@ fn knock_once(
     let delay_ms = if plan.injects(Fault::ProbeDelay, id, attempt) {
         rng::range(
             cfg.seed,
-            &format!("probe-delay/{id}/{attempt}"),
+            format_args!("probe-delay/{id}/{attempt}"),
             25.0,
             cfg.timeout_ms as f64 * 1.5,
         ) as u64

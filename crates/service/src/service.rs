@@ -51,7 +51,7 @@ use kt_faults::{Fault, FaultPlan};
 use kt_netbase::Os;
 use kt_simnet::connectivity::ConnectivityChecker;
 use kt_store::journal::{JournalError, JournalWriter};
-use kt_store::{CheckpointFrame, CrawlId, TelemetryStore, VisitRecord};
+use kt_store::{Bytes, CheckpointFrame, CrawlId, TelemetryStore, VisitRecord};
 use kt_trace::{names, par_indexed, Labels, Trace};
 use kt_webgen::WebSite;
 
@@ -153,6 +153,8 @@ enum Phase {
 /// One job's output, applied to its campaign by the same executor.
 struct RoundOutcome {
     record: VisitRecord,
+    /// The record's encoding, as the store appended it.
+    encoded: Bytes,
     pass: UpdatePass,
     cost_ms: u64,
 }
@@ -673,6 +675,7 @@ fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) -> Option<RoundOut
             c.next_job += 1;
             Some(RoundOutcome {
                 record: end.record,
+                encoded: end.encoded,
                 pass: UpdatePass::Pool,
                 cost_ms: end.cost_ms,
             })
@@ -694,7 +697,7 @@ fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) -> Option<RoundOut
                 site: &spec.jobs[index].site,
                 malicious_category: spec.jobs[index].malicious_category,
             };
-            let record = run_recrawl_job(
+            let (record, encoded) = run_recrawl_job(
                 &job,
                 cfg,
                 store,
@@ -709,6 +712,7 @@ fn run_campaign_job(c: &mut Campaign, store: &TelemetryStore) -> Option<RoundOut
             c.recrawl_pos += 1;
             Some(RoundOutcome {
                 record,
+                encoded,
                 pass: UpdatePass::Recrawl,
                 cost_ms,
             })
@@ -748,7 +752,7 @@ fn apply_round(config: &ServiceConfig, c: &mut Campaign, round: RoundOutcome) {
     } else {
         c.partial
             .get_or_insert_with(OnlinePartial::new)
-            .absorb(&round.record, round.pass);
+            .absorb(&round.encoded, round.pass);
     }
     // Deadline budget: cooperative cancellation after the
     // in-flight job drains.

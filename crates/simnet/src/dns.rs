@@ -118,16 +118,28 @@ impl DnsResolver {
     /// Unregistered names are NXDOMAIN: the simulated Internet is a
     /// closed world, exactly like the paper's parsed-and-stored
     /// telemetry database.
+    ///
+    /// Names are matched case-insensitively. The cache and the zone are
+    /// looked up by the borrowed name (lower-cased into a `String` only
+    /// when it has an ASCII upper-case byte), and the key is owned only
+    /// when a cache miss inserts a new entry.
     pub fn resolve(&mut self, name: &str, now: SimTime) -> Result<IpAddr, DnsError> {
-        let key = name.to_ascii_lowercase();
-        if let Some(entry) = self.cache.get(&key) {
+        let lowered;
+        let key = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            lowered = name.to_ascii_lowercase();
+            lowered.as_str()
+        } else {
+            name
+        };
+        let cached = self.cache.get_mut(key);
+        if let Some(entry) = &cached {
             if entry.expires_at > now {
                 self.cache_hits += 1;
                 return entry.result;
             }
         }
         self.authoritative_queries += 1;
-        let result = match self.zone.get(&key) {
+        let result = match self.zone.get(key) {
             Some(DnsRecord::A(addr)) => Ok(*addr),
             Some(DnsRecord::NxDomain) | None => Err(DnsError::NxDomain),
             Some(DnsRecord::ServFail) => Err(DnsError::ServFail),
@@ -138,13 +150,16 @@ impl DnsResolver {
         } else {
             self.negative_ttl_ms
         };
-        self.cache.insert(
-            key,
-            CacheEntry {
-                result,
-                expires_at: now + ttl,
-            },
-        );
+        let entry = CacheEntry {
+            result,
+            expires_at: now + ttl,
+        };
+        match cached {
+            Some(expired) => *expired = entry,
+            None => {
+                self.cache.insert(key.to_string(), entry);
+            }
+        }
         result
     }
 }

@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 pub use kt_netbase::Os;
 
 use crate::rng;
-use crate::server::{Endpoint, HttpResponse, ServerBehavior};
+use crate::server::{Endpoint, HttpResponse, BLACKHOLE, REFUSED};
 
 /// A service listening on the visitor's loopback interface.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,26 +64,29 @@ impl HostEnv {
     /// media client; home LANs contain a router and sometimes IoT
     /// devices. None of this changes *detection* (the paper records
     /// requests, not responses) but it exercises both response paths.
+    /// Each draw streams its `hostenv:{os}:{service}` label into the
+    /// seeded hash.
     pub fn sampled(os: Os, seed: u64) -> HostEnv {
         let mut env = HostEnv::bare(os);
-        let tag = |label: &str| format!("hostenv:{}:{label}", os.name());
+        let coin =
+            |label: &str, p: f64| rng::coin(seed, format_args!("hostenv:{}:{label}", os.name()), p);
         match os {
             Os::Windows => {
-                if rng::coin(seed, &tag("rdp"), 0.10) {
+                if coin("rdp", 0.10) {
                     env.add_listener(3389, "Windows Remote Desktop", Endpoint::ws());
                 }
-                if rng::coin(seed, &tag("teamviewer"), 0.05) {
+                if coin("teamviewer", 0.05) {
                     env.add_listener(5939, "TeamViewer", Endpoint::ws());
                 }
-                if rng::coin(seed, &tag("discord"), 0.20) {
+                if coin("discord", 0.20) {
                     env.add_listener(6463, "Discord RPC", Endpoint::ws());
                 }
             }
             Os::Linux => {
-                if rng::coin(seed, &tag("x11"), 0.15) {
+                if coin("x11", 0.15) {
                     env.add_listener(6039, "X Window System", Endpoint::ws());
                 }
-                if rng::coin(seed, &tag("devserver"), 0.10) {
+                if coin("devserver", 0.10) {
                     env.add_listener(
                         3000,
                         "local dev server",
@@ -92,10 +95,10 @@ impl HostEnv {
                 }
             }
             Os::MacOs => {
-                if rng::coin(seed, &tag("vnc"), 0.08) {
+                if coin("vnc", 0.08) {
                     env.add_listener(5900, "Screen Sharing (VNC)", Endpoint::ws());
                 }
-                if rng::coin(seed, &tag("discord"), 0.20) {
+                if coin("discord", 0.20) {
                     env.add_listener(6463, "Discord RPC", Endpoint::ws());
                 }
             }
@@ -107,7 +110,7 @@ impl HostEnv {
             "router",
             Endpoint::http(HttpResponse::ok(2048)),
         );
-        if rng::coin(seed, &tag("printer"), 0.3) {
+        if coin("printer", 0.3) {
             env.add_lan_device(
                 Ipv4Addr::new(192, 168, 0, 20),
                 80,
@@ -115,7 +118,7 @@ impl HostEnv {
                 Endpoint::http(HttpResponse::ok(512)),
             );
         }
-        if rng::coin(seed, &tag("camera"), 0.15) {
+        if coin("camera", 0.15) {
             env.add_lan_device(
                 Ipv4Addr::new(192, 168, 0, 64),
                 8080,
@@ -153,28 +156,19 @@ impl HostEnv {
 
     /// What answers a connection to `localhost:port`. Ports with no
     /// listener refuse (RST), which is the common case the anti-abuse
-    /// scanners distinguish from an accepted connection.
-    pub fn localhost_endpoint(&self, port: u16) -> Endpoint {
-        self.listeners
-            .get(&port)
-            .map(|s| s.endpoint.clone())
-            .unwrap_or(Endpoint {
-                behavior: ServerBehavior::Refused,
-                certificate: None,
-            })
+    /// scanners distinguish from an accepted connection. Borrowed: a
+    /// connect reads the endpoint, it never copies its certificate.
+    pub fn localhost_endpoint(&self, port: u16) -> &Endpoint {
+        self.listeners.get(&port).map_or(&REFUSED, |s| &s.endpoint)
     }
 
     /// What answers a connection to a LAN address. Addresses with no
     /// device are black holes (no host ⇒ no RST, the SYN just dies),
     /// which is what makes naive LAN scanning slow in practice.
-    pub fn lan_endpoint(&self, address: Ipv4Addr, port: u16) -> Endpoint {
+    pub fn lan_endpoint(&self, address: Ipv4Addr, port: u16) -> &Endpoint {
         self.lan
             .get(&(address, port))
-            .map(|d| d.endpoint.clone())
-            .unwrap_or(Endpoint {
-                behavior: ServerBehavior::Blackhole,
-                certificate: None,
-            })
+            .map_or(&BLACKHOLE, |d| &d.endpoint)
     }
 
     /// Iterate the localhost listeners.
@@ -191,6 +185,7 @@ impl HostEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServerBehavior;
 
     #[test]
     fn os_labels() {

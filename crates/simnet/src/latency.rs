@@ -6,6 +6,8 @@
 //! channel (§4.3.2) depends on refused-connection responses returning
 //! much faster than timeouts, so the model distinguishes those cases.
 
+use std::fmt::Display;
+
 use kt_netbase::Locality;
 
 use crate::rng;
@@ -22,36 +24,41 @@ impl LatencyModel {
         LatencyModel { seed }
     }
 
+    // Every key below is any `Display` value: a `&str`, or
+    // `format_args!` of an address and port. Keys are streamed into
+    // the seeded hash (`rng`), never formatted into a string.
+
     /// DNS resolution latency in ms for a name (cache misses).
-    pub fn dns_ms(&self, name: &str) -> u64 {
-        rng::range(self.seed, &format!("dns:{name}"), 5.0, 120.0) as u64
+    pub fn dns_ms(&self, name: impl Display) -> u64 {
+        rng::range(self.seed, format_args!("dns:{name}"), 5.0, 120.0) as u64
     }
 
     /// TCP connect latency in ms to an address of the given locality.
-    pub fn connect_ms(&self, locality: Locality, key: &str) -> u64 {
+    pub fn connect_ms(&self, locality: Locality, key: impl Display) -> u64 {
         let (lo, hi) = match locality {
             Locality::Loopback => (0.0, 2.0),
             Locality::Private | Locality::LinkLocal => (1.0, 6.0),
             _ => (15.0, 180.0),
         };
-        rng::range(self.seed, &format!("tcp:{key}"), lo, hi) as u64
+        rng::range(self.seed, format_args!("tcp:{key}"), lo, hi) as u64
     }
 
     /// Additional TLS handshake latency in ms (~1 extra RTT).
-    pub fn tls_ms(&self, locality: Locality, key: &str) -> u64 {
-        self.connect_ms(locality, &format!("tls:{key}")).max(1)
+    pub fn tls_ms(&self, locality: Locality, key: impl Display) -> u64 {
+        self.connect_ms(locality, format_args!("tls:{key}")).max(1)
     }
 
     /// Server think-time plus first-byte latency in ms.
-    pub fn response_ms(&self, key: &str) -> u64 {
-        rng::range(self.seed, &format!("resp:{key}"), 2.0, 90.0) as u64
+    pub fn response_ms(&self, key: impl Display) -> u64 {
+        rng::range(self.seed, format_args!("resp:{key}"), 2.0, 90.0) as u64
     }
 
     /// How long a connect to a dead port takes to *refuse* — fast,
     /// because the host answers with RST. This is the side channel the
     /// BIG-IP script reads.
-    pub fn refused_ms(&self, locality: Locality, key: &str) -> u64 {
-        self.connect_ms(locality, &format!("refused:{key}")).max(1)
+    pub fn refused_ms(&self, locality: Locality, key: impl Display) -> u64 {
+        self.connect_ms(locality, format_args!("refused:{key}"))
+            .max(1)
     }
 
     /// The connect timeout for silently dropped packets, in ms.

@@ -14,21 +14,24 @@ use crate::clock::SimTime;
 use crate::dns::DnsResolver;
 use crate::hostenv::HostEnv;
 use crate::latency::LatencyModel;
-use crate::server::{Endpoint, ServerBehavior};
+use crate::server::{Endpoint, ServerBehavior, BLACKHOLE};
 use crate::tls::CertVerdict;
 
-/// Result of a TCP (+ optional TLS) connection attempt.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ConnectOutcome {
+/// Result of a TCP (+ optional TLS) connection attempt. An
+/// established connection borrows the listening endpoint's behaviour
+/// from the network it was made on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConnectOutcome<'a> {
     /// Connected (and TLS completed, when requested); the endpoint's
-    /// request-level behaviour applies next.
+    /// request-level behaviour applies next. Its certificate, if any,
+    /// was already verified against the SNI name.
     Established {
         /// TCP connect latency.
         connect_ms: u64,
         /// TLS handshake latency (0 for plaintext).
         tls_ms: u64,
-        /// The listening endpoint.
-        endpoint: Endpoint,
+        /// What the listening endpoint does with a request.
+        behavior: &'a ServerBehavior,
     },
     /// RST on SYN: `ERR_CONNECTION_REFUSED`.
     Refused {
@@ -55,7 +58,7 @@ pub enum ConnectOutcome {
     },
 }
 
-impl ConnectOutcome {
+impl ConnectOutcome<'_> {
     /// Total elapsed time for the attempt.
     pub fn elapsed_ms(&self) -> u64 {
         match self {
@@ -113,44 +116,46 @@ impl SimNet {
     /// `addr:port`. Loopback and private destinations are answered by
     /// `host_env`; public destinations by the bound endpoint table
     /// (default: black hole — an address nobody answers for).
-    pub fn connect(
-        &self,
-        host_env: &HostEnv,
+    ///
+    /// Endpoints are looked up by reference, and the latency draws
+    /// stream the `{addr}:{port}` key into the seeded hash, so a
+    /// connect allocates nothing. An established outcome borrows the
+    /// endpoint's [`ServerBehavior`] from `self` or `host_env`.
+    pub fn connect<'a>(
+        &'a self,
+        host_env: &'a HostEnv,
         addr: IpAddr,
         port: u16,
         tls_sni: Option<&str>,
-    ) -> ConnectOutcome {
+    ) -> ConnectOutcome<'a> {
         let locality = Locality::of_ip(addr);
-        let key = format!("{addr}:{port}");
         let endpoint = match (locality, addr) {
             (Locality::Loopback, _) => host_env.localhost_endpoint(port),
             (Locality::Private, IpAddr::V4(v4)) => host_env.lan_endpoint(v4, port),
-            _ => self
-                .endpoints
-                .get(&(addr, port))
-                .cloned()
-                .unwrap_or(Endpoint {
-                    behavior: ServerBehavior::Blackhole,
-                    certificate: None,
-                }),
+            _ => self.endpoints.get(&(addr, port)).unwrap_or(&BLACKHOLE),
         };
-        match &endpoint.behavior {
+        let behavior = &endpoint.behavior;
+        match behavior {
             ServerBehavior::Refused => ConnectOutcome::Refused {
-                elapsed_ms: self.latency.refused_ms(locality, &key),
+                elapsed_ms: self
+                    .latency
+                    .refused_ms(locality, format_args!("{addr}:{port}")),
             },
             ServerBehavior::Blackhole => ConnectOutcome::TimedOut {
                 elapsed_ms: self.latency.timeout_ms(),
             },
             _ => {
-                let connect_ms = self.latency.connect_ms(locality, &key);
+                let connect_ms = self
+                    .latency
+                    .connect_ms(locality, format_args!("{addr}:{port}"));
                 match tls_sni {
                     None => ConnectOutcome::Established {
                         connect_ms,
                         tls_ms: 0,
-                        endpoint,
+                        behavior,
                     },
                     Some(host) => {
-                        let tls_ms = self.latency.tls_ms(locality, &key);
+                        let tls_ms = self.latency.tls_ms(locality, format_args!("{addr}:{port}"));
                         match &endpoint.certificate {
                             None => ConnectOutcome::TlsProtocolError {
                                 elapsed_ms: connect_ms + tls_ms,
@@ -159,7 +164,7 @@ impl SimNet {
                                 CertVerdict::Ok => ConnectOutcome::Established {
                                     connect_ms,
                                     tls_ms,
-                                    endpoint,
+                                    behavior,
                                 },
                                 verdict => ConnectOutcome::CertError {
                                     elapsed_ms: connect_ms + tls_ms,

@@ -77,6 +77,18 @@ pub struct Endpoint {
     pub certificate: Option<Certificate>,
 }
 
+/// What answers a port with no listener on a live host: RST.
+pub(crate) static REFUSED: Endpoint = Endpoint {
+    behavior: ServerBehavior::Refused,
+    certificate: None,
+};
+
+/// What answers an address nobody listens on: nothing at all.
+pub(crate) static BLACKHOLE: Endpoint = Endpoint {
+    behavior: ServerBehavior::Blackhole,
+    certificate: None,
+};
+
 impl Endpoint {
     /// A plaintext HTTP endpoint.
     pub fn http(response: HttpResponse) -> Endpoint {

@@ -59,9 +59,8 @@ impl Certificate {
         if !self.trusted_chain {
             return CertVerdict::AuthorityInvalid;
         }
-        let host = host.to_ascii_lowercase();
-        let covers = |pattern: &str| name_matches(&pattern.to_ascii_lowercase(), &host);
-        if covers(&self.common_name) || self.san.iter().any(|s| covers(s)) {
+        let covers = |pattern: &String| name_matches(pattern, host);
+        if covers(&self.common_name) || self.san.iter().any(covers) {
             CertVerdict::Ok
         } else {
             CertVerdict::CommonNameInvalid
@@ -69,15 +68,15 @@ impl Certificate {
     }
 }
 
-/// RFC 6125-style name matching: exact, or a single `*.` left-most
-/// wildcard label that matches exactly one label.
+/// RFC 6125-style name matching, ASCII case-insensitive: exact, or a
+/// single `*.` left-most wildcard label that matches exactly one label.
 fn name_matches(pattern: &str, host: &str) -> bool {
-    if pattern == host {
+    if pattern.eq_ignore_ascii_case(host) {
         return true;
     }
     if let Some(suffix) = pattern.strip_prefix("*.") {
         if let Some(host_rest) = host.split_once('.').map(|(_, rest)| rest) {
-            return host_rest == suffix;
+            return host_rest.eq_ignore_ascii_case(suffix);
         }
     }
     false

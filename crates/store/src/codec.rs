@@ -604,18 +604,37 @@ pub fn decode(buf: Bytes) -> Result<VisitRecord, CodecError> {
 /// reads each field once, validating every string where it reads it;
 /// on success the view's one allocation is the events vector.
 pub fn decode_view(buf: &[u8]) -> Result<VisitView<'_>, CodecError> {
+    view_pass(buf, true)
+}
+
+/// Check one record exactly as [`decode_view`] does, through the same
+/// pass, and return its head with no events: the journal reader's
+/// check of a frame it keeps as bytes. Allocates nothing.
+pub(crate) fn check(buf: &[u8]) -> Result<VisitView<'_>, CodecError> {
+    view_pass(buf, false)
+}
+
+/// The one borrowed pass over a record: the head, then every event
+/// read and checked, pushed onto the view's event vector when
+/// `keep_events` is set.
+fn view_pass(buf: &[u8], keep_events: bool) -> Result<VisitView<'_>, CodecError> {
     let mut c = Cursor::new(buf);
     let (mut view, n) = c.get_head()?;
-    view.events = c.event_vec(n);
+    if keep_events {
+        view.events = c.event_vec(n);
+    }
     for _ in 0..n {
         let (time, event_type, source, phase) = c.get_event_head()?;
-        view.events.push(EventView {
-            time,
-            event_type,
-            source,
-            phase,
-            params: c.get_params_view()?,
-        });
+        let params = c.get_params_view()?;
+        if keep_events {
+            view.events.push(EventView {
+                time,
+                event_type,
+                source,
+                phase,
+                params,
+            });
+        }
     }
     Ok(view)
 }

@@ -12,7 +12,8 @@
 //! STORE header and final visit frames, so [`replay`] and [`fsck`] read both.
 //!
 //! Reading checks each frame once: the scan's CRC, then one full
-//! [`decode_view`] per visit record, whose identity the frame body
+//! [`decode_view`](crate::decode_view) pass per visit record (run
+//! without building its event vector), whose identity the frame body
 //! borrows from the file bytes. [`fsck`] and the summary fold
 //! allocate no per-frame strings; [`replay`] stores the checked bytes
 //! under that identity and builds only the owned [`ReplayedVisit`]s it
@@ -47,7 +48,7 @@ use std::sync::Mutex;
 use bytes::{BufMut, BytesMut};
 use kt_netbase::Os;
 
-use crate::codec::{self, decode_view, encode, Cursor};
+use crate::codec::{self, encode, Cursor};
 use crate::frame::{self, kind, Frame, MAGIC};
 use crate::record::{CrawlId, VisitRecord};
 use crate::store::TelemetryStore;
@@ -296,8 +297,9 @@ pub(crate) fn visit_payload(record: &[u8], delta: &VisitDelta, flags: u8) -> Vec
 }
 
 /// Split a visit payload into its flags, delta and record bytes, and
-/// check the record with one full [`decode_view`]: the only decode a
-/// visit frame gets on the read path. Its identity borrows the payload.
+/// check the record with [`codec::check`], `decode_view`'s pass
+/// without the event vector: the only decode a visit frame gets on the
+/// read path. Its identity borrows the payload.
 fn decode_visit_payload(payload: &[u8]) -> Result<FrameBody<'_>, codec::CodecError> {
     let mut c = Cursor::new(payload);
     if !c.has_remaining() {
@@ -307,7 +309,7 @@ fn decode_visit_payload(payload: &[u8]) -> Result<FrameBody<'_>, codec::CodecErr
     let delta = get_delta(&mut c)?;
     let len = c.get_varint()? as usize;
     let record = c.take(len)?;
-    let view = decode_view(record)?;
+    let view = codec::check(record)?;
     Ok(FrameBody::Visit {
         crawl: view.crawl,
         domain: view.domain,
@@ -768,8 +770,8 @@ impl Drop for JournalWriter {
 #[derive(Debug)]
 pub enum FrameBody<'a> {
     /// A visit frame: identity, delta and flags, plus the record bytes
-    /// (already checked by [`decode_view`]). The identity's strings
-    /// borrow the record bytes.
+    /// (already checked by [`decode_view`](crate::decode_view)'s
+    /// pass). The identity's strings borrow the record bytes.
     Visit {
         /// Crawl campaign of the visit.
         crawl: &'a str,
@@ -813,9 +815,10 @@ fn parse_frame(kind_byte: u8, payload: &[u8]) -> Option<FrameBody<'_>> {
 
 /// Scan raw journal bytes into the maximal clean subset of frames. A
 /// CRC-valid frame whose payload does not decode (a visit record that
-/// fails [`decode_view`], say) is damage like a CRC mismatch. Never
-/// panics, never errors on frame damage — only on a missing magic, or
-/// on a CRC-valid frame of a retired JSON kind, which no damage makes.
+/// fails [`decode_view`](crate::decode_view), say) is damage like a
+/// CRC mismatch. Never panics, never errors on frame damage — only on
+/// a missing magic, or on a CRC-valid frame of a retired JSON kind,
+/// which no damage makes.
 pub fn scan(data: &[u8]) -> Result<ScanReport<'_>, JournalError> {
     checked(frame::scan(data, parse_frame))
 }
@@ -987,7 +990,8 @@ pub struct ReplayReport {
 }
 
 /// Replay a journal (or a saved store) from disk. Each visit record
-/// is decoded once: the scan's [`decode_view`] checks it and reads its
+/// is decoded once: the scan runs [`decode_view`](crate::decode_view)'s
+/// pass over it, without the event vector, to check it and read its
 /// identity, and its verified bytes go into the store under that
 /// identity, never decoded again, into an owned record or re-encoded.
 /// Frame damage degrades, never fails.

@@ -48,6 +48,9 @@ pub mod segment;
 pub mod snapshot;
 pub mod store;
 
+/// The shared, reference-counted bytes [`TelemetryStore::append`]
+/// returns: an encoded record as the store holds it.
+pub use bytes::Bytes;
 pub use codec::{decode_view, VisitView};
 pub use journal::{
     fsck, replay, CheckpointFrame, FsckOptions, FsckReport, JournalConfig, JournalError,

@@ -20,6 +20,7 @@
 use kt_netbase::{DomainName, Os};
 use kt_weblists::{Blocklist, MaliciousCategory, NameForge, TrancoSnapshot};
 use std::collections::HashMap;
+use std::fmt;
 
 use crate::behavior::Behavior;
 use crate::plant::{self, PlantSpec, VENDOR_PLACEHOLDER};
@@ -34,17 +35,47 @@ pub(crate) fn mix(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-pub(crate) fn hash_str(seed: u64, s: &str) -> u64 {
-    let mut h = mix(seed ^ 0x6b74_7067);
-    for chunk in s.as_bytes().chunks(8) {
-        let mut lane = [0u8; 8];
-        lane[..chunk.len()].copy_from_slice(chunk);
-        h = mix(h ^ u64::from_le_bytes(lane));
+/// The label's formatted bytes in zero-padded little-endian 8-byte
+/// lanes, mixed in as they are written: the label is never built as a
+/// string. The same lanes as `kt_simnet::rng::hash_bytes`, under this
+/// crate's own seed salt.
+pub(crate) fn hash_str(seed: u64, label: impl fmt::Display) -> u64 {
+    struct Lanes {
+        h: u64,
+        lane: [u8; 8],
+        fill: usize,
+        len: u64,
     }
-    mix(h ^ s.len() as u64)
+    impl fmt::Write for Lanes {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.len += s.len() as u64;
+            for &b in s.as_bytes() {
+                self.lane[self.fill] = b;
+                self.fill += 1;
+                if self.fill == 8 {
+                    self.h = mix(self.h ^ u64::from_le_bytes(self.lane));
+                    self.fill = 0;
+                }
+            }
+            Ok(())
+        }
+    }
+    let mut lanes = Lanes {
+        h: mix(seed ^ 0x6b74_7067),
+        lane: [0; 8],
+        fill: 0,
+        len: 0,
+    };
+    fmt::write(&mut lanes, format_args!("{label}"))
+        .expect("a Display implementation returned an error unexpectedly");
+    if lanes.fill > 0 {
+        lanes.lane[lanes.fill..].fill(0);
+        lanes.h = mix(lanes.h ^ u64::from_le_bytes(lanes.lane));
+    }
+    mix(lanes.h ^ lanes.len)
 }
 
-pub(crate) fn unit(seed: u64, label: &str) -> f64 {
+pub(crate) fn unit(seed: u64, label: impl fmt::Display) -> f64 {
     (hash_str(seed, label) >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -175,9 +206,9 @@ fn sample_availability(
     os: Os,
     fail_rate: f64,
 ) -> Availability {
-    let label = format!("avail:{crawl}:{}:{domain}", os.letter());
-    if unit(seed, &label) < fail_rate {
-        failure_kind(unit(seed, &format!("{label}:kind")))
+    let os = os.letter();
+    if unit(seed, format_args!("avail:{crawl}:{os}:{domain}")) < fail_rate {
+        failure_kind(unit(seed, format_args!("avail:{crawl}:{os}:{domain}:kind")))
     } else {
         Availability::Up
     }
@@ -185,7 +216,7 @@ fn sample_availability(
 
 /// Sample a base delay within a spec's window.
 fn sample_delay(seed: u64, domain: &str, spec_idx: usize, window: plant::DelayWindow) -> u64 {
-    let u = unit(seed, &format!("delay:{domain}:{spec_idx}"));
+    let u = unit(seed, format_args!("delay:{domain}:{spec_idx}"));
     window.min_ms + ((window.max_ms - window.min_ms) as f64 * u) as u64
 }
 
@@ -202,8 +233,8 @@ fn spread_ranks(count: usize, n: usize, seed: u64) -> Vec<u32> {
         } else {
             ((i as f64 + 0.5) / count as f64 * n as f64) as usize
         };
-        let jitter =
-            (hash_str(seed, &format!("rankjitter:{i}")) % (n as u64 / count as u64 + 1)) as usize;
+        let jitter = (hash_str(seed, format_args!("rankjitter:{i}"))
+            % (n as u64 / count as u64 + 1)) as usize;
         let mut r = (base + jitter).clamp(1, n) as u32;
         while used.contains(&r) {
             r = if (r as usize) < n { r + 1 } else { 1 };
@@ -259,7 +290,7 @@ impl WebPopulation {
         // Slot 0 (the high-profile rank) stays pinned to spec 0, a
         // fraud-detection site, mirroring ebay.com at rank 104.
         for i in (2..ranks2020.len()).rev() {
-            let j = 1 + (hash_str(seed, &format!("rankperm:{i}")) as usize) % i;
+            let j = 1 + (hash_str(seed, format_args!("rankperm:{i}")) as usize) % i;
             ranks2020.swap(i, j);
         }
         // rank -> spec index
@@ -323,9 +354,9 @@ impl WebPopulation {
             let mut site = WebSite::plain(
                 entry.domain.clone(),
                 Some(entry.rank),
-                (2 + hash_str(seed, &format!("pub:{}", entry.domain)) % 9) as u8,
+                (2 + hash_str(seed, format_args!("pub:{}", entry.domain)) % 9) as u8,
             );
-            site.https = unit(seed, &format!("https:{}", entry.domain)) < 0.85;
+            site.https = unit(seed, format_args!("https:{}", entry.domain)) < 0.85;
             if let Some(&spec_idx) = planted2020.get(&entry.rank) {
                 let spec = &specs2020[spec_idx];
                 site.category = spec.category;
@@ -397,7 +428,7 @@ impl WebPopulation {
                 let stride = (hosts.len() / count.max(1)).max(1);
                 for i in 0..count {
                     let idx = (i * stride
-                        + (hash_str(seed, &format!("h21:{i}")) as usize % stride.max(1)))
+                        + (hash_str(seed, format_args!("h21:{i}")) as usize % stride.max(1)))
                     .min(hosts.len() - 1);
                     out.push((hosts[idx].rank, hosts[idx].domain.clone()));
                 }
@@ -431,9 +462,9 @@ impl WebPopulation {
             let mut site = WebSite::plain(
                 entry.domain.clone(),
                 Some(entry.rank),
-                (2 + hash_str(seed, &format!("pub21:{}", entry.domain)) % 9) as u8,
+                (2 + hash_str(seed, format_args!("pub21:{}", entry.domain)) % 9) as u8,
             );
-            site.https = unit(seed, &format!("https:{}", entry.domain)) < 0.88;
+            site.https = unit(seed, format_args!("https:{}", entry.domain)) < 0.88;
             if let Some(&spec_idx) = carried.get(entry.domain.as_str()) {
                 let spec = &specs2020[spec_idx];
                 site.category = spec.category;
@@ -512,7 +543,7 @@ impl WebPopulation {
             // impersonate: derive an impersonated brand deterministically.
             let planted = match &p.spec.behavior {
                 Behavior::ThreatMetrix { vendor } if vendor.as_str() == VENDOR_PLACEHOLDER => {
-                    let brand_rank = (hash_str(seed, &format!("clone:{pi}"))
+                    let brand_rank = (hash_str(seed, format_args!("clone:{pi}"))
                         % snapshot2020.len().max(1) as u64)
                         as usize;
                     let target =
@@ -535,7 +566,7 @@ impl WebPopulation {
             let mut site = WebSite::plain(
                 e.domain.clone(),
                 None,
-                (1 + hash_str(seed, &format!("pubm:{}", e.domain)) % 6) as u8,
+                (1 + hash_str(seed, format_args!("pubm:{}", e.domain)) % 6) as u8,
             );
             site.category = SiteCategory::Malicious;
             site.https = e.url.starts_with("https://");
@@ -640,6 +671,33 @@ impl WebPopulation {
 mod tests {
     use super::*;
     use kt_netbase::OsSet;
+
+    /// The seeded hash over an already formatted label, as it was
+    /// computed before labels were streamed.
+    fn hash_of_formatted(seed: u64, s: &str) -> u64 {
+        let mut h = mix(seed ^ 0x6b74_7067);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut lane = [0u8; 8];
+            lane[..chunk.len()].copy_from_slice(chunk);
+            h = mix(h ^ u64::from_le_bytes(lane));
+        }
+        mix(h ^ s.len() as u64)
+    }
+
+    #[test]
+    fn streamed_hash_equals_the_hash_of_the_formatted_label() {
+        for seed in [0, 42, u64::MAX] {
+            assert_eq!(hash_str(seed, ""), hash_of_formatted(seed, ""));
+            for n in 0..20 {
+                let domain = "é".repeat(n % 3) + &"d".repeat(n) + ".example";
+                assert_eq!(
+                    hash_str(seed, format_args!("sensor-delay:{domain}")),
+                    hash_of_formatted(seed, &format!("sensor-delay:{domain}")),
+                    "{domain}"
+                );
+            }
+        }
+    }
 
     fn small() -> WebPopulation {
         WebPopulation::generate(PopulationConfig::test_scale(42))

@@ -165,8 +165,8 @@ impl BotSensor {
     /// its inputs: identical across worker counts, visit ordering and
     /// repeated visits.
     pub fn difficulty(self, seed: u64, domain: &str) -> u8 {
-        let label = format!("sensor-difficulty:{}:{domain}", self.archetype.name());
-        1 + (hash_str(seed, &label) % 3) as u8
+        let archetype = self.archetype.name();
+        1 + (hash_str(seed, format_args!("sensor-difficulty:{archetype}:{domain}")) % 3) as u8
     }
 
     /// Does this sensor flag `profile` as a bot on `domain`? Pure in
@@ -187,7 +187,7 @@ impl BotSensor {
             SensorArchetype::HeadlessTrap => {
                 // Push the behaviour well past the 20 s capture window;
                 // jitter keeps the delay site-specific but deterministic.
-                let jitter = hash_str(seed, &format!("sensor-delay:{domain}")) % 10_000;
+                let jitter = hash_str(seed, format_args!("sensor-delay:{domain}")) % 10_000;
                 SensorGate::Delay(25_000 + jitter)
             }
             SensorArchetype::BigIpChallenge => SensorGate::Challenge,
@@ -198,7 +198,7 @@ impl BotSensor {
     /// (never [`SensorArchetype::WebRtcProbe`], which is planted on
     /// otherwise-quiet sites as its own behaviour).
     pub fn for_behavior_site(seed: u64, domain: &str) -> BotSensor {
-        let archetype = match hash_str(seed, &format!("sensor-archetype:{domain}")) % 3 {
+        let archetype = match hash_str(seed, format_args!("sensor-archetype:{domain}")) % 3 {
             0 => SensorArchetype::NavigatorProbe,
             1 => SensorArchetype::HeadlessTrap,
             _ => SensorArchetype::BigIpChallenge,
@@ -214,7 +214,7 @@ impl BotSensor {
 
     /// Should `domain` deploy a sensor at all (among behaviour sites)?
     pub fn deployed_on(seed: u64, domain: &str) -> bool {
-        unit(seed, &format!("sensor-deployed:{domain}")) < BotSensor::deployment_rate()
+        unit(seed, format_args!("sensor-deployed:{domain}")) < BotSensor::deployment_rate()
     }
 }
 
