@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use kt_store::{codec, decode_view, os_slot, VisitRecord};
+use kt_store::{decode_view, os_slot};
 
 use crate::intern::DomainInterner;
 use crate::par::{assemble, fan_out, CrawlAnalysis, RecordYield};
@@ -97,18 +97,6 @@ impl OnlinePartial {
         }
     }
 
-    /// Build a partial from a finished record set (e.g. a store read
-    /// back after a drain), encoding each record once. Bulk reads
-    /// return post-recrawl rows, so every record carries recrawl
-    /// precedence.
-    pub fn from_records<'a>(records: impl IntoIterator<Item = &'a VisitRecord>) -> OnlinePartial {
-        let mut partial = OnlinePartial::new();
-        for record in records {
-            partial.absorb(&codec::encode(record), UpdatePass::Recrawl);
-        }
-        partial
-    }
-
     /// Merge another partial in. Commutative and associative up to the
     /// pass-precedence rule, so any merge interleaving converges.
     pub fn merge(&mut self, other: OnlinePartial) {
@@ -158,6 +146,7 @@ mod tests {
     use super::*;
     use crate::par::analyze_crawl_par;
     use crate::par::tests::populated_store;
+    use kt_store::{codec, VisitRecord};
     use proptest::prelude::*;
 
     fn batch() -> CrawlAnalysis {
@@ -172,9 +161,14 @@ mod tests {
 
     #[test]
     fn single_partial_matches_batch() {
-        let records = crawl_records();
-        let partial = OnlinePartial::from_records(&records);
-        assert_eq!(partial.len(), records.len());
+        let (store, crawl) = populated_store();
+        let mut partial = OnlinePartial::new();
+        for shard in 0..store.shard_count() {
+            for encoded in store.shard_raw_on(&crawl, shard, None) {
+                partial.absorb(&encoded, UpdatePass::Recrawl);
+            }
+        }
+        assert_eq!(partial.len(), store.crawl_records(&crawl).len());
         assert_eq!(partial.assemble(), batch());
     }
 

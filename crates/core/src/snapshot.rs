@@ -36,6 +36,7 @@ use std::path::Path;
 
 use kt_analysis::diff::{diff_snapshots_traced, SnapshotDiff};
 use kt_crawler::{split_campaigns, CrawlConfig, CrawlJob, CrawlStats, IncrementalPlan};
+use kt_netbase::rng::{fnv1a, splitmix64, to_unit, FNV_OFFSET};
 use kt_netbase::{DomainName, Os, OsSet, Scheme};
 use kt_store::snapshot::SnapshotStore;
 use kt_store::{CrawlId, JournalError, JournalMeta, JournalWriter, SpillConfig, TelemetryStore};
@@ -50,31 +51,16 @@ use crate::study::{journal_intact, study_meta, RunOpts};
 /// the cross-OS behaviours.
 pub const SNAPSHOT_OSES: [Os; 2] = [Os::Windows, Os::Linux];
 
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn site_hash(seed: u64, domain: &str) -> u64 {
-    mix(seed ^ fnv(domain))
+    splitmix64(seed ^ fnv1a(FNV_OFFSET, domain.as_bytes()))
 }
 
 /// Whether a site's content changed at exactly step `step` (≥ 1): one
 /// deterministic draw against the per-step content-churn rate.
 pub fn content_changed(seed: u64, domain: &str, step: usize, content_churn: f64) -> bool {
-    let draw = (mix(site_hash(seed, domain) ^ mix(step as u64)) >> 11) as f64 / (1u64 << 53) as f64;
+    let draw = to_unit(splitmix64(
+        site_hash(seed, domain) ^ splitmix64(step as u64),
+    ));
     draw < content_churn
 }
 
@@ -99,7 +85,7 @@ pub fn content_version(seed: u64, domain: &str, step: usize, content_churn: f64)
 /// content change alters the visit bytes.
 pub fn synth_site(seed: u64, domain: &DomainName, version: u32) -> WebSite {
     let h = site_hash(seed, domain.as_str());
-    let hv = mix(h ^ (version as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let hv = splitmix64(h ^ (version as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut site = WebSite::plain(domain.clone(), None, 1 + (hv % 3) as u8);
     let band = h % 1000;
     let delay = |base: u64| base + (hv % 8) * 250;

@@ -17,6 +17,10 @@
 //! 2. *Could the page read the response?* — [`origin::SopVerdict`]
 //!    encodes that plain HTTP fetches are bound by the Same-Origin
 //!    Policy while WebSocket connections are not (§4.2 of the paper).
+//!
+//! It also holds [`rng`], the one seeded hash every crate samples,
+//! shards and content-addresses with: SplitMix64, the streamed label
+//! hash, FNV-1a and the unit-float draw, each defined once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +31,7 @@ pub mod ip;
 pub mod origin;
 pub mod os;
 pub mod pna;
+pub mod rng;
 pub mod scheme;
 pub mod services;
 pub mod url;

@@ -1,4 +1,5 @@
-//! Order-independent deterministic sampling.
+//! Order-independent deterministic sampling, and the workspace's one
+//! copy of each hash primitive behind it.
 //!
 //! The simulation must produce identical traffic whether sites are
 //! crawled serially or across a crossbeam worker pool. Sequential RNG
@@ -13,6 +14,11 @@
 //! The label is streamed through [`fold_lanes`] into the hash, so a
 //! draw never builds the string it hashes; the result equals
 //! [`hash_bytes`] of the formatted label byte for byte.
+//!
+//! Every crate that samples, shards or content-addresses uses these
+//! definitions: [`splitmix64`] for integer mixing, [`hash_str_salted`]
+//! for a label under its own salt, [`fnv1a`] for shard and content
+//! keys, and [`to_unit`] for turning a hash into a draw in `[0, 1)`.
 
 use std::fmt::{self, Display};
 
@@ -26,12 +32,37 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The FNV-1a 64-bit offset basis: the state [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The FNV-1a 64-bit prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over `bytes`, continuing from `state` ([`FNV_OFFSET`] for a
+/// fresh hash). Continuing over the pieces of a byte string equals one
+/// pass over the whole, so a composite key is hashed without being
+/// concatenated.
+#[inline]
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// A uniform draw in `[0, 1)` from a 64-bit hash: its top 53 bits
+/// over 2^53, so every value is an exact `f64` below 1.
+#[inline]
+pub fn to_unit(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// Salt of the seed in [`hash_bytes`] and [`hash_str`].
 const SEED_SALT: u64 = 0x51ab_c0de_51ab_c0de;
 
-/// Hash a byte string with a seed into a uniform u64.
+/// Hash a byte string with a seed into a uniform u64: the reference
+/// [`hash_str`] streams to.
 pub fn hash_bytes(seed: u64, bytes: &[u8]) -> u64 {
-    // FNV-1a accumulate, SplitMix64 finalise per 8-byte lane.
+    // SplitMix64 over each zero-padded 8-byte lane, then the length.
     let mut h = splitmix64(seed ^ SEED_SALT);
     for chunk in bytes.chunks(8) {
         let mut lane = [0u8; 8];
@@ -103,7 +134,14 @@ impl<F: FnMut(u64, u64) -> u64> fmt::Write for Lanes<F> {
 /// Hash a label with a seed: [`hash_bytes`] of the formatted label,
 /// computed without formatting it into a string.
 pub fn hash_str(seed: u64, label: impl Display) -> u64 {
-    let (h, len) = fold_lanes(splitmix64(seed ^ SEED_SALT), label, |h, lane| {
+    hash_str_salted(seed, SEED_SALT, label)
+}
+
+/// [`hash_str`] with the seed salted by `salt` instead of the default:
+/// a caller with its own salt draws a stream independent of every
+/// other salt's from the same seed and label.
+pub fn hash_str_salted(seed: u64, salt: u64, label: impl Display) -> u64 {
+    let (h, len) = fold_lanes(splitmix64(seed ^ salt), label, |h, lane| {
         splitmix64(h ^ lane)
     });
     splitmix64(h ^ len)
@@ -111,7 +149,7 @@ pub fn hash_str(seed: u64, label: impl Display) -> u64 {
 
 /// A uniform sample in `[0, 1)` derived from a seed and a label.
 pub fn unit(seed: u64, label: impl Display) -> f64 {
-    (hash_str(seed, label) >> 11) as f64 / (1u64 << 53) as f64
+    to_unit(hash_str(seed, label))
 }
 
 /// A uniform sample in `[lo, hi)` derived from a seed and a label.

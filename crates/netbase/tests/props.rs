@@ -1,7 +1,9 @@
-//! Property-based tests for the netbase vocabulary.
+//! Property-based tests for the netbase vocabulary and its seeded hash.
 
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::fmt;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
+use kt_netbase::rng;
 use kt_netbase::{Host, Locality, Scheme, Url};
 use proptest::prelude::*;
 
@@ -42,6 +44,57 @@ fn oracle_v4(addr: Ipv4Addr) -> Locality {
     } else {
         Locality::Public
     }
+}
+
+/// A label written in pieces, the way `format_args!` writes a
+/// composite label: one `write_str` per piece, empty pieces included.
+struct Pieces<'a>(&'a [String]);
+
+impl fmt::Display for Pieces<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.iter().try_for_each(|piece| f.write_str(piece))
+    }
+}
+
+/// Every split of `label` into three pieces at two char boundaries
+/// hashes like the whole string: the splits put a piece boundary at
+/// every offset within, and across, every 8-byte lane.
+#[test]
+fn streamed_hash_equals_the_formatted_hash_at_every_split() {
+    let label = "resp:https://cdn0.ktstatic.net/lib/é€😀/resource3.js";
+    let cuts: Vec<usize> = (0..=label.len())
+        .filter(|&i| label.is_char_boundary(i))
+        .collect();
+    for seed in [0, 7, u64::MAX] {
+        let whole = rng::hash_bytes(seed, label.as_bytes());
+        assert_eq!(rng::hash_str(seed, label), whole);
+        for &i in &cuts {
+            for &j in cuts.iter().filter(|&&j| j >= i) {
+                let pieces = [&label[..i], &label[i..j], &label[j..]].map(String::from);
+                assert_eq!(
+                    rng::hash_str(seed, Pieces(&pieces)),
+                    whole,
+                    "cut at {i}, {j}"
+                );
+            }
+        }
+    }
+    assert_eq!(rng::hash_str(3, ""), rng::hash_bytes(3, b""));
+    let (addr, port) = (IpAddr::V4(Ipv4Addr::new(192, 168, 0, 1)), 8080);
+    assert_eq!(
+        rng::hash_str(3, format_args!("tcp:{addr}:{port}")),
+        rng::hash_bytes(3, format!("tcp:{addr}:{port}").as_bytes())
+    );
+}
+
+/// `to_unit` maps the whole `u64` range into `[0, 1)`: 0 to 0, and
+/// `u64::MAX` to the largest `f64` below 1, never to 1 itself.
+#[test]
+fn unit_float_spans_zero_to_just_below_one() {
+    assert_eq!(rng::to_unit(0), 0.0);
+    let top = rng::to_unit(u64::MAX);
+    assert!(top < 1.0, "{top}");
+    assert_eq!(top, 1.0 - f64::EPSILON / 2.0);
 }
 
 proptest! {
@@ -134,5 +187,54 @@ proptest! {
         };
         let url = Url::parse(&format!("http://{host}:{port}/")).unwrap();
         prop_assert!(url.is_local());
+    }
+
+    /// FNV-1a continued over the pieces of a byte string, cut at up to
+    /// three places, equals one pass over the whole: the telemetry
+    /// store hashes its shard key (crawl id, domain, OS slot) this way.
+    #[test]
+    fn fnv1a_continued_over_any_split_equals_one_pass(
+        bytes in proptest::collection::vec(any::<u8>(), 0..48),
+        cuts in proptest::collection::vec(0usize..49, 0..4),
+    ) {
+        let whole = rng::fnv1a(rng::FNV_OFFSET, &bytes);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+        cuts.sort_unstable();
+        let mut h = rng::FNV_OFFSET;
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([bytes.len()]) {
+            h = rng::fnv1a(h, &bytes[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(h, whole);
+    }
+
+    #[test]
+    fn streamed_label_hash_equals_hash_bytes_of_the_formatted_label(
+        seed in any::<u64>(),
+        pieces in proptest::collection::vec("[a-z0-9:./é€😀]{0,19}", 0..8),
+    ) {
+        let formatted = pieces.concat();
+        prop_assert_eq!(
+            rng::hash_str(seed, Pieces(&pieces)),
+            rng::hash_bytes(seed, formatted.as_bytes())
+        );
+        prop_assert_eq!(
+            rng::unit(seed, Pieces(&pieces)),
+            rng::unit(seed, formatted.as_str())
+        );
+    }
+
+    #[test]
+    fn hash_sampling_is_stable_and_in_range(seed in any::<u64>(), label in "[ -~]{0,40}") {
+        prop_assert_eq!(rng::hash_str(seed, &label), rng::hash_str(seed, &label));
+        let u = rng::unit(seed, &label);
+        prop_assert!((0.0..1.0).contains(&u));
+        let r = rng::range(seed, &label, 5.0, 9.0);
+        prop_assert!((5.0..9.0).contains(&r));
+        if !label.is_empty() {
+            let p = rng::pick(seed, &label, 7);
+            prop_assert!(p < 7);
+        }
     }
 }

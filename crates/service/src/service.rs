@@ -514,16 +514,25 @@ impl CampaignService {
     }
 
     /// Final tables for a campaign. When no updates were shed this is
-    /// the online aggregate; otherwise it reconciles from the store
-    /// (every record reached the store regardless of shedding), so the
-    /// answer is byte-identical to the batch analyzer either way.
+    /// the online aggregate; otherwise it reconciles from the store's
+    /// encoded records (every record reached the store regardless of
+    /// shedding), so the answer is byte-identical to the batch
+    /// analyzer either way.
     pub fn final_analysis(&self, handle: CampaignHandle) -> Option<CrawlAnalysis> {
         let c = self.campaign(handle)?;
         match &c.partial {
             Some(partial) if c.updates_shed == 0 => Some(partial.assemble()),
             _ => {
-                let records = self.store.crawl_records_on(&c.spec.crawl, c.spec.os);
-                Some(OnlinePartial::from_records(&records).assemble())
+                let mut partial = OnlinePartial::new();
+                for shard in 0..self.store.shard_count() {
+                    for encoded in self
+                        .store
+                        .shard_raw_on(&c.spec.crawl, shard, Some(c.spec.os))
+                    {
+                        partial.absorb(&encoded, UpdatePass::Recrawl);
+                    }
+                }
+                Some(partial.assemble())
             }
         }
     }

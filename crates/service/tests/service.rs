@@ -2,7 +2,7 @@
 //! invariance of the shed set under a fault storm, typed admission,
 //! deadline budgets, accounting reconciliation, and drain/resume.
 
-use kt_analysis::{analyze_crawl_par, CrawlAnalysis, OnlinePartial};
+use kt_analysis::{analyze_crawl_par, CrawlAnalysis};
 use kt_crawler::crawl::{
     run_crawl, run_crawl_with, CrawlConfig, CrawlJob, CrawlOpts, VISIT_WALL_MS,
 };
@@ -107,15 +107,27 @@ fn mid_flight_snapshot_tracks_the_store_prefix() {
         let snapshot = service.snapshot(handle).expect("snapshot");
         assert_eq!(snapshot.visits, steps_done);
         let crawl = CrawlId("svc-snap".to_string());
-        let records = service.store().crawl_records_on(&crawl, Os::Windows);
         assert_eq!(
             snapshot,
-            OnlinePartial::from_records(&records).assemble(),
+            analyze_crawl_par(service.store(), &crawl, 2),
             "mid-flight snapshot must equal an analysis of the store prefix"
         );
     }
     service.run();
     assert_eq!(service.status(handle), Some(CampaignStatus::Completed));
+}
+
+/// The storm fixture's service seed.
+const STORM_SEED: u64 = 77;
+
+/// The storm fixture's fault plan: every service and crawl fault class.
+fn storm_faults() -> FaultPlan {
+    FaultPlan::none(STORM_SEED)
+        .with_rate(Fault::QueueOverflow, 0.35)
+        .with_rate(Fault::SlowConsumer, 0.35)
+        .with_rate(Fault::DnsFlap, 0.25)
+        .with_rate(Fault::ConnectionReset, 0.20)
+        .with_rate(Fault::WorkerPanic, 0.15)
 }
 
 /// The storm fixture: three tenants, mixed policies, over-quota
@@ -124,18 +136,12 @@ fn mid_flight_snapshot_tracks_the_store_prefix() {
 /// probes a native app on localhost, so the completed tables the
 /// worker-count check compares hold local activity.
 fn storm_service(workers: usize) -> (CampaignService, Vec<CampaignHandle>) {
-    let seed = 77;
-    let mut config = ServiceConfig::new(seed);
+    let mut config = ServiceConfig::new(STORM_SEED);
     config.workers = workers;
     config.queue_capacity = 2;
     config.drain_ms_per_update = 60_000;
     config.slow_consumer_stall_ms = 120_000;
-    config.faults = FaultPlan::none(seed)
-        .with_rate(Fault::QueueOverflow, 0.35)
-        .with_rate(Fault::SlowConsumer, 0.35)
-        .with_rate(Fault::DnsFlap, 0.25)
-        .with_rate(Fault::ConnectionReset, 0.20)
-        .with_rate(Fault::WorkerPanic, 0.15);
+    config.faults = storm_faults();
     let mut service = CampaignService::new(config);
     service.register_tenant("acme", TenantQuota::unbounded(), OverflowPolicy::Block);
     service.register_tenant(
@@ -306,6 +312,46 @@ fn storm_accounting_reconciles_and_counts_rejections() {
     assert!(
         umbrella.updates_shed + initech.updates_shed > 0,
         "Shed policy sheds under the storm"
+    );
+}
+
+/// A Shed-policy campaign that completes after shedding updates builds
+/// its final tables from the store's records, and they equal the batch
+/// pipeline's over the same sites, OS, seed and faults.
+#[test]
+fn shed_campaigns_final_tables_equal_the_batch_pipeline() {
+    let (mut service, handles) = storm_service(2);
+    service.run();
+    // The Shed-policy campaigns exactly as `storm_service` submits them.
+    let shed_specs = [
+        (handles[2], spec("umb-a", Os::MacOs, &sites(7, 16, 6), 4)),
+        (handles[3], spec("umb-b", Os::Linux, &sites(7, 22, 6), 4)),
+        (handles[4], spec("ini-a", Os::Windows, &sites(7, 30, 8), 1)),
+    ];
+    let mut compared = 0;
+    for (handle, spec) in shed_specs {
+        if service.status(handle) != Some(CampaignStatus::Completed)
+            || service.campaign_updates_shed(handle) == 0
+        {
+            continue;
+        }
+        let sites: Vec<WebSite> = spec.jobs.into_iter().map(|j| j.site).collect();
+        let mut config = CrawlConfig::paper(spec.crawl.clone(), spec.os, STORM_SEED);
+        config.workers = spec.nominal_workers;
+        config.faults = storm_faults();
+        let batch_store = TelemetryStore::new();
+        run_crawl(&batch_jobs(&sites), &config, &batch_store);
+        assert_eq!(
+            service.final_analysis(handle),
+            Some(analyze_crawl_par(&batch_store, &spec.crawl, 2)),
+            "{} shed updates, yet its final tables must match the batch pipeline",
+            spec.crawl.as_str()
+        );
+        compared += 1;
+    }
+    assert!(
+        compared > 0,
+        "a Shed-policy campaign must complete after shedding"
     );
 }
 

@@ -19,7 +19,8 @@
 //! SplitMix64 hash of a caller-supplied seed and the full identity of
 //! the thing being sampled (domain, address, port). Two runs with the
 //! same seed produce identical traffic regardless of crawl order or
-//! parallelism.
+//! parallelism. The hash is [`kt_netbase::rng`], re-exported here as
+//! [`rng`] for the crates that sample through this one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,9 +31,10 @@ pub mod dns;
 pub mod hostenv;
 pub mod latency;
 pub mod net;
-pub mod rng;
 pub mod server;
 pub mod tls;
+
+pub use kt_netbase::rng;
 
 pub use clock::SimClock;
 pub use connectivity::ConnectivityChecker;

@@ -47,6 +47,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use bytes::Bytes;
+use kt_netbase::rng::{fnv1a, splitmix64, FNV_OFFSET, FNV_PRIME};
 use kt_netbase::Os;
 use serde::{Deserialize, Serialize};
 
@@ -80,20 +81,7 @@ pub const SNAPSHOT_SHARDS: usize = 16;
 /// The shard a domain's manifest entries belong to, for shard-parallel
 /// walks. A pure function of the domain string.
 pub fn shard_of(domain: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in domain.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h % SNAPSHOT_SHARDS as u64) as usize
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    (fnv1a(FNV_OFFSET, domain.as_bytes()) % SNAPSHOT_SHARDS as u64) as usize
 }
 
 /// 128-bit content address of one canonicalised record encoding.
@@ -102,19 +90,14 @@ pub struct ContentHash(pub [u8; 16]);
 
 impl ContentHash {
     /// Hash a byte slice: two independent FNV-1a streams (the second
-    /// rotated so transpositions separate the halves), finalised
-    /// through splitmix for avalanche.
+    /// from its own basis and rotated so transpositions separate the
+    /// halves), finalised through splitmix for avalanche.
     pub fn of(bytes: &[u8]) -> ContentHash {
-        let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut b: u64 = 0x6c62_272e_07bb_0142;
-        for &x in bytes {
-            a = (a ^ x as u64).wrapping_mul(0x0000_0100_0000_01B3);
-            b = (b ^ x as u64)
-                .wrapping_mul(0x0000_0100_0000_01B3)
-                .rotate_left(29);
-        }
-        a = mix(a ^ bytes.len() as u64);
-        b = mix(b ^ a);
+        let b = bytes.iter().fold(0x6c62_272e_07bb_0142_u64, |b, &x| {
+            (b ^ x as u64).wrapping_mul(FNV_PRIME).rotate_left(29)
+        });
+        let a = splitmix64(fnv1a(FNV_OFFSET, bytes) ^ bytes.len() as u64);
+        let b = splitmix64(b ^ a);
         let mut out = [0u8; 16];
         out[..8].copy_from_slice(&a.to_be_bytes());
         out[8..].copy_from_slice(&b.to_be_bytes());

@@ -30,6 +30,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
+use kt_netbase::rng::{fnv1a, FNV_OFFSET};
 use kt_netbase::Os;
 use std::sync::RwLock;
 
@@ -152,18 +153,8 @@ pub struct TelemetryStore {
 
 /// FNV-1a over the interned crawl id, the domain, and the OS slot.
 fn shard_of(crawl: u32, domain: &str, os: Os) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for b in crawl.to_le_bytes() {
-        mix(b);
-    }
-    for b in domain.bytes() {
-        mix(b);
-    }
-    mix(os_slot(os));
+    let h = fnv1a(FNV_OFFSET, &crawl.to_le_bytes());
+    let h = fnv1a(fnv1a(h, domain.as_bytes()), &[os_slot(os)]);
     (h % SHARD_COUNT as u64) as usize
 }
 

@@ -17,7 +17,7 @@
 //! (Table 1 / Table 2); sites carrying plantings are forced up on the
 //! OSes where their behaviour must be observable.
 
-use kt_netbase::{DomainName, Os};
+use kt_netbase::{rng, DomainName, Os};
 use kt_weblists::{Blocklist, MaliciousCategory, NameForge, TrancoSnapshot};
 use std::collections::HashMap;
 use std::fmt;
@@ -26,57 +26,18 @@ use crate::behavior::Behavior;
 use crate::plant::{self, PlantSpec, VENDOR_PLACEHOLDER};
 use crate::site::{Availability, PlantedBehavior, SiteCategory, WebSite};
 
-/// Deterministic helpers (same SplitMix64 family as kt-simnet).
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// The seed salt of every draw this crate makes, keeping its stream
+/// apart from the simulation's default one.
+const SALT: u64 = 0x6b74_7067;
 
-/// The label's formatted bytes in zero-padded little-endian 8-byte
-/// lanes, mixed in as they are written: the label is never built as a
-/// string. The same lanes as `kt_simnet::rng::hash_bytes`, under this
-/// crate's own seed salt.
+/// A seeded hash of `label` under this crate's salt.
 pub(crate) fn hash_str(seed: u64, label: impl fmt::Display) -> u64 {
-    struct Lanes {
-        h: u64,
-        lane: [u8; 8],
-        fill: usize,
-        len: u64,
-    }
-    impl fmt::Write for Lanes {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.len += s.len() as u64;
-            for &b in s.as_bytes() {
-                self.lane[self.fill] = b;
-                self.fill += 1;
-                if self.fill == 8 {
-                    self.h = mix(self.h ^ u64::from_le_bytes(self.lane));
-                    self.fill = 0;
-                }
-            }
-            Ok(())
-        }
-    }
-    let mut lanes = Lanes {
-        h: mix(seed ^ 0x6b74_7067),
-        lane: [0; 8],
-        fill: 0,
-        len: 0,
-    };
-    fmt::write(&mut lanes, format_args!("{label}"))
-        .expect("a Display implementation returned an error unexpectedly");
-    if lanes.fill > 0 {
-        lanes.lane[lanes.fill..].fill(0);
-        lanes.h = mix(lanes.h ^ u64::from_le_bytes(lanes.lane));
-    }
-    mix(lanes.h ^ lanes.len)
+    rng::hash_str_salted(seed, SALT, label)
 }
 
+/// A uniform draw in `[0, 1)` from [`hash_str`].
 pub(crate) fn unit(seed: u64, label: impl fmt::Display) -> f64 {
-    (hash_str(seed, label) >> 11) as f64 / (1u64 << 53) as f64
+    rng::to_unit(hash_str(seed, label))
 }
 
 /// Configuration for population generation.
@@ -675,13 +636,13 @@ mod tests {
     /// The seeded hash over an already formatted label, as it was
     /// computed before labels were streamed.
     fn hash_of_formatted(seed: u64, s: &str) -> u64 {
-        let mut h = mix(seed ^ 0x6b74_7067);
+        let mut h = rng::splitmix64(seed ^ 0x6b74_7067);
         for chunk in s.as_bytes().chunks(8) {
             let mut lane = [0u8; 8];
             lane[..chunk.len()].copy_from_slice(chunk);
-            h = mix(h ^ u64::from_le_bytes(lane));
+            h = rng::splitmix64(h ^ u64::from_le_bytes(lane));
         }
-        mix(h ^ s.len() as u64)
+        rng::splitmix64(h ^ s.len() as u64)
     }
 
     #[test]

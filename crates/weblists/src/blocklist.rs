@@ -13,6 +13,7 @@
 //! — the generator enforces that invariant by construction and
 //! [`Blocklist::dedup_by_domain`] enforces it for arbitrary inputs.
 
+use kt_netbase::rng::{splitmix64, to_unit};
 use kt_netbase::DomainName;
 
 use crate::names::NameForge;
@@ -112,14 +113,6 @@ pub struct Blocklist {
     pub entries: Vec<BlocklistEntry>,
 }
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl Blocklist {
     /// Generate a blocklist of `total` domains with the paper's
     /// category proportions and per-category source mixes.
@@ -131,8 +124,7 @@ impl Blocklist {
         for category in MaliciousCategory::ALL {
             let count = (total * category.paper_count()) / paper_total;
             for i in 0..count {
-                let h = mix(seed ^ mix(index));
-                let u = (h >> 11) as f64 / (1u64 << 53) as f64;
+                let u = to_unit(splitmix64(seed ^ splitmix64(index)));
                 let source = pick_source(category.source_mix(), u);
                 let domain = forge.themed(
                     match category {

@@ -6,6 +6,7 @@
 //! the paper's cloned phishing pages did (`customer-ebay.com` for
 //! `ebay.com`, Table 8).
 
+use kt_netbase::rng::splitmix64;
 use kt_netbase::DomainName;
 
 /// Deterministic name generator. All methods are pure functions of the
@@ -40,14 +41,6 @@ const CATEGORY_PREFIXES: [(&str, &str); 8] = [
     ("blog", "hub"),
 ];
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl NameForge {
     /// A forge for a run seed.
     pub fn new(seed: u64) -> NameForge {
@@ -55,7 +48,7 @@ impl NameForge {
     }
 
     fn h(&self, salt: u64, index: u64) -> u64 {
-        mix(mix(self.seed ^ salt) ^ index)
+        splitmix64(splitmix64(self.seed ^ salt) ^ index)
     }
 
     /// A generic second-level label of 2–4 syllables for index `i`.

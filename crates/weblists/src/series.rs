@@ -19,17 +19,10 @@
 
 use std::collections::HashSet;
 
+use kt_netbase::rng::{splitmix64, to_unit};
 use kt_netbase::DomainName;
 
 use crate::tranco::TrancoSnapshot;
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Configuration for a rolling snapshot series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,7 +87,7 @@ impl SnapshotSeries {
         for step in 1..config.snapshots {
             let label = format!("snap{step:02}");
             let prev = snapshots.last().expect("non-empty");
-            let step_seed = config.seed ^ mix(step as u64);
+            let step_seed = config.seed ^ splitmix64(step as u64);
             let mut next = prev.successor(&label, 1.0 - config.churn, step_seed);
             // Recycle: a `relist_fraction` share of the genuinely-new
             // slots gets a previously-listed domain back instead.
@@ -117,8 +110,9 @@ impl SnapshotSeries {
                 if prev_set.contains(entry.domain.as_str()) {
                     continue; // carried over, not an incoming slot
                 }
-                let draw = (mix(step_seed ^ 0x5e11 ^ mix(entry.rank as u64)) >> 11) as f64
-                    / (1u64 << 53) as f64;
+                let draw = to_unit(splitmix64(
+                    step_seed ^ 0x5e11 ^ splitmix64(entry.rank as u64),
+                ));
                 let relist = draw < config.relist_fraction;
                 if !relist {
                     continue;

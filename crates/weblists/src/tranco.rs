@@ -8,6 +8,7 @@
 //! rest with fresh domains — reproducing the paper's "19 sites newly
 //! active / 21 sites newly listed" dynamics.
 
+use kt_netbase::rng::{splitmix64, to_unit};
 use kt_netbase::DomainName;
 
 use crate::names::NameForge;
@@ -28,14 +29,6 @@ pub struct TrancoSnapshot {
     pub label: String,
     /// Entries ordered by rank (entry `i` has rank `i+1`).
     pub entries: Vec<RankedDomain>,
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl TrancoSnapshot {
@@ -66,15 +59,12 @@ impl TrancoSnapshot {
         let mut survivors: Vec<&RankedDomain> = self
             .entries
             .iter()
-            .filter(|e| {
-                let h = mix(seed ^ mix(e.rank as u64));
-                (h >> 11) as f64 / (1u64 << 53) as f64 >= 1.0 - overlap
-            })
+            .filter(|e| to_unit(splitmix64(seed ^ splitmix64(e.rank as u64))) >= 1.0 - overlap)
             .collect();
         // Rank churn: stable sort by old rank + bounded jitter keeps
         // the list plausible (top sites stay near the top).
         survivors.sort_by_key(|e| {
-            let jitter = (mix(seed ^ 0x5a5a ^ e.rank as u64) % 2001) as i64 - 1000;
+            let jitter = (splitmix64(seed ^ 0x5a5a ^ e.rank as u64) % 2001) as i64 - 1000;
             (e.rank as i64 * 10 + jitter).max(0)
         });
         let fresh_needed = n - survivors.len();
@@ -89,7 +79,7 @@ impl TrancoSnapshot {
         for i in 0..n {
             let take_fresh = fresh_needed > 0 && (i * fresh_needed) % n < fresh_needed
                 // deterministic mixing decision
-                && mix(seed ^ 0x77 ^ i as u64) % (n as u64) < fresh_needed as u64;
+                && splitmix64(seed ^ 0x77 ^ i as u64) % (n as u64) < fresh_needed as u64;
             let domain = if take_fresh {
                 f.next().or_else(|| s.next().map(|e| e.domain.clone()))
             } else {
